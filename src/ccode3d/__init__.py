@@ -6,7 +6,6 @@ from .idempotents import (
     IdempotentFamily,
     build_constacyclic_idempotents,
     build_full_idempotents,
-    idempotent_eigenfactor,
     reciprocal_index,
 )
 from .ring3d import RingElement3D, RingParams, annihilator_orthogonality_equiv, unflatten

@@ -72,14 +72,24 @@ def spec_to_dict(spec: CodeSpec) -> dict:
     }
 
 
+def _json_int(value, where: str) -> int:
+    """A genuine JSON integer; bool, float and str are rejected, not coerced."""
+    if type(value) is not int:
+        raise SpecValidationError(f"spec field {where} must be an integer, got {value!r}")
+    return value
+
+
 def spec_from_dict(data: dict) -> CodeSpec:
     try:
-        field = FieldSpec(int(data["q"]))
-        ring = RingParams(field, int(data["s"]), int(data["l"]), int(data["k"]),
-                          int(data["alpha"]), int(data["beta"]), int(data["gamma"]))
+        field = FieldSpec(_json_int(data["q"], "q"))
+        ring = RingParams(field, *(_json_int(data[key], key)
+                                   for key in ("s", "l", "k", "alpha", "beta", "gamma")))
+        # a coefficient's path is formatted only when it is rejected
         grid = tuple(
-            tuple(Poly.from_coeffs(field, [int(c) for c in cell]) for cell in row)
-            for row in data["p"]
+            tuple(Poly.from_coeffs(field, [c if type(c) is int else _json_int(c, f"p[{t}][{j}][{i}]")
+                                           for i, c in enumerate(cell)])
+                  for j, cell in enumerate(row))
+            for t, row in enumerate(data["p"])
         )
     except (KeyError, TypeError) as exc:
         raise SpecValidationError(f"malformed spec file: {exc}") from exc

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .idempotents import (
     reciprocal_index,
 )
 from .poly import Poly, factor_binomial
-from .ring3d import AXES, RingElement3D, RingParams, unflatten
+from .ring3d import AXES, RingElement3D, RingParams, kron_words, shift_words
 
 
 class SpecValidationError(ValueError):
@@ -45,9 +44,6 @@ class UnsupportedConstantsError(ValueError):
 class CodeSpec:
     ring: RingParams
     divisor_grid: tuple[tuple[Poly, ...], ...]   # [t][j], k rows of l entries
-
-    def degree_grid(self) -> list[list[int]]:
-        return [[p.degree for p in row] for row in self.divisor_grid]
 
     def degree_sum(self) -> int:
         return sum(p.degree for row in self.divisor_grid for p in row)
@@ -72,16 +68,11 @@ class BuiltCode:
         return self.ring.n
 
 
-@lru_cache(maxsize=None)
-def _axis_idempotents(field: FieldSpec, length: int, constant: int) -> IdempotentFamily:
-    return build_constacyclic_idempotents(length, field.element(constant))
-
-
 def code_idempotents(ring: RingParams) -> tuple[IdempotentFamily, IdempotentFamily]:
     """(z-family of size k, y-family of size l) for the ring."""
     return (
-        _axis_idempotents(ring.field, ring.k, ring.gamma),
-        _axis_idempotents(ring.field, ring.l, ring.beta),
+        build_constacyclic_idempotents(ring.k, ring.field.element(ring.gamma)),
+        build_constacyclic_idempotents(ring.l, ring.field.element(ring.beta)),
     )
 
 
@@ -122,41 +113,52 @@ def validate_spec(spec: CodeSpec) -> CodeSpec:
     return CodeSpec(ring, tuple(rows))
 
 
-def _rows_matrix(ring: RingParams, rows: list[np.ndarray]) -> np.ndarray:
-    if not rows:
-        return np.zeros((0, ring.n), dtype=np.int64)
-    return np.vstack(rows)
+def _shift_rows(f: Poly, count: int, s: int) -> np.ndarray:
+    """The count x s matrix of x^i * f(x), i < count; needs count + deg f <= s."""
+    rows = np.zeros((count, s), dtype=np.int64)
+    for i in range(count):
+        rows[i, i:i + len(f.coeffs)] = f.coeffs
+    return rows
+
+
+def _assemble(spec: CodeSpec, cells, dimension: int) -> BuiltCode:
+    """The construction path of the code and its dual: cell (f, count, g, h)
+    gives the ring generator f(x)*g(y)*h(z) and the Kronecker block of the
+    rows x^i * f(x) * g(y) * h(z), i < count; the stacked blocks must have
+    full rank equal to the dimension."""
+    ring = spec.ring
+    generators, blocks = [], []
+    for f, count, gy, hz in cells:
+        generators.append(RingElement3D.from_axis_polys(ring, f.coeffs, gy, hz))
+        blocks.append(kron_words(ring, _shift_rows(f, count, ring.s), gy, hz))
+    matrix = np.vstack(blocks)
+    if matrix.shape[0] != dimension or linalg.rank(matrix, ring.field.p) != dimension:
+        raise RuntimeError(
+            f"construction rows are not independent: expected rank {dimension}, "
+            f"got {linalg.rank(matrix, ring.field.p)}"
+        )
+    return BuiltCode(spec, tuple(generators), matrix, dimension)
 
 
 def build_code(spec: CodeSpec) -> BuiltCode:
     """Generator matrix and dimension of the code defined by the grid.
 
-    For each cell (t, j) with divisor of degree a the matrix gets the rows
-    x^i * p(x) * e_j(y) * e_t(z) for i = 0..s-a-1; the rows are linearly
-    independent, so the dimension is s*l*k minus the sum of divisor degrees.
+    Cell (t, j) with divisor p of degree a contributes the rows
+    x^i * p(x) * e_j(y) * e_t(z) for i = 0..s-a-1.  In the z-major layout
+    they form the block kron(e_t, kron(e_j, X_p)), where X_p is the banded
+    (s-a) x s matrix of x^i * p(x); deg(x^i * p) < s, so no row wraps.  The
+    rows are linearly independent, so the dimension is s*l*k minus the sum
+    of divisor degrees.
     """
     spec = validate_spec(spec)
     ring = spec.ring
     z_fam, y_fam = code_idempotents(ring)
-    generators = []
-    rows: list[np.ndarray] = []
-    for t in range(ring.k):
-        for j in range(ring.l):
-            p = spec.divisor_grid[t][j]
-            zc = z_fam.members[t].coeffs
-            yc = y_fam.members[j].coeffs
-            generators.append(RingElement3D.from_axis_polys(ring, p.coeffs, yc, zc))
-            for i in range(ring.s - p.degree):
-                elem = RingElement3D.from_axis_polys(ring, p.shift_up(i).coeffs, yc, zc)
-                rows.append(elem.flatten())
-    matrix = _rows_matrix(ring, rows)
-    dimension = ring.n - spec.degree_sum()
-    if matrix.shape[0] != dimension or linalg.rank(matrix, ring.field.p) != dimension:
-        raise RuntimeError(
-            f"generator rows are not independent: expected rank {dimension}, "
-            f"got {linalg.rank(matrix, ring.field.p)}"
-        )
-    return BuiltCode(spec, tuple(generators), matrix, dimension)
+    cells = [
+        (p, ring.s - p.degree, y_fam.members[j].coeffs, z_fam.members[t].coeffs)
+        for t, row in enumerate(spec.divisor_grid)
+        for j, p in enumerate(row)
+    ]
+    return _assemble(spec, cells, ring.n - spec.degree_sum())
 
 
 def _require_unit_constants(ring: RingParams, what: str):
@@ -175,31 +177,23 @@ def build_dual(spec: CodeSpec) -> BuiltCode:
 
     Cell (t, j) contributes the rows x^i * q*(x) * e_j*(y) * e_t*(z) for
     i = 0..a-1, where p*q = x^s - alpha, a = deg p, and * is coefficient
-    reversal; cells with constant divisor contribute no rows.  The result has
-    rank equal to the divisor degree sum and is orthogonal to the code.
+    reversal: the block kron(e_t*, kron(e_j*, X_q*)), built like the code's
+    blocks; deg(x^i * q*) < s for i < a, so no row wraps.  Cells with
+    constant divisor contribute no rows.  The result has rank equal to the
+    divisor degree sum and is orthogonal to the code.
     """
     spec = validate_spec(spec)
     ring = spec.ring
     _require_unit_constants(ring, "dual construction")
     z_fam, y_fam = code_idempotents(ring)
     binom = Poly.binomial(ring.field, ring.s, ring.alpha)
-    generators = []
-    rows: list[np.ndarray] = []
-    for t in range(ring.k):
-        for j in range(ring.l):
-            p = spec.divisor_grid[t][j]
-            q_star = (binom // p).reciprocal()
-            z_star = z_fam.members[t].reciprocal().coeffs
-            y_star = y_fam.members[j].reciprocal().coeffs
-            generators.append(RingElement3D.from_axis_polys(ring, q_star.coeffs, y_star, z_star))
-            for i in range(p.degree):
-                elem = RingElement3D.from_axis_polys(ring, q_star.shift_up(i).coeffs, y_star, z_star)
-                rows.append(elem.flatten())
-    matrix = _rows_matrix(ring, rows)
-    dimension = spec.degree_sum()
-    if matrix.shape[0] != dimension or linalg.rank(matrix, ring.field.p) != dimension:
-        raise RuntimeError("dual rows are not independent")
-    return BuiltCode(spec, tuple(generators), matrix, dimension)
+    cells = [
+        ((binom // p).reciprocal(), p.degree,
+         y_fam.members[j].reciprocal().coeffs, z_fam.members[t].reciprocal().coeffs)
+        for t, row in enumerate(spec.divisor_grid)
+        for j, p in enumerate(row)
+    ]
+    return _assemble(spec, cells, spec.degree_sum())
 
 
 def partner_cell(ring: RingParams, t: int, j: int) -> tuple[int, int]:
@@ -236,22 +230,17 @@ def dual_spec(spec: CodeSpec) -> CodeSpec:
 def quasi_twisted_closure(code: BuiltCode) -> dict[str, bool]:
     """Check closure of the row space under each axis shift.
 
-    For each axis, every generator-matrix row is shifted (block rotation with
-    the wrapped block scaled by the axis constant) and tested for membership
-    in the row space; an ideal passes on all three axes.
+    For each axis, all generator-matrix rows are shifted at once (block
+    rotation with the wrapped block scaled by the axis constant) and the
+    stack is tested for membership in the row space; an ideal passes on all
+    three axes.
     """
     ring = code.ring
-    p = ring.field.p
-    report = {}
-    for axis in AXES:
-        ok = True
-        for row in code.generator_matrix:
-            shifted = unflatten(ring, row).shift(axis).flatten()
-            if not linalg.row_space_contains(code.generator_matrix, shifted, p):
-                ok = False
-                break
-        report[axis] = ok
-    return report
+    g = code.generator_matrix
+    return {
+        axis: linalg.row_space_contains(g, shift_words(ring, g, axis), ring.field.p)
+        for axis in AXES
+    }
 
 
 def direct_self_dual_check(code: BuiltCode) -> bool:

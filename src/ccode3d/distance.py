@@ -79,12 +79,12 @@ def _scan_first_fixed(parity: np.ndarray, p: int, first: int, n: int, w: int):
 def _search_weight(parity: np.ndarray, p: int, n: int, w: int, jobs: int):
     if jobs <= 1:
         return _scan_supports(parity, p, w, itertools.combinations(range(n), w))
-    firsts = range(n - w + 1)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = pool.map(_scan_first_fixed, *zip(*[(parity, p, f, n, w) for f in firsts]))
-        for res in results:        # ordered by first coordinate: deterministic
-            if res is not None:
-                return res
+        futures = [pool.submit(_scan_first_fixed, parity, p, f, n, w) for f in range(n - w + 1)]
+        for fut in futures:        # ordered by first coordinate: deterministic
+            if fut.result() is not None:
+                pool.shutdown(cancel_futures=True)   # drop coordinates not yet started
+                return fut.result()
     return None
 
 

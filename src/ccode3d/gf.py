@@ -87,9 +87,6 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
 
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse via a**(p-2); exact and branch-free."""
         if a % self.p == 0:
@@ -198,11 +195,6 @@ def element_order(a: FieldElement) -> int:
         while order % f == 0 and pow(a.value, order // f, p) == 1:
             order //= f
     return order
-
-
-def multiplicative_order(v: int, p: int) -> int:
-    """Int-level variant of element_order, for loops over raw residues."""
-    return element_order(FieldElement(v, FieldSpec(p)))
 
 
 def find_root(k: int, gamma: FieldElement) -> FieldElement:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf import FieldElement, FieldSpec, MissingRootOfUnityError, element_order, find_root
+from .gf import FieldElement, FieldSpec, element_order, find_root
 from .poly import Poly
 
 FULL_CYCLE = "full-cycle"          # modulus z^(rk) - 1, rk members
@@ -62,56 +62,50 @@ def _root_data(k: int, gamma: FieldElement) -> tuple[FieldSpec, int, int]:
     return field, r, omega.value
 
 
+def _geometric_members(field: FieldSpec, roots: list[int]) -> tuple[Poly, ...]:
+    """The idempotent m^-1 * sum_{i<m} (z/rho)^i for each root rho, where the
+    m roots are those of a split modulus z^m - c.
+
+    At another root rho' the sum runs over the powers of rho'/rho, an m-th
+    root of unity other than 1, and vanishes; at rho itself it is m.
+    """
+    m = len(roots)
+    inv_m = field.inv(m % field.p)
+    members = []
+    for rho in roots:
+        w = field.inv(rho)
+        coeffs = [inv_m]
+        for _ in range(m - 1):
+            coeffs.append(field.mul(coeffs[-1], w))
+        members.append(Poly.from_coeffs(field, coeffs))
+    return tuple(members)
+
+
 @lru_cache(maxsize=None)
 def build_full_idempotents(k: int, gamma: FieldElement) -> IdempotentFamily:
     """The rk idempotents of F_q[z]/(z^(rk) - 1).
 
-    Member t is the geometric-sum form
-    (1/rk) * (1 + w z + (w z)^2 + ... + (w z)^(rk-1)) with w = omega^(rk - t);
-    it evaluates to 1 at omega^t and to 0 at every other rk-th root of unity.
+    Member t is the geometric sum (1/rk) * sum_{i<rk} (z/omega^t)^i; it
+    evaluates to 1 at omega^t and to 0 at every other rk-th root of unity.
     """
     field, r, omega = _root_data(k, gamma)
-    rk = r * k
-    inv_rk = field.inv(rk % field.p)
-    members = []
-    for t in range(rk):
-        w = field.pow(omega, rk - t)
-        coeffs = [inv_rk]
-        for _ in range(rk - 1):
-            coeffs.append(field.mul(coeffs[-1], w))
-        members.append(Poly.from_coeffs(field, coeffs))
-    return IdempotentFamily(FULL_CYCLE, field, k, r, gamma.value, omega, tuple(members))
+    roots = [field.pow(omega, t) for t in range(r * k)]
+    return IdempotentFamily(FULL_CYCLE, field, k, r, gamma.value, omega,
+                            _geometric_members(field, roots))
 
 
 @lru_cache(maxsize=None)
 def build_constacyclic_idempotents(k: int, gamma: FieldElement) -> IdempotentFamily:
     """The k idempotents of F_q[z]/(z^k - gamma).
 
-    Member t is the Lagrange interpolant of degree < k that is 1 at
-    omega^(1 + t*r) and 0 at the other roots of z^k - gamma.
+    Member t is the geometric sum (1/k) * sum_{i<k} (z/rho_t)^i at the root
+    rho_t = omega^(1 + t*r): the polynomial of degree < k that is 1 at rho_t
+    and 0 at the other roots of z^k - gamma (its Lagrange interpolant).
     """
     field, r, omega = _root_data(k, gamma)
     roots = [field.pow(omega, 1 + t * r) for t in range(k)]
-    members = []
-    for t in range(k):
-        num = Poly.one(field)
-        den = 1
-        for u in range(k):
-            if u == t:
-                continue
-            num = num * Poly.from_coeffs(field, [-roots[u], 1])
-            den = field.mul(den, field.sub(roots[t], roots[u]))
-        members.append(num.scale(field.inv(den)))
-    return IdempotentFamily(CONSTACYCLIC, field, k, r, gamma.value, omega, tuple(members))
-
-
-def idempotent_eigenfactor(fam: IdempotentFamily, t: int, power: int) -> FieldElement:
-    """Scalar replacing multiplication by z**power on members[t].
-
-    In the quotient ring, z * members[t] = eigenvalue(t) * members[t], so a
-    power of z acts as the corresponding power of the eigenvalue.
-    """
-    return FieldElement(fam.field.pow(fam.eigenvalue(t), power), fam.field)
+    return IdempotentFamily(CONSTACYCLIC, field, k, r, gamma.value, omega,
+                            _geometric_members(field, roots))
 
 
 def reciprocal_index(k: int, t: int, *, constant_is_one: bool) -> int:
@@ -127,16 +121,6 @@ def reciprocal_index(k: int, t: int, *, constant_is_one: bool) -> int:
     if constant_is_one:
         return (k - 2 - t) % k
     return k - 1 - t
-
-
-def reciprocal_index_for_constant(field: FieldSpec, constant: int, k: int, t: int) -> int:
-    """reciprocal_index keyed by the constant's residue; only +1/-1 supported."""
-    c = field.canon(constant)
-    if c == 1:
-        return reciprocal_index(k, t, constant_is_one=True)
-    if c == field.p - 1:
-        return reciprocal_index(k, t, constant_is_one=False)
-    raise ValueError(f"reciprocal index map is defined only for constants 1 and -1, got {c}")
 
 
 def identity_report(fam: IdempotentFamily) -> dict[str, bool]:

@@ -48,17 +48,20 @@ def rank(m, p: int) -> int:
 
 
 def row_space_contains(m, v, p: int) -> bool:
-    """True iff v is a linear combination of the rows of m."""
+    """True iff v, or every row of a 2-D stack v, is a linear combination of
+    the rows of m.
+
+    One rref of m serves the whole stack: a vector w lies in the row space
+    iff it equals sum_r w[pivot_r] * rref_row_r, since the reduced rows are
+    the identity on the pivot columns.
+    """
     a = as_matrix(m, p)
-    vec = np.asarray(v, dtype=np.int64) % p
-    if vec.ndim != 1 or vec.shape[0] != a.shape[1]:
-        raise ValueError(f"vector length {vec.shape} does not match {a.shape[1]} columns")
-    reduced, _, pivots = rref(a, p)
-    w = vec.copy()
-    for r, c in enumerate(pivots):
-        if w[c]:
-            w = (w - w[c] * reduced[r]) % p
-    return not w.any()
+    vecs = np.asarray(v, dtype=np.int64) % p
+    if vecs.ndim not in (1, 2) or vecs.shape[-1] != a.shape[1]:
+        raise ValueError(f"vector shape {vecs.shape} does not match {a.shape[1]} columns")
+    reduced, rk, pivots = rref(a, p)
+    w = np.atleast_2d(vecs)
+    return not ((w - w[:, list(pivots)] @ reduced[:rk]) % p).any()
 
 
 def null_space(m, p: int) -> np.ndarray:

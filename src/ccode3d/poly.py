@@ -143,12 +143,6 @@ class Poly:
         """Coefficient reversal over [0, degree]; the zero poly maps to itself."""
         return Poly.from_coeffs(self.field, self.coeffs[::-1])
 
-    def shift_up(self, n: int) -> "Poly":
-        """Multiply by x**n."""
-        if self.is_zero():
-            return self
-        return Poly(self.field, (0,) * n + self.coeffs)
-
     def __str__(self) -> str:
         return format_poly(self)
 

@@ -6,9 +6,11 @@ x^i y^j z^t.  The canonical codeword layout concatenates the z-slices:
     position(i, j, t) = t*(s*l) + j*s + i
 
 so a flattened word reads (z^0 block | z^1 block | ... | z^(k-1) block), each
-block listing the y^j runs of x-coefficients, low powers first.  Two
-alternative layouts (x-major and y-major) are exposed for the quasi-twisted
-closure checks; all three are permutations of each other.
+block listing the y^j runs of x-coefficients, low powers first.  This module
+is the only place that knows the layout.  Two batched operations act on whole
+stacks of flattened words: ``kron_words`` gives the words f_i(x)*g(y)*h(z)
+for a stack of x-rows f_i as the Kronecker block kron(kron(h, g), X), and
+``shift_words`` applies one constacyclic axis shift to every word at once.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from .gf import FieldMismatchError, FieldSpec
 
 AXES = ("x", "y", "z")
+_UNIT_STEPS = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}
 
 
 @dataclass(frozen=True)
@@ -47,9 +50,6 @@ class RingParams:
 
     def shape(self) -> tuple[int, int, int]:
         return (self.s, self.l, self.k)
-
-    def wrap_constant(self, axis: str) -> int:
-        return {"x": self.alpha, "y": self.beta, "z": self.gamma}[axis]
 
     def inverse_constants(self) -> "RingParams":
         f = self.field
@@ -145,9 +145,8 @@ class RingElement3D:
         """Constacyclic shift along one axis; equals multiplication by that
         variable, rotating blocks with the wrapped block scaled by the axis
         constant."""
-        steps = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}[axis]
         return RingElement3D.from_tensor(
-            self.params, _monomial_shift(self.coeffs, self.params, *steps)
+            self.params, _monomial_shift(self.coeffs, self.params, *_UNIT_STEPS[axis])
         )
 
     def monomial_times(self, i: int, j: int, t: int) -> "RingElement3D":
@@ -157,17 +156,9 @@ class RingElement3D:
 
     def flatten(self) -> np.ndarray:
         """Canonical z-major codeword layout (see module docstring)."""
-        vec = np.transpose(self.coeffs, (2, 1, 0)).reshape(-1).copy()
+        vec = _to_words(self.params, self.coeffs).copy()
         vec.setflags(write=False)
         return vec
-
-    def flatten_x_major(self) -> np.ndarray:
-        """position(i,j,t) = i*(l*k) + t*l + j."""
-        return np.transpose(self.coeffs, (0, 2, 1)).reshape(-1)
-
-    def flatten_y_major(self) -> np.ndarray:
-        """position(i,j,t) = j*(s*k) + i*k + t."""
-        return np.transpose(self.coeffs, (1, 0, 2)).reshape(-1)
 
     def star(self) -> np.ndarray:
         """Full reversal of the flattened word (block order in t, then j,
@@ -182,8 +173,36 @@ def unflatten(params: RingParams, vec) -> RingElement3D:
     arr = np.asarray(vec, dtype=np.int64)
     if arr.shape != (params.n,):
         raise ValueError(f"expected vector of length {params.n}, got shape {arr.shape}")
-    tensor = np.transpose(arr.reshape(params.k, params.l, params.s), (2, 1, 0))
-    return RingElement3D.from_tensor(params, tensor)
+    return RingElement3D.from_tensor(params, _to_tensors(params, arr))
+
+
+def kron_words(params: RingParams, x_rows: np.ndarray, gy, hz) -> np.ndarray:
+    """Flattened words f_i(x)*g(y)*h(z) for the rows f_i of an (r, s) array of
+    reduced x-coefficients; g and h are reduced as in from_axis_polys.  In the
+    z-major layout the words are the rows of kron(kron(h, g), x_rows), formed
+    by broadcasting because np.kron is several times slower on small blocks."""
+    f = params.field
+    yv = _reduce_axis(f, gy, params.l, params.beta)
+    zv = _reduce_axis(f, hz, params.k, params.gamma)
+    hg = np.outer(zv, yv).reshape(1, -1, 1)
+    return (hg * x_rows[:, None, :]).reshape(len(x_rows), params.n) % f.p
+
+
+def shift_words(params: RingParams, words, axis: str) -> np.ndarray:
+    """The constacyclic shift along one axis of every row of a stack of
+    flattened words; row by row equal to unflatten(...).shift(axis).flatten()."""
+    tensors = _to_tensors(params, np.asarray(words, dtype=np.int64) % params.field.p)
+    return _to_words(params, _monomial_shift(tensors, params, *_UNIT_STEPS[axis]))
+
+
+def _to_words(params: RingParams, tensors: np.ndarray) -> np.ndarray:
+    """(..., s, l, k) coefficient tensors to (..., n) z-major words."""
+    return np.swapaxes(tensors, -1, -3).reshape(*tensors.shape[:-3], params.n)
+
+
+def _to_tensors(params: RingParams, words: np.ndarray) -> np.ndarray:
+    """(..., n) z-major words to (..., s, l, k) coefficient tensors."""
+    return np.swapaxes(words.reshape(*words.shape[:-1], params.k, params.l, params.s), -1, -3)
 
 
 def _reduce_axis(field: FieldSpec, coeffs, m: int, constant: int) -> np.ndarray:
@@ -194,10 +213,11 @@ def _reduce_axis(field: FieldSpec, coeffs, m: int, constant: int) -> np.ndarray:
 
 
 def _monomial_shift(tensor: np.ndarray, params: RingParams, i: int, j: int, t: int) -> np.ndarray:
-    """Multiply the coefficient tensor by x^i y^j z^t.
+    """Multiply coefficient tensors by x^i y^j z^t.
 
-    Each full wrap of an axis multiplies by that axis constant; the residual
-    rotation scales only the wrapped leading slices.
+    The trailing three axes are (x, y, z), so a stack of tensors shifts in
+    one call.  Each full wrap of an axis multiplies by that axis constant;
+    the residual rotation scales only the wrapped leading slices.
     """
     p = params.field.p
     out = tensor
@@ -207,9 +227,9 @@ def _monomial_shift(tensor: np.ndarray, params: RingParams, i: int, j: int, t: i
             out = (out * pow(const, wraps, p)) % p
         if steps == 0:
             continue
-        out = np.roll(out, steps, axis=axis)
-        sl = [slice(None)] * 3
-        sl[axis] = slice(0, steps)
+        out = np.roll(out, steps, axis=axis - 3)
+        sl = [Ellipsis, slice(None), slice(None), slice(None)]
+        sl[1 + axis] = slice(0, steps)
         out[tuple(sl)] = (out[tuple(sl)] * const) % p
     return out % p
 

@@ -7,7 +7,8 @@ import pytest
 
 from ccode3d.cli import canonical_json, load_spec, main, spec_from_dict, spec_to_dict
 
-SPECS = Path(__file__).resolve().parent.parent / "specs"
+ROOT = Path(__file__).resolve().parent.parent
+SPECS = ROOT / "specs"
 EXAMPLE1 = str(SPECS / "example1.json")
 EXAMPLE2 = str(SPECS / "example2.json")
 EXAMPLE3 = str(SPECS / "example3.json")
@@ -91,6 +92,29 @@ def test_invalid_spec_exit_2(capsys, tmp_path):
     assert code == 2
     code, _ = run(capsys, "build", "--spec", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+EXAMPLE1_DICT = {
+    "q": 5, "s": 2, "l": 2, "k": 2, "alpha": 1, "beta": 4, "gamma": 4,
+    "p": [[[4, 1], [1, 1]], [[4, 1], [1, 1]]],
+}
+
+
+@pytest.mark.parametrize("field, value, where", [
+    ("q", 5.9, "q"),
+    ("alpha", True, "alpha"),
+    ("beta", "4", "beta"),
+    ("p", [[[4.0, 1], [1, 1]], [[4, 1], [1, 1]]], "p[0][0][0]"),
+])
+def test_non_integer_spec_fields_exit_2(capsys, tmp_path, field, value, where):
+    # JSON floats, booleans and strings are rejected, never coerced with int()
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**EXAMPLE1_DICT, field: value}))
+    out_file = tmp_path / "result.json"
+    code = main(["build", "--spec", str(spec), "--out", str(out_file)])
+    assert code == 2
+    assert f"spec field {where} must be an integer" in capsys.readouterr().err
+    assert not out_file.exists()
 
 
 def test_dual_command(capsys):
@@ -186,6 +210,14 @@ def test_console_entry_point():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0 and "e_0(z) = 3 + 4z" in proc.stdout
+
+
+def test_experiment_scripts_run():
+    # the scripts import ccode3d names directly; a removed name breaks them
+    for script in ("reproduce_examples.py", "selfdual_survey.py"):
+        proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_load_spec_matches_library_build():

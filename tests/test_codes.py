@@ -6,6 +6,7 @@ import pytest
 from ccode3d import linalg
 from ccode3d.gf import FieldSpec, MissingRootOfUnityError
 from ccode3d.codes import (
+    BuiltCode,
     CodeSpec,
     SpecValidationError,
     UnsupportedConstantsError,
@@ -13,6 +14,7 @@ from ccode3d.codes import (
     binomial_divisors,
     build_code,
     build_dual,
+    code_idempotents,
     count_divisor_grids,
     cyclic_yz_selfdual_scan,
     direct_self_dual_check,
@@ -27,7 +29,7 @@ from ccode3d.codes import (
     validate_spec,
 )
 from ccode3d.poly import Poly
-from ccode3d.ring3d import RingElement3D, RingParams
+from ccode3d.ring3d import RingElement3D, RingParams, unflatten
 
 F5 = FieldSpec(5)
 F7 = FieldSpec(7)
@@ -200,6 +202,98 @@ def test_example3_generator_matrix_matches_published_rows():
     assert np.array_equal(code.generator_matrix, np.array(rows) % 7)
 
 
+def random_specs(rng, count):
+    """Seeded random grid specs over q in {5, 7, 13}; about half the constants
+    are drawn from {1, -1} and the rest from all nonzero residues."""
+    specs = []
+    while len(specs) < count:
+        field = FieldSpec(rng.choice((5, 7, 13)))
+        consts = [rng.choice((1, field.p - 1)) if rng.random() < 0.5
+                  else rng.randrange(1, field.p) for _ in range(3)]
+        ring = RingParams(field, rng.randint(1, 6), rng.randint(1, 4), rng.randint(1, 4), *consts)
+        try:
+            code_idempotents(ring)
+        except ValueError:
+            continue
+        divisors = binomial_divisors(field, ring.s, ring.alpha)
+        grid = tuple(tuple(rng.choice(divisors) for _ in range(ring.l)) for _ in range(ring.k))
+        specs.append(validate_spec(CodeSpec(ring, grid)))
+    return specs
+
+
+def has_unit_constants(ring: RingParams) -> bool:
+    return {ring.alpha, ring.beta, ring.gamma} <= {1, ring.field.p - 1}
+
+
+def per_row_matrix(ring, cells) -> np.ndarray:
+    """Oracle: one from_axis_polys product per row x^i * f(x) * g(y) * h(z)."""
+    rows = [
+        RingElement3D.from_axis_polys(ring, (0,) * i + f.coeffs, gy, hz).flatten()
+        for f, count, gy, hz in cells
+        for i in range(count)
+    ]
+    return np.array(rows, dtype=np.int64).reshape(-1, ring.n)
+
+
+def per_row_closure(code) -> dict[str, bool]:
+    """Oracle: shift each row as a ring element and test it on its own."""
+    ring = code.ring
+    g = code.generator_matrix
+    return {
+        axis: all(linalg.row_space_contains(g, unflatten(ring, row).shift(axis).flatten(),
+                                            ring.field.p)
+                  for row in g)
+        for axis in "xyz"
+    }
+
+
+def test_kronecker_matrices_equal_per_row_products(rng):
+    specs = random_specs(rng, 60)
+    assert any(has_unit_constants(s.ring) for s in specs)
+    assert any(not has_unit_constants(s.ring) for s in specs)
+    for spec in specs:
+        ring = spec.ring
+        z_fam, y_fam = code_idempotents(ring)
+        binom = Poly.binomial(ring.field, ring.s, ring.alpha)
+        code_cells = []
+        dual_cells = []
+        for t, row in enumerate(spec.divisor_grid):
+            for j, p in enumerate(row):
+                y_mem, z_mem = y_fam.members[j], z_fam.members[t]
+                code_cells.append((p, ring.s - p.degree, y_mem.coeffs, z_mem.coeffs))
+                dual_cells.append(((binom // p).reciprocal(), p.degree,
+                                   y_mem.reciprocal().coeffs, z_mem.reciprocal().coeffs))
+        assert np.array_equal(build_code(spec).generator_matrix, per_row_matrix(ring, code_cells))
+        if has_unit_constants(ring):
+            assert np.array_equal(build_dual(spec).generator_matrix,
+                                  per_row_matrix(ring, dual_cells))
+
+
+def test_closure_matches_per_row_oracle(rng):
+    specs = [s for s in random_specs(rng, 40) if s.ring.n <= 60]
+    for spec in specs:
+        code = build_code(spec)
+        assert quasi_twisted_closure(code) == per_row_closure(code) == {
+            "x": True, "y": True, "z": True}
+        # a random subset of the rows is seldom an ideal: the batched check
+        # must still agree with the per-row oracle axis by axis
+        if code.dimension > 1:
+            g = code.generator_matrix[rng.sample(range(code.dimension), code.dimension // 2)]
+            part = BuiltCode(spec, (), g, g.shape[0])
+            assert quasi_twisted_closure(part) == per_row_closure(part)
+
+
+def test_closure_rejects_non_ideal_code():
+    # span{1, x} in F_5[x, y, z]/(x^2 - 1, y - 1, z^2 + 1): closed under x
+    # (x * x = 1) and under y (y = 1), but z * 1 = z leaves the span
+    ring = RingParams(F5, 2, 1, 2, 1, 1, -1)
+    spec = CodeSpec(ring, ((Poly.one(F5),), (Poly.binomial(F5, 2, 1),)))
+    g = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.int64)
+    code = BuiltCode(spec, (), g, 2)
+    assert quasi_twisted_closure(code) == {"x": True, "y": True, "z": False}
+    assert per_row_closure(code) == {"x": True, "y": True, "z": False}
+
+
 def test_example3_dual_requires_unit_constants():
     with pytest.raises(UnsupportedConstantsError, match="null_space"):
         build_dual(example3_spec())
@@ -260,8 +354,6 @@ def test_generators_annihilate_complement_products():
 def test_general_constants_dual_lives_in_inverse_ring():
     # with constants outside +-1 the orthogonal complement is closed under
     # the shifts taken with inverted constants, not the original ones
-    from ccode3d.ring3d import unflatten
-
     spec = validate_spec(example3_spec())
     ring = spec.ring
     code = build_code(spec)

@@ -4,10 +4,8 @@ from ccode3d.gf import FieldSpec, element_order, find_root
 from ccode3d.idempotents import (
     build_constacyclic_idempotents,
     build_full_idempotents,
-    idempotent_eigenfactor,
     identity_report,
     reciprocal_index,
-    reciprocal_index_for_constant,
 )
 from ccode3d.poly import Poly
 
@@ -74,23 +72,10 @@ def test_families_match_interpolation_oracle():
         assert list(full.members) == lagrange_family_oracle(field, full_points)
 
 
-def test_eigenfactor_examples():
-    fam = build_constacyclic_idempotents(2, F5.element(-1))
-    assert idempotent_eigenfactor(fam, 1, 0).value == 1
-    assert idempotent_eigenfactor(fam, 0, 1).value == 2
-    fam7 = build_constacyclic_idempotents(3, F7.element(-1))
-    assert idempotent_eigenfactor(fam7, 1, 2).value == pow(pow(3, 3, 7), 2, 7) == 1
-    with pytest.raises(IndexError):
-        idempotent_eigenfactor(fam, 5, 1)
-
-
 def test_reciprocal_index_examples():
     assert reciprocal_index(2, 0, constant_is_one=False) == 1
     assert reciprocal_index(3, 2, constant_is_one=True) == 2
     assert reciprocal_index(3, 0, constant_is_one=True) == 1
-    assert reciprocal_index_for_constant(F5, -1, 2, 0) == 1
-    with pytest.raises(ValueError):
-        reciprocal_index_for_constant(F5, 2, 2, 0)
     with pytest.raises(IndexError):
         reciprocal_index(3, 3, constant_is_one=True)
 

@@ -70,6 +70,33 @@ def test_row_space_contains_actual_combinations(mp):
     assert linalg.row_space_contains(m, combo, p)
 
 
+def test_row_space_contains_stack_examples():
+    m = np.array([[1, 2, 0], [0, 0, 1]])
+    assert linalg.row_space_contains(m, [[1, 2, 3], [2, 4, 0], [0, 0, 0]], 5)
+    assert not linalg.row_space_contains(m, [[1, 2, 3], [0, 1, 0]], 5)
+    assert linalg.row_space_contains(m, np.zeros((0, 3), dtype=np.int64), 5)
+    with pytest.raises(ValueError):
+        linalg.row_space_contains(m, [[1, 0]], 5)
+    with pytest.raises(ValueError):
+        linalg.row_space_contains(m, np.zeros((1, 1, 3), dtype=np.int64), 5)
+
+
+@given(matrices(), st.data())
+def test_row_space_contains_stack_matches_rank_oracle(mp, data):
+    # a stack is inside the row space iff appending each vector keeps the rank
+    m, p = mp
+    cols = m.shape[1]
+    span_rows = (np.arange(1, m.shape[0] + 1)[:, None] * m) % p
+    free = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols), max_size=3)),
+        dtype=np.int64).reshape(-1, cols)
+    stack = np.vstack([span_rows, free])
+    base = linalg.rank(m, p)
+    expected = all(linalg.rank(np.vstack([m, v]), p) == base for v in stack)
+    assert linalg.row_space_contains(m, stack, p) == expected
+    assert linalg.row_space_contains(m, span_rows, p)
+
+
 def test_null_space_examples():
     assert linalg.null_space(np.eye(3, dtype=np.int64), 5).shape == (0, 3)
     basis = linalg.null_space(np.array([[1, 1]]), 2)

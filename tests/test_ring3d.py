@@ -10,6 +10,8 @@ from ccode3d.ring3d import (
     RingElement3D,
     RingParams,
     annihilator_orthogonality_equiv,
+    kron_words,
+    shift_words,
     unflatten,
 )
 
@@ -92,8 +94,6 @@ def test_flatten_layout_positions():
     for i, j, t in itertools.product(range(2), range(3), range(2)):
         m = RingElement3D.monomial(pr, i, j, t)
         assert list(m.flatten()).index(1) == t * 6 + j * 2 + i
-        assert list(m.flatten_x_major()).index(1) == i * 6 + t * 3 + j
-        assert list(m.flatten_y_major()).index(1) == j * 4 + i * 2 + t
 
 
 def test_mul_examples():
@@ -140,6 +140,26 @@ def test_shift_is_multiplication_by_variable(pe):
     pr, e = pe
     for axis, (i, j, t) in zip("xyz", [(1, 0, 0), (0, 1, 0), (0, 0, 1)]):
         assert e.shift(axis) == RingElement3D.monomial(pr, i, j, t) * e
+
+
+@given(params_and_elements(count=3))
+def test_shift_words_matches_element_shift(pe):
+    pr, *elems = pe
+    words = np.vstack([e.flatten() for e in elems])
+    for axis in "xyz":
+        expected = np.vstack([e.shift(axis).flatten() for e in elems])
+        assert np.array_equal(shift_words(pr, words, axis), expected)
+    assert shift_words(pr, words[:0], "x").shape == (0, pr.n)
+
+
+@given(params_and_elements(count=3))
+def test_kron_words_matches_axis_products(pe):
+    pr, a, b, c = pe
+    x_rows = a.coeffs[:, 0, :].T          # k rows of s x-coefficients
+    gy, hz = b.coeffs[0, :, 0], c.coeffs[0, 0, :]
+    expected = np.vstack([RingElement3D.from_axis_polys(pr, row, gy, hz).flatten()
+                          for row in x_rows])
+    assert np.array_equal(kron_words(pr, x_rows, gy, hz), expected)
 
 
 @given(params_and_elements())
@@ -191,7 +211,7 @@ def test_mismatched_params_rejected():
 def test_ideal_closure_in_all_three_layouts():
     # the span of all monomial multiples of one element is an ideal: applying
     # any axis shift to a flattened member stays inside the span, in the
-    # layout matched to that axis
+    # canonical layout, along x, y and z
     from ccode3d import linalg
 
     pr = RingParams(F7, 2, 3, 2, 1, 2, 6)
@@ -200,10 +220,7 @@ def test_ideal_closure_in_all_three_layouts():
         seed.monomial_times(i, j, t)
         for i, j, t in itertools.product(range(pr.s), range(pr.l), range(pr.k))
     ]
-    for axis, flatten in (("x", "flatten_x_major"),
-                          ("y", "flatten_y_major"),
-                          ("z", "flatten")):
-        basis = np.vstack([getattr(m, flatten)() for m in members])
+    basis = np.vstack([m.flatten() for m in members])
+    for axis in ("x", "y", "z"):
         for m in members:
-            shifted = getattr(m.shift(axis), flatten)()
-            assert linalg.row_space_contains(basis, shifted, pr.field.p)
+            assert linalg.row_space_contains(basis, m.shift(axis).flatten(), pr.field.p)
