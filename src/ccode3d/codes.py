@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -334,8 +335,12 @@ def self_dual_feasible(field: FieldSpec, s: int, l: int, k: int,
 
 # --- divisor lattice and exhaustive sweeps -------------------------------
 
+@lru_cache(maxsize=None)
 def binomial_divisors(field: FieldSpec, s: int, alpha: int) -> tuple[Poly, ...]:
-    """All monic divisors of x^s - alpha, sorted by (degree, coefficients)."""
+    """All monic divisors of x^s - alpha, sorted by (degree, coefficients).
+
+    Cached: the sweeps ask for the same binomial once per ring and record,
+    and the result is a tuple of frozen polynomials, safe to share."""
     factored = factor_binomial(field, s, alpha)
     divisors = []
     for exps in itertools.product(*[range(m + 1) for _, m in factored]):

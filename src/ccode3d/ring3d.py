@@ -11,11 +11,17 @@ is the only place that knows the layout.  Two batched operations act on whole
 stacks of flattened words: ``kron_words`` gives the words f_i(x)*g(y)*h(z)
 for a stack of x-rows f_i as the Kronecker block kron(kron(h, g), X), and
 ``shift_words`` applies one constacyclic axis shift to every word at once.
+
+R is the tensor product of the three univariate rings F_q[u]/(u^m - c), so
+the ring product factors axis by axis: ``__mul__`` contracts both operands
+against one cached multiplication table per axis, T[i, i', d] = c^((i+i')//m)
+where d = (i+i') mod m and 0 elsewhere, with no loop over monomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -132,14 +138,26 @@ class RingElement3D:
 
     def __mul__(self, other: "RingElement3D") -> "RingElement3D":
         """Ring product: 3-D convolution where an index overflow along x, y, z
-        contributes a factor alpha, beta, gamma per full wrap."""
+        contributes a factor alpha, beta, gamma per full wrap.
+
+        Computed as the contraction sum a[i,j,t] b[i',j',t'] Tx[i,i',d]
+        Ty[j,j',e] Tz[t,t',f] against the per-axis tables of ``axis_table``,
+        one axis at a time in int64 with a reduction mod p after each stage.
+        Overflow bound: every term is a product of two residues, < p^2 < 2^32
+        for p < 2^16, and each output sums at most max(s, l, k) nonzero
+        terms, since T[i, :, d] has a single nonzero entry; so no partial sum
+        reaches 2^63 while max(s, l, k) < 2^31.
+        """
         self._check(other)
-        p = self.params.field.p
-        out = np.zeros(self.params.shape(), dtype=np.int64)
-        for (i, j, t) in np.argwhere(self.coeffs):
-            c = int(self.coeffs[i, j, t])
-            out = (out + c * _monomial_shift(other.coeffs, self.params, int(i), int(j), int(t))) % p
-        return RingElement3D.from_tensor(self.params, out)
+        pr = self.params
+        p = pr.field.p
+        tx = axis_table(pr.s, pr.alpha, p)
+        ty = axis_table(pr.l, pr.beta, p)
+        tz = axis_table(pr.k, pr.gamma, p)
+        w = np.tensordot(tx, self.coeffs, axes=(0, 0)) % p      # (i', d, j, t)
+        w = np.tensordot(w, other.coeffs, axes=(0, 0)) % p      # (d, j, t, j', t')
+        w = np.tensordot(w, ty, axes=([1, 3], [0, 1])) % p      # (d, t, t', e)
+        return RingElement3D.from_tensor(pr, np.tensordot(w, tz, axes=([1, 2], [0, 1])))
 
     def shift(self, axis: str) -> "RingElement3D":
         """Constacyclic shift along one axis; equals multiplication by that
@@ -203,6 +221,20 @@ def _to_words(params: RingParams, tensors: np.ndarray) -> np.ndarray:
 def _to_tensors(params: RingParams, words: np.ndarray) -> np.ndarray:
     """(..., n) z-major words to (..., s, l, k) coefficient tensors."""
     return np.swapaxes(words.reshape(*words.shape[:-1], params.k, params.l, params.s), -1, -3)
+
+
+@lru_cache(maxsize=None)
+def axis_table(m: int, constant: int, p: int) -> np.ndarray:
+    """Read-only multiplication table of F_p[u]/(u^m - constant): the (m, m, m)
+    array with T[i, i', d] = constant^((i+i') // m) when d = (i+i') mod m
+    and 0 otherwise, so u^i * u^i' = sum_d T[i, i', d] u^d.  Cached per
+    (m, constant, p) and shared by every product in that ring."""
+    i = np.arange(m)
+    total = i[:, None] + i[None, :]
+    table = np.zeros((m, m, m), dtype=np.int64)
+    table[i[:, None], i[None, :], total % m] = np.where(total < m, 1, constant % p)
+    table.setflags(write=False)
+    return table
 
 
 def _reduce_axis(field: FieldSpec, coeffs, m: int, constant: int) -> np.ndarray:

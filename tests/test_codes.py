@@ -452,6 +452,33 @@ def test_selfdual_scan_beta_gamma_one_small():
             assert found == 0
 
 
+def test_selfdual_scan_factors_each_binomial_once(monkeypatch):
+    from ccode3d import codes
+
+    calls = []
+    factor = codes.factor_binomial
+
+    def counting_factor(field, s, alpha):
+        calls.append((s, alpha))
+        return factor(field, s, alpha)
+
+    monkeypatch.setattr(codes, "factor_binomial", counting_factor)
+    with monkeypatch.context() as m:
+        m.setattr(codes, "binomial_divisors", binomial_divisors.__wrapped__)
+        uncached = cyclic_yz_selfdual_scan(F7, 5, 3, 3)
+    assert len(calls) == 2 * len(uncached)   # grid count and self-dual count
+    calls.clear()
+    binomial_divisors.cache_clear()
+    try:
+        records = cyclic_yz_selfdual_scan(F7, 5, 3, 3)
+    finally:
+        binomial_divisors.cache_clear()
+    assert records == uncached
+    distinct = {(rec["s"], rec["alpha"]) for rec in records}
+    assert len(records) > len(distinct)
+    assert sorted(calls) == sorted(distinct)
+
+
 def test_involution_orbit_cover():
     ring = RingParams(F7, 2, 2, 3, 1, 1, -1)
     orbits = involution_orbits(ring)

@@ -6,11 +6,14 @@ from hypothesis import given, strategies as st
 
 from ccode3d.gf import FieldMismatchError, FieldSpec
 from ccode3d.idempotents import build_constacyclic_idempotents
+from ccode3d.poly import Poly
 from ccode3d.ring3d import (
     RingElement3D,
     RingParams,
     annihilator_orthogonality_equiv,
+    axis_table,
     kron_words,
+    shift_orbit_orthogonal,
     shift_words,
     unflatten,
 )
@@ -37,7 +40,8 @@ def brute_mul_oracle(f: RingElement3D, g: RingElement3D) -> np.ndarray:
             scale *= pr.alpha ** ((i1 + i2) // pr.s)
             scale *= pr.beta ** ((j1 + j2) // pr.l)
             scale *= pr.gamma ** ((t1 + t2) // pr.k)
-            out[(i1 + i2) % pr.s, (j1 + j2) % pr.l, (t1 + t2) % pr.k] += scale
+            # reduced per term, so n terms < p fit int64 at every p < 2^16
+            out[(i1 + i2) % pr.s, (j1 + j2) % pr.l, (t1 + t2) % pr.k] += scale % p
     return out % p
 
 
@@ -126,6 +130,51 @@ def test_mul_matches_bruteforce_oracle(pe):
     assert np.array_equal((f * g).coeffs, brute_mul_oracle(f, g))
 
 
+# (p, s, l, k, alpha, beta, gamma): ladder shapes up to (12, 4, 3) with
+# non-unit constants, axis lengths of 1, and the largest admitted prime
+WIDE_MUL_CASES = [
+    (13, 12, 4, 3, 6, 3, 8),
+    (13, 6, 4, 3, 2, 12, 5),
+    (7, 12, 2, 3, 3, 5, 6),
+    (5, 8, 4, 1, 2, 3, 4),
+    (7, 1, 1, 1, 3, 1, 6),
+    (7, 1, 6, 1, 1, 5, 1),
+    (13, 1, 1, 12, 1, 1, 7),
+    (5, 4, 1, 2, 3, 1, 2),
+    (65521, 12, 4, 3, 65519, 65520, 40000),
+    (65521, 1, 3, 2, 65520, 12345, 65000),
+]
+
+
+@pytest.mark.parametrize("p,s,l,k,alpha,beta,gamma", WIDE_MUL_CASES)
+def test_mul_matches_bruteforce_oracle_wide(p, s, l, k, alpha, beta, gamma):
+    pr = RingParams(FieldSpec(p), s, l, k, alpha, beta, gamma)
+    rng = np.random.default_rng(1000 * s + 100 * l + k)
+    f, g = (RingElement3D.from_tensor(pr, rng.integers(0, p, pr.shape())) for _ in range(2))
+    assert np.array_equal((f * g).coeffs, brute_mul_oracle(f, g))
+    # every coefficient p - 1: the largest residues the int64 stages meet
+    full = RingElement3D.from_tensor(pr, np.full(pr.shape(), p - 1))
+    assert np.array_equal((full * full).coeffs, brute_mul_oracle(full, full))
+    assert np.array_equal((full * f).coeffs, brute_mul_oracle(full, f))
+
+
+@pytest.mark.parametrize("p,s,l,k,alpha,beta,gamma", WIDE_MUL_CASES)
+def test_axis_tables_are_reduced_monomial_products(p, s, l, k, alpha, beta, gamma):
+    field = FieldSpec(p)
+    pr = RingParams(field, s, l, k, alpha, beta, gamma)
+    for m, c in ((pr.s, pr.alpha), (pr.l, pr.beta), (pr.k, pr.gamma)):
+        table = axis_table(m, c, p)
+        assert table.shape == (m, m, m)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 2
+        binom = Poly.binomial(field, m, c)
+        for i, i2 in itertools.product(range(m), repeat=2):
+            _, rem = divmod(Poly.x_power(field, i) * Poly.x_power(field, i2), binom)
+            expected = list(rem.coeffs) + [0] * (m - len(rem.coeffs))
+            assert list(table[i, i2]) == expected
+
+
 @given(params_and_elements(count=3))
 def test_mul_algebra_laws(pe):
     pr, f, g, h = pe
@@ -199,6 +248,23 @@ def test_product_zero_iff_shift_orbit_orthogonal(pe):
     pr, f, g = pe
     zero_flag, ortho_flag = annihilator_orthogonality_equiv(f, g)
     assert zero_flag == ortho_flag
+
+
+def test_shift_orbit_side_does_not_use_the_product(monkeypatch):
+    # the bridge compares two independent routes, so the orbit side must not
+    # fall back on the ring product it is checked against
+    pr = ring1()
+    fam = build_constacyclic_idempotents(2, F5.element(pr.gamma))
+    e0, e1 = (RingElement3D.from_axis_polys(pr, [1, 2], [3, 1], m.coeffs) for m in fam.members)
+    pairs = [(e0, e1), (e0, e0)]
+    expected = [(f * g).is_zero() for f, g in pairs]
+    assert expected == [True, False]
+
+    def refuse(self, other):
+        raise AssertionError("shift_orbit_orthogonal multiplied in the ring")
+
+    monkeypatch.setattr(RingElement3D, "__mul__", refuse)
+    assert [shift_orbit_orthogonal(f, g) for f, g in pairs] == expected
 
 
 def test_mismatched_params_rejected():
