@@ -16,7 +16,6 @@ from ccode3d.codes import (
     build_dual,
     quasi_twisted_closure,
     self_dual_decide,
-    validate_spec,
 )
 from ccode3d.distance import min_distance
 
@@ -25,7 +24,7 @@ SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 
 def main():
     for name in ("example1.json", "example2.json", "example3.json"):
-        spec = validate_spec(load_spec(str(SPEC_DIR / name)))
+        spec = load_spec(str(SPEC_DIR / name))
         ring = spec.ring
         start = time.perf_counter()
         code = build_code(spec)

@@ -1,6 +1,6 @@
 """Three-dimensional constacyclic codes over prime fields."""
 
-from .gf import FieldElement, FieldSpec, element_order, find_root
+from .gf import FieldSpec, element_order, find_root
 from .poly import Poly, cyclotomic_cosets, factor_binomial
 from .idempotents import (
     IdempotentFamily,

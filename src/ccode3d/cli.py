@@ -37,7 +37,6 @@ from .codes import (
     quasi_twisted_closure,
     self_dual_decide,
     sign_grid_sweep_report,
-    validate_spec,
 )
 from .distance import min_distance
 from .gf import FieldSpec, MissingRootOfUnityError
@@ -137,10 +136,10 @@ def _print_family(fam, var: str):
 
 def cmd_idempotents(args) -> int:
     field = FieldSpec(args.q)
-    gamma = field.element(args.gamma)
-    _print_family(build_constacyclic_idempotents(args.k, gamma), "z")
+    gamma = field.canon(args.gamma)
+    _print_family(build_constacyclic_idempotents(field, args.k, gamma), "z")
     if args.full:
-        _print_family(build_full_idempotents(args.k, gamma), "z")
+        _print_family(build_full_idempotents(field, args.k, gamma), "z")
     return EXIT_OK
 
 
@@ -155,7 +154,7 @@ def cmd_factor(args) -> int:
 
 
 def cmd_build(args) -> int:
-    spec = validate_spec(load_spec(args.spec))
+    spec = load_spec(args.spec)
     code = build_code(spec)
     result = _base_result(spec, code)
     result["verdicts"] = {"quasi_twisted": quasi_twisted_closure(code)}
@@ -164,7 +163,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    spec = validate_spec(load_spec(args.spec))
+    spec = load_spec(args.spec)
     code = build_code(spec)
     dual = build_dual(spec)
     result = _base_result(spec, code)
@@ -176,7 +175,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_selfdual(args) -> int:
-    spec = validate_spec(load_spec(args.spec))
+    spec = load_spec(args.spec)
     verdict, certificate = self_dual_decide(spec)
     code = build_code(spec)
     result = _base_result(spec, code)
@@ -194,7 +193,7 @@ def cmd_selfdual(args) -> int:
 
 
 def cmd_mindist(args) -> int:
-    spec = validate_spec(load_spec(args.spec))
+    spec = load_spec(args.spec)
     code = build_code(spec)
     parity = None
     try:
@@ -271,7 +270,7 @@ def _verify_checks(spec: CodeSpec, pairs: int, seed: int):
 
 
 def cmd_verify(args) -> int:
-    spec = validate_spec(load_spec(args.spec))
+    spec = load_spec(args.spec)
     seed = int(os.environ.get(SEED_ENV, "20260810"))
     results = {}
     ok_all = True
@@ -317,7 +316,7 @@ def _csv_grids(code: BuiltCode, dual: BuiltCode | None) -> str:
 
 
 def cmd_export(args) -> int:
-    spec = validate_spec(load_spec(args.spec))
+    spec = load_spec(args.spec)
     code = build_code(spec)
     if code.dimension == 0:
         print("refusing to export a zero-dimensional code", file=sys.stderr)

@@ -3,9 +3,12 @@
 A code over R = F_q[x,y,z]/(x^s - alpha, y^l - beta, z^k - gamma) is specified
 by a k x l grid of monic divisors of x^s - alpha: entry (t, j) is paired with
 the t-th z-idempotent and the j-th y-idempotent, and the code is the ideal
-generated by those k*l products.  This module builds the generator matrix,
-the dual code's matrix (for unit constants +-1), decides self-duality from
-the divisor grid, and provides the exhaustive sweep machinery.
+generated by those k*l products.  A ``CodeSpec`` is checked once, when it is
+made (``validate_spec``), and holds monic divisors from then on.  This module
+builds the generator matrix and, for unit constants +-1, the dual code's
+matrix and its divisor grid (``dual_spec``); self-duality is decided on the
+grid alone, as the grid being a fixed point of ``dual_spec``.  It also
+provides the exhaustive sweep machinery.
 """
 
 from __future__ import annotations
@@ -43,8 +46,17 @@ class UnsupportedConstantsError(ValueError):
 
 @dataclass(frozen=True)
 class CodeSpec:
+    """A divisor grid over a ring, valid by construction: making one runs
+    validate_spec (raising SpecValidationError or MissingRootOfUnityError)
+    and stores the divisors monic (units become 1)."""
+
     ring: RingParams
     divisor_grid: tuple[tuple[Poly, ...], ...]   # [t][j], k rows of l entries
+
+    def __post_init__(self):
+        validate_spec(self)   # the module global: a wrapper installed on it sees every spec
+        object.__setattr__(self, "divisor_grid",
+                           tuple(tuple(p.monic() for p in row) for row in self.divisor_grid))
 
     def degree_sum(self) -> int:
         return sum(p.degree for row in self.divisor_grid for p in row)
@@ -72,20 +84,21 @@ class BuiltCode:
 def code_idempotents(ring: RingParams) -> tuple[IdempotentFamily, IdempotentFamily]:
     """(z-family of size k, y-family of size l) for the ring."""
     return (
-        build_constacyclic_idempotents(ring.k, ring.field.element(ring.gamma)),
-        build_constacyclic_idempotents(ring.l, ring.field.element(ring.beta)),
+        build_constacyclic_idempotents(ring.field, ring.k, ring.gamma),
+        build_constacyclic_idempotents(ring.field, ring.l, ring.beta),
     )
 
 
 def validate_spec(spec: CodeSpec) -> CodeSpec:
-    """Check the construction hypotheses and normalize the divisors.
+    """Check the construction hypotheses of a spec and return it.
 
     Confirms the grid shape, that both root-of-unity hypotheses hold (the
     y- and z-moduli must split into distinct linear factors, which also
     forces their degrees to be coprime to the characteristic), and that every
-    grid entry exactly divides x^s - alpha.  Divisors are normalized monic
-    (units become 1).  The x-side length s is unrestricted: the generator
-    and dual constructions do not need x^s - alpha to be squarefree.
+    grid entry exactly divides x^s - alpha.  CodeSpec runs this on every
+    spec it makes, so a caller holding a CodeSpec need not.  The x-side
+    length s is unrestricted: the generator and dual constructions do not
+    need x^s - alpha to be squarefree.
     """
     ring = spec.ring
     field = ring.field
@@ -96,10 +109,11 @@ def validate_spec(spec: CodeSpec) -> CodeSpec:
         )
     code_idempotents(ring)   # raises if a root of unity is missing
     binom = Poly.binomial(field, ring.s, ring.alpha)
-    rows = []
+    checked = set()   # grids repeat divisors: divide by each distinct one once
     for t, row in enumerate(spec.divisor_grid):
-        out_row = []
         for j, p in enumerate(row):
+            if p in checked:
+                continue
             if p.field != field:
                 raise SpecValidationError(f"divisor at cell (t={t}, j={j}) is over the wrong field")
             if p.is_zero():
@@ -109,9 +123,8 @@ def validate_spec(spec: CodeSpec) -> CodeSpec:
                     f"divisor at cell (t={t}, j={j}) does not divide x^{ring.s} - {ring.alpha} "
                     f"over F_{field.p}: {p!r}"
                 )
-            out_row.append(p.monic())
-        rows.append(tuple(out_row))
-    return CodeSpec(ring, tuple(rows))
+            checked.add(p)
+    return spec
 
 
 def _shift_rows(f: Poly, count: int, s: int) -> np.ndarray:
@@ -151,7 +164,6 @@ def build_code(spec: CodeSpec) -> BuiltCode:
     rows are linearly independent, so the dimension is s*l*k minus the sum
     of divisor degrees.
     """
-    spec = validate_spec(spec)
     ring = spec.ring
     z_fam, y_fam = code_idempotents(ring)
     cells = [
@@ -183,18 +195,24 @@ def build_dual(spec: CodeSpec) -> BuiltCode:
     constant divisor contribute no rows.  The result has rank equal to the
     divisor degree sum and is orthogonal to the code.
     """
-    spec = validate_spec(spec)
     ring = spec.ring
     _require_unit_constants(ring, "dual construction")
     z_fam, y_fam = code_idempotents(ring)
-    binom = Poly.binomial(ring.field, ring.s, ring.alpha)
+    q_stars = _reversed_complements(ring, spec.divisor_grid)
     cells = [
-        ((binom // p).reciprocal(), p.degree,
+        (q_stars[t][j], p.degree,
          y_fam.members[j].reciprocal().coeffs, z_fam.members[t].reciprocal().coeffs)
         for t, row in enumerate(spec.divisor_grid)
         for j, p in enumerate(row)
     ]
     return _assemble(spec, cells, spec.degree_sum())
+
+
+def _reversed_complements(ring: RingParams, rows) -> list[list[Poly]]:
+    """q* = reverse((x^s - alpha) / p), not made monic, for every divisor p of
+    the rows: at a grid cell, the x-part of the dual's generator."""
+    binom = Poly.binomial(ring.field, ring.s, ring.alpha)
+    return [[(binom // p).reciprocal() for p in row] for row in rows]
 
 
 def partner_cell(ring: RingParams, t: int, j: int) -> tuple[int, int]:
@@ -216,15 +234,14 @@ def dual_spec(spec: CodeSpec) -> CodeSpec:
     Cell (t', j') of the dual grid, with (t', j') the partner of (t, j),
     holds the monic associate of reciprocal((x^s - alpha) / p[t][j]).
     """
-    spec = validate_spec(spec)
     ring = spec.ring
     _require_unit_constants(ring, "dual spec")
-    binom = Poly.binomial(ring.field, ring.s, ring.alpha)
+    q_stars = _reversed_complements(ring, spec.divisor_grid)
     grid = [[None] * ring.l for _ in range(ring.k)]
     for t in range(ring.k):
         for j in range(ring.l):
             t2, j2 = partner_cell(ring, t, j)
-            grid[t2][j2] = (binom // spec.divisor_grid[t][j]).reciprocal().monic()
+            grid[t2][j2] = q_stars[t][j]
     return CodeSpec(ring, tuple(tuple(row) for row in grid))
 
 
@@ -254,35 +271,33 @@ def self_dual_decide(spec: CodeSpec, *, cross_check: bool = True) -> tuple[bool,
     """Decide self-duality from the divisor grid alone.
 
     Two conditions: (i) the divisor degrees sum to half the length, and
-    (ii) for every cell, with q the complementary divisor (p*q = x^s - alpha)
-    and * coefficient reversal, the partner cell's divisor divides q*, and
-    the partner's q* divides this cell's p.  The certificate records every
-    cell comparison; with cross_check the verdict is recomputed from the
-    generator matrix and a mismatch raises.
+    (ii) the grid is a fixed point of dual_spec: for every cell, with q the
+    complementary divisor (p*q = x^s - alpha) and * coefficient reversal,
+    the partner cell holds monic(q*).  This is the pair of divisibilities
+    "partner p | q*" and "partner q* | p": they force equal degrees, and the
+    reversal of x^s - alpha is a unit multiple of it for alpha = +-1.  The
+    certificate records every cell comparison; with cross_check the verdict
+    is recomputed from the generator matrix and a mismatch raises.
     """
-    spec = validate_spec(spec)
     ring = spec.ring
     _require_unit_constants(ring, "self-duality test")
-    binom = Poly.binomial(ring.field, ring.s, ring.alpha)
     total = spec.degree_sum()
     dim_ok = ring.n == 2 * total
+    q_stars = _reversed_complements(ring, spec.divisor_grid)
     cells = []
     first_failure = None
     for t in range(ring.k):
         for j in range(ring.l):
             t2, j2 = partner_cell(ring, t, j)
-            p_cell = spec.divisor_grid[t][j]
-            q_star = (binom // p_cell).reciprocal()
             partner_p = spec.divisor_grid[t2][j2]
-            partner_q_star = (binom // partner_p).reciprocal()
-            ok = partner_p.divides(q_star) and partner_q_star.divides(p_cell)
+            ok = partner_p == q_stars[t][j].monic()
             cells.append({
                 "cell": [t, j],
                 "partner": [t2, j2],
-                "p": list(p_cell.coeffs),
-                "q_reciprocal": list(q_star.coeffs),
+                "p": list(spec.divisor_grid[t][j].coeffs),
+                "q_reciprocal": list(q_stars[t][j].coeffs),
                 "partner_p": list(partner_p.coeffs),
-                "partner_q_reciprocal": list(partner_q_star.coeffs),
+                "partner_q_reciprocal": list(q_stars[t2][j2].coeffs),
                 "ok": ok,
             })
             if not ok and first_failure is None:
@@ -380,27 +395,6 @@ def admissible_sign_rings(field: FieldSpec, s: int, l: int, k: int) -> list[Ring
     return out
 
 
-def reciprocal_complement(p_poly: Poly, binom: Poly) -> Poly:
-    """monic(reciprocal(binom / p)): the divisor forced on the partner cell."""
-    return (binom // p_poly).reciprocal().monic()
-
-
-def involution_orbits(ring: RingParams) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Orbits of the cell-pairing involution: (cell, partner), partner == cell
-    for self-paired cells, each unordered orbit listed once."""
-    seen = set()
-    orbits = []
-    for t in range(ring.k):
-        for j in range(ring.l):
-            if (t, j) in seen:
-                continue
-            other = partner_cell(ring, t, j)
-            seen.add((t, j))
-            seen.add(other)
-            orbits.append(((t, j), other))
-    return orbits
-
-
 def self_dual_grid_count(ring: RingParams) -> int:
     """Number of divisor grids over the ring that give a self-dual code.
 
@@ -412,20 +406,18 @@ def self_dual_grid_count(ring: RingParams) -> int:
     x^s - alpha = p*q and (x^s - alpha) reversed is a unit multiple of
     itself when alpha is +-1.  The degree condition sum(a) = n/2 is implied:
     paired cells have degrees a and s - a.  Counts therefore multiply over
-    orbits: a free choice per paired orbit, a reversal-fixed divisor per
-    self-paired orbit.  Cross-validated against grid enumeration in tests.
+    orbits: a free choice per paired orbit, one of the `fixed` divisors equal
+    to their own monic q* per self-paired cell.  Cross-validated against
+    grid enumeration in tests.
     """
     _require_unit_constants(ring, "self-dual grid count")
-    binom = Poly.binomial(ring.field, ring.s, ring.alpha)
     divisors = binomial_divisors(ring.field, ring.s, ring.alpha)
-    total = 1
-    for cell, other in involution_orbits(ring):
-        if cell == other:
-            local = sum(1 for d in divisors if reciprocal_complement(d, binom) == d)
-        else:
-            local = len(divisors)
-        total *= local
-    return total
+    [q_stars] = _reversed_complements(ring, [divisors])
+    fixed = sum(1 for d, q_star in zip(divisors, q_stars) if q_star.monic() == d)
+    self_paired = sum(1 for t in range(ring.k) for j in range(ring.l)
+                      if partner_cell(ring, t, j) == (t, j))
+    paired_orbits = (ring.k * ring.l - self_paired) // 2
+    return fixed ** self_paired * len(divisors) ** paired_orbits
 
 
 def cyclic_yz_selfdual_scan(field: FieldSpec, s_max: int, l_max: int, k_max: int) -> list[dict]:

@@ -1,9 +1,9 @@
 """Exact arithmetic in prime fields F_p, multiplicative orders, roots of unity.
 
-Field elements are canonical residues in [0, p).  The scalar wrapper
-``FieldElement`` carries its ``FieldSpec`` so mixed-field operations fail
-loudly; the heavier layers (polynomials, tensors, matrices) store plain ints
-and use the int-level helpers on ``FieldSpec``.
+Field elements are plain ints, canonical residues in [0, p); every layer
+(scalars, polynomials, tensors, matrices) takes the ``FieldSpec`` alongside
+them and uses its int-level helpers.  ``FieldMismatchError`` is raised where
+two polynomials or ring elements over different fields meet.
 """
 
 from __future__ import annotations
@@ -78,12 +78,6 @@ class FieldSpec:
     def canon(self, v: int) -> int:
         return v % self.p
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
 
@@ -98,106 +92,24 @@ class FieldSpec:
             return pow(self.inv(a), -e, self.p)
         return pow(a, e, self.p)
 
-    def element(self, v: int) -> "FieldElement":
-        return FieldElement(self.canon(v), self)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(1, self)
-
     def __repr__(self) -> str:
         return f"FieldSpec(p={self.p})"
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """A canonical residue in [0, p)."""
-
-    value: int
-    field: FieldSpec
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.field.p)
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"cannot mix F_{self.field.p} and F_{other.field.p} elements"
-                )
-            return other
-        if isinstance(other, int):
-            return FieldElement(other, self.field)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value + other.value, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value - other.value, self.field)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * other.value, self.field)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.field)
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field.pow(self.value, e), self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.p})"
-
-
-def element_order(a: FieldElement) -> int:
-    """Smallest positive t with a**t == 1; always divides p-1."""
-    if a.value == 0:
+def element_order(field: FieldSpec, a: int) -> int:
+    """Smallest positive t with a**t == 1 in F_p; always divides p-1."""
+    p = field.p
+    a %= p
+    if a == 0:
         raise ValueError("0 has no multiplicative order")
-    p = a.field.p
     order = p - 1
     for f in _prime_factors(p - 1):
-        while order % f == 0 and pow(a.value, order // f, p) == 1:
+        while order % f == 0 and pow(a, order // f, p) == 1:
             order //= f
     return order
 
 
-def find_root(k: int, gamma: FieldElement) -> FieldElement:
+def find_root(field: FieldSpec, k: int, gamma: int) -> int:
     """Smallest w in F_p with w**k == gamma and multiplicative order r*k.
 
     ``r`` is the order of gamma.  Requires r*k to divide p-1; the smallest
@@ -205,20 +117,20 @@ def find_root(k: int, gamma: FieldElement) -> FieldElement:
     """
     if k < 1:
         raise ValueError(f"block length must be positive, got {k}")
-    if gamma.value == 0:
-        raise ValueError("constant must be nonzero")
-    field = gamma.field
     p = field.p
-    r = element_order(gamma)
+    gamma %= p
+    if gamma == 0:
+        raise ValueError("constant must be nonzero")
+    r = element_order(field, gamma)
     if (p - 1) % (r * k) != 0:
         raise MissingRootOfUnityError(r, k, p)
     target_order = r * k
     factors = _prime_factors(target_order)
     for w in range(1, p):
-        if pow(w, k, p) != gamma.value:
+        if pow(w, k, p) != gamma:
             continue
         if pow(w, target_order, p) != 1:
             continue
         if all(pow(w, target_order // f, p) != 1 for f in factors):
-            return FieldElement(w, field)
+            return w
     raise MissingRootOfUnityError(r, k, p)

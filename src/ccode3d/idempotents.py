@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf import FieldElement, FieldSpec, element_order, find_root
+from .gf import FieldSpec, element_order, find_root
 from .poly import Poly
 
 FULL_CYCLE = "full-cycle"          # modulus z^(rk) - 1, rk members
@@ -50,16 +50,15 @@ class IdempotentFamily:
         return self.field.pow(self.omega, exp)
 
 
-def _root_data(k: int, gamma: FieldElement) -> tuple[FieldSpec, int, int]:
-    field = gamma.field
-    r = element_order(gamma)
+def _root_data(field: FieldSpec, k: int, gamma: int) -> tuple[int, int]:
+    """(r, omega): the order of gamma and the fixed root find_root gives."""
+    r = element_order(field, gamma)
     if (r * k) % field.p == 0:
         raise RepeatedRootsError(
             f"z^{r * k} - 1 has repeated roots over F_{field.p} "
             f"(characteristic divides {r * k})"
         )
-    omega = find_root(k, gamma)
-    return field, r, omega.value
+    return r, find_root(field, k, gamma)
 
 
 def _geometric_members(field: FieldSpec, roots: list[int]) -> tuple[Poly, ...]:
@@ -82,29 +81,29 @@ def _geometric_members(field: FieldSpec, roots: list[int]) -> tuple[Poly, ...]:
 
 
 @lru_cache(maxsize=None)
-def build_full_idempotents(k: int, gamma: FieldElement) -> IdempotentFamily:
+def build_full_idempotents(field: FieldSpec, k: int, gamma: int) -> IdempotentFamily:
     """The rk idempotents of F_q[z]/(z^(rk) - 1).
 
     Member t is the geometric sum (1/rk) * sum_{i<rk} (z/omega^t)^i; it
     evaluates to 1 at omega^t and to 0 at every other rk-th root of unity.
     """
-    field, r, omega = _root_data(k, gamma)
+    r, omega = _root_data(field, k, gamma)
     roots = [field.pow(omega, t) for t in range(r * k)]
-    return IdempotentFamily(FULL_CYCLE, field, k, r, gamma.value, omega,
+    return IdempotentFamily(FULL_CYCLE, field, k, r, field.canon(gamma), omega,
                             _geometric_members(field, roots))
 
 
 @lru_cache(maxsize=None)
-def build_constacyclic_idempotents(k: int, gamma: FieldElement) -> IdempotentFamily:
+def build_constacyclic_idempotents(field: FieldSpec, k: int, gamma: int) -> IdempotentFamily:
     """The k idempotents of F_q[z]/(z^k - gamma).
 
     Member t is the geometric sum (1/k) * sum_{i<k} (z/rho_t)^i at the root
     rho_t = omega^(1 + t*r): the polynomial of degree < k that is 1 at rho_t
     and 0 at the other roots of z^k - gamma (its Lagrange interpolant).
     """
-    field, r, omega = _root_data(k, gamma)
+    r, omega = _root_data(field, k, gamma)
     roots = [field.pow(omega, 1 + t * r) for t in range(k)]
-    return IdempotentFamily(CONSTACYCLIC, field, k, r, gamma.value, omega,
+    return IdempotentFamily(CONSTACYCLIC, field, k, r, field.canon(gamma), omega,
                             _geometric_members(field, roots))
 
 

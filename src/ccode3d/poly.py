@@ -97,7 +97,7 @@ class Poly:
         return Poly.from_coeffs(self.field, [c * a for a in self.coeffs])
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        if self.is_zero() or self.is_monic():
             return self
         return self.scale(self.field.inv(self.leading()))
 

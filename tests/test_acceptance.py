@@ -141,16 +141,15 @@ def test_criterion_4_idempotent_identity_suite():
     for q in (5, 7, 11, 13):
         field = FieldSpec(q)
         for gamma in range(1, q):
-            g = field.element(gamma)
-            r = element_order(g)
+            r = element_order(field, gamma)
             for k in range(1, 7):
                 if (q - 1) % (r * k) != 0:
                     continue
                 checked += 1
                 rk = r * k
-                con = build_constacyclic_idempotents(k, g)
-                full = build_full_idempotents(k, g)
-                omega = find_root(k, g).value
+                con = build_constacyclic_idempotents(field, k, gamma)
+                full = build_full_idempotents(field, k, gamma)
+                omega = find_root(field, k, gamma)
                 small_mod = Poly.binomial(field, k, gamma)
                 big_mod = Poly.binomial(field, rk, 1)
 

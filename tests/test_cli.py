@@ -204,6 +204,27 @@ def test_sweep_no_selfdual(capsys):
     assert report["tuples"] > 0
 
 
+def test_each_spec_validated_once(capsys, monkeypatch):
+    # CodeSpec validates itself through the codes module global, so a wrapper
+    # installed there (as a tracer does) sees every spec exactly once
+    from ccode3d import codes
+    from ccode3d.gf import FieldSpec
+
+    calls = []
+    validate = codes.validate_spec
+
+    def counting_validate(spec):
+        calls.append(spec)
+        return validate(spec)
+
+    monkeypatch.setattr(codes, "validate_spec", counting_validate)
+    assert main(["selfdual", "--spec", EXAMPLE1]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    report = codes.sign_grid_sweep_report(FieldSpec(5), 2, 2, 2)
+    assert report["specs"] > 0 and len(calls) == report["specs"]
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ccode3d", "idempotents", "--q", "5", "--k", "2", "--gamma", "-1"],
@@ -224,3 +245,67 @@ def test_load_spec_matches_library_build():
     spec = load_spec(EXAMPLE1)
     assert spec.ring.n == 8
     assert [list(p.coeffs) for row in spec.divisor_grid for p in row] == [[4, 1], [1, 1]] * 2
+
+
+DIGESTS = Path(__file__).resolve().parent / "cli_digests.json"
+
+
+def golden_commands() -> list[list[str]]:
+    """The CLI commands whose outputs tests/cli_digests.json pins; spec paths
+    are relative to the repository root."""
+    commands = []
+    for name in ("example1", "example2", "example3"):
+        spec = f"specs/{name}.json"
+        for command in ("build", "dual", "selfdual", "verify", "mindist"):
+            commands.append([command, "--spec", spec])
+        for fmt in ("cas-script", "csv"):
+            commands.append(["export", "--spec", spec, "--format", fmt])
+    commands += [
+        ["idempotents", "--q", "5", "--k", "2", "--gamma", "-1", "--full"],
+        ["idempotents", "--q", "5", "--k", "3", "--gamma", "1"],
+        ["factor", "--q", "7", "--s", "3", "--alpha", "-1"],
+        ["sweep", "grid", "--q", "5", "--s", "2", "--l", "2", "--k", "2"],
+        ["sweep", "no-selfdual", "--q", "5", "7", "--s", "4", "--l", "4", "--k", "4"],
+    ]
+    return commands
+
+
+def cli_digest(argv: list[str], out_dir: Path) -> str:
+    """sha256 over the exit code, stdout, stderr and --out file bytes of one
+    in-process run; commands without an --out option hash an empty file."""
+    import contextlib
+    import hashlib
+    import io
+
+    args = [str(ROOT / a) if a.startswith("specs/") else a for a in argv]
+    out_file = out_dir / "out"
+    if out_file.exists():
+        out_file.unlink()
+    if argv[0] not in ("idempotents", "factor"):
+        args += ["--out", str(out_file)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(args)
+    out_bytes = out_file.read_bytes() if out_file.exists() else b""
+    h = hashlib.sha256()
+    for part in (str(code).encode(), stdout.getvalue().encode(),
+                 stderr.getvalue().encode(), out_bytes):
+        h.update(len(part).to_bytes(8, "big"))
+        h.update(part)
+    return h.hexdigest()
+
+
+def cli_digests(out_dir: Path) -> dict[str, str]:
+    return {" ".join(argv): cli_digest(argv, out_dir) for argv in golden_commands()}
+
+
+def test_cli_outputs_match_golden_digests(tmp_path, monkeypatch):
+    # exit codes, JSON keys, certificates, matrices and messages stay
+    # byte-identical; an intended output change rewrites tests/cli_digests.json
+    # with json.dumps(cli_digests(dir), indent=2, sort_keys=True)
+    monkeypatch.delenv("CCODE_SEED", raising=False)
+    golden = json.loads(DIGESTS.read_text())
+    assert sorted(golden) == sorted(" ".join(argv) for argv in golden_commands())
+    got = cli_digests(tmp_path)
+    mismatched = [cmd for cmd in golden if got[cmd] != golden[cmd]]
+    assert not mismatched, f"CLI output changed for: {mismatched}"

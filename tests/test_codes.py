@@ -20,7 +20,6 @@ from ccode3d.codes import (
     direct_self_dual_check,
     dual_spec,
     enumerate_divisor_grids,
-    involution_orbits,
     partner_cell,
     quasi_twisted_closure,
     self_dual_decide,
@@ -89,28 +88,31 @@ PAPER_G3 = np.array([
 
 
 def test_validate_accepts_example1():
-    spec = validate_spec(example1_spec())
+    spec = example1_spec()
+    assert validate_spec(spec) is spec
     assert all(p.is_monic() for row in spec.divisor_grid for p in row)
+    # the constructor stores a unit multiple of a divisor as its monic associate
+    scaled = CodeSpec(spec.ring, ((poly5(-2, 2), poly5(3, 3)), (poly5(-1, 1), poly5(1, 1))))
+    assert scaled == spec
 
 
 def test_validate_rejects_non_divisor():
     ring = RingParams(F5, 2, 2, 2, 1, -1, -1)
-    bad = CodeSpec(ring, ((poly5(-2, 1), poly5(1, 1)), (poly5(-1, 1), poly5(1, 1))))
     with pytest.raises(SpecValidationError, match=r"t=0, j=0"):
-        validate_spec(bad)
+        CodeSpec(ring, ((poly5(-2, 1), poly5(1, 1)), (poly5(-1, 1), poly5(1, 1))))
 
 
 def test_validate_rejects_missing_root():
     ring = RingParams(F5, 2, 2, 3, 1, -1, 1)   # k=3, gamma=1 needs 3 | 4
     grid = ((Poly.one(F5),) * 2,) * 3
     with pytest.raises(MissingRootOfUnityError):
-        validate_spec(CodeSpec(ring, grid))
+        CodeSpec(ring, grid)
 
 
 def test_validate_rejects_bad_grid_shape():
     ring = RingParams(F5, 2, 2, 2, 1, -1, -1)
     with pytest.raises(SpecValidationError, match="grid"):
-        validate_spec(CodeSpec(ring, ((Poly.one(F5),),)))
+        CodeSpec(ring, ((Poly.one(F5),),))
 
 
 def test_example1_generator_matrix_matches_published_rows():
@@ -217,7 +219,7 @@ def random_specs(rng, count):
             continue
         divisors = binomial_divisors(field, ring.s, ring.alpha)
         grid = tuple(tuple(rng.choice(divisors) for _ in range(ring.l)) for _ in range(ring.k))
-        specs.append(validate_spec(CodeSpec(ring, grid)))
+        specs.append(CodeSpec(ring, grid))
     return specs
 
 
@@ -336,7 +338,6 @@ def test_repeated_root_x_axis_supported():
 
 def test_generators_annihilate_complement_products():
     for spec in (example1_spec(), example2_spec(), example3_spec()):
-        spec = validate_spec(spec)
         ring = spec.ring
         code = build_code(spec)
         from ccode3d.codes import code_idempotents
@@ -354,7 +355,7 @@ def test_generators_annihilate_complement_products():
 def test_general_constants_dual_lives_in_inverse_ring():
     # with constants outside +-1 the orthogonal complement is closed under
     # the shifts taken with inverted constants, not the original ones
-    spec = validate_spec(example3_spec())
+    spec = example3_spec()
     ring = spec.ring
     code = build_code(spec)
     kernel = linalg.null_space(code.generator_matrix, 7)
@@ -368,7 +369,6 @@ def test_general_constants_dual_lives_in_inverse_ring():
 
 def test_dual_spec_round_trip():
     for spec in (example1_spec(), example2_spec()):
-        spec = validate_spec(spec)
         ds = dual_spec(spec)
         # dual of the dual is the original grid
         assert dual_spec(ds) == spec
@@ -416,6 +416,33 @@ def test_self_dual_count_matches_enumeration():
             if self_dual_decide(spec, cross_check=False)[0]
         )
         assert found == self_dual_grid_count(ring)
+
+
+def divisibility_oracle(spec, t, j) -> bool:
+    """The two-sided divisibility form of the per-cell condition: the
+    partner's divisor divides q*, and the partner's q* divides p."""
+    ring = spec.ring
+    binom = Poly.binomial(ring.field, ring.s, ring.alpha)
+    t2, j2 = partner_cell(ring, t, j)
+    p_cell, partner_p = spec.divisor_grid[t][j], spec.divisor_grid[t2][j2]
+    q_star = (binom // p_cell).reciprocal()
+    partner_q_star = (binom // partner_p).reciprocal()
+    return partner_p.divides(q_star) and partner_q_star.divides(p_cell)
+
+
+def test_fixed_point_test_matches_divisibility_oracle(rng):
+    specs = [spec for ring in admissible_sign_rings(F5, 2, 2, 2) + admissible_sign_rings(F7, 2, 2, 2)
+             for spec in enumerate_divisor_grids(ring)]
+    sampled = [spec for spec in random_specs(rng, 400) if has_unit_constants(spec.ring)]
+    assert len(sampled) > 50
+    self_dual = 0
+    for spec in specs + sampled:
+        verdict, cert = self_dual_decide(spec, cross_check=False)
+        for cell in cert["cells"]:
+            assert cell["ok"] == divisibility_oracle(spec, *cell["cell"])
+        assert verdict == (cert["dimension_condition_ok"] and dual_spec(spec) == spec)
+        self_dual += verdict
+    assert self_dual > 0
 
 
 def test_verdict_agreement_sampled_on_larger_ring():
@@ -477,16 +504,6 @@ def test_selfdual_scan_factors_each_binomial_once(monkeypatch):
     distinct = {(rec["s"], rec["alpha"]) for rec in records}
     assert len(records) > len(distinct)
     assert sorted(calls) == sorted(distinct)
-
-
-def test_involution_orbit_cover():
-    ring = RingParams(F7, 2, 2, 3, 1, 1, -1)
-    orbits = involution_orbits(ring)
-    cells = set()
-    for a, b in orbits:
-        cells.add(a)
-        cells.add(b)
-    assert cells == {(t, j) for t in range(3) for j in range(2)}
 
 
 def test_binomial_divisors_count():

@@ -91,7 +91,7 @@ def test_injected_repetition_style_code():
     # a weight-n single generator: distance equals the length
     from ccode3d.codes import BuiltCode
     ring = RingParams(F5, 3, 1, 1, 1, 1, 1)
-    spec = CodeSpec(ring, ((Poly.from_coeffs(F5, [-1, 1]) * Poly.from_coeffs(F5, [-1, 1]),),))
+    spec = CodeSpec(ring, ((Poly.one(F5),),))   # the test checks the hand-built G only
     G = np.ones((1, 3), dtype=np.int64)
     code = BuiltCode(spec, (), G, 1)
     assert min_distance_bruteforce(code) == 3

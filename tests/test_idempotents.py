@@ -33,28 +33,28 @@ def valid_triples(qs=(5, 7, 11, 13), k_max=6):
     for q in qs:
         field = FieldSpec(q)
         for gamma in range(1, q):
-            r = element_order(field.element(gamma))
+            r = element_order(field, gamma)
             for k in range(1, k_max + 1):
                 if (q - 1) % (r * k) == 0:
                     yield field, k, gamma, r
 
 
 def test_constacyclic_golden_values():
-    fam = build_constacyclic_idempotents(2, F5.element(-1))
+    fam = build_constacyclic_idempotents(F5, 2, -1)
     assert [list(m.coeffs) for m in fam.members] == [[3, 4], [3, 1]]
-    fam7 = build_constacyclic_idempotents(3, F7.element(-1))
+    fam7 = build_constacyclic_idempotents(F7, 3, -1)
     assert [list(m.coeffs) for m in fam7.members] == [[5, 4, 6], [5, 2, 5], [5, 1, 3]]
-    triv = build_constacyclic_idempotents(1, F5.element(2))
+    triv = build_constacyclic_idempotents(F5, 1, 2)
     assert [list(m.coeffs) for m in triv.members] == [[1]]
 
 
 def test_full_family_golden_values():
-    fam = build_full_idempotents(1, F5.element(1))
+    fam = build_full_idempotents(F5, 1, 1)
     assert [list(m.coeffs) for m in fam.members] == [[1]]
-    fam2 = build_full_idempotents(2, F5.element(1))
+    fam2 = build_full_idempotents(F5, 2, 1)
     assert [list(m.coeffs) for m in fam2.members] == [[3, 3], [3, 2]]
     # evaluation pattern at the fixed root: 1 on own index, 0 elsewhere
-    fam3 = build_full_idempotents(2, F5.element(-1))
+    fam3 = build_full_idempotents(F5, 2, -1)
     assert fam3.omega == 2
     for t, m in enumerate(fam3.members):
         for u in range(fam3.size):
@@ -63,11 +63,11 @@ def test_full_family_golden_values():
 
 def test_families_match_interpolation_oracle():
     for field, k, gamma, r in valid_triples():
-        omega = find_root(k, field.element(gamma)).value
-        con = build_constacyclic_idempotents(k, field.element(gamma))
+        omega = find_root(field, k, gamma)
+        con = build_constacyclic_idempotents(field, k, gamma)
         points = [field.pow(omega, 1 + t * r) for t in range(k)]
         assert list(con.members) == lagrange_family_oracle(field, points)
-        full = build_full_idempotents(k, field.element(gamma))
+        full = build_full_idempotents(field, k, gamma)
         full_points = [field.pow(omega, t) for t in range(r * k)]
         assert list(full.members) == lagrange_family_oracle(field, full_points)
 
@@ -82,13 +82,13 @@ def test_reciprocal_index_examples():
 
 def test_identity_report_all_green():
     for field, k, gamma, _ in valid_triples(qs=(5, 7), k_max=4):
-        for fam in (build_constacyclic_idempotents(k, field.element(gamma)),
-                    build_full_idempotents(k, field.element(gamma))):
+        for fam in (build_constacyclic_idempotents(field, k, gamma),
+                    build_full_idempotents(field, k, gamma)):
             assert all(identity_report(fam).values())
 
 
 def test_completeness_and_orthogonality_small():
-    fam = build_constacyclic_idempotents(3, F7.element(-1))
+    fam = build_constacyclic_idempotents(F7, 3, -1)
     modulus = fam.modulus()
     total = Poly.zero(F7)
     for m in fam.members:
@@ -102,7 +102,7 @@ def test_completeness_and_orthogonality_small():
 
 def test_shift_acts_as_eigenvalue():
     for field, k, gamma, _ in valid_triples(qs=(5, 7), k_max=4):
-        fam = build_constacyclic_idempotents(k, field.element(gamma))
+        fam = build_constacyclic_idempotents(field, k, gamma)
         z = Poly.x_power(field, 1)
         for t, m in enumerate(fam.members):
             lhs = (z * m) % fam.modulus()
@@ -114,8 +114,8 @@ def test_quotient_lift_proportionality():
     # scalar multiple of the matching full-cycle member; the scalar is the
     # factor's value at the shared root
     for field, k, gamma, r in valid_triples(qs=(5, 7, 11), k_max=4):
-        con = build_constacyclic_idempotents(k, field.element(gamma))
-        full = build_full_idempotents(k, field.element(gamma))
+        con = build_constacyclic_idempotents(field, k, gamma)
+        full = build_full_idempotents(field, k, gamma)
         rk = r * k
         big = Poly.binomial(field, rk, 1)
         small = Poly.binomial(field, k, gamma)
@@ -135,7 +135,7 @@ def test_reciprocal_proportionality_map():
     for field, k, gamma, _ in valid_triples(qs=(5, 7, 13), k_max=6):
         if gamma not in (1, field.p - 1):
             continue
-        fam = build_constacyclic_idempotents(k, field.element(gamma))
+        fam = build_constacyclic_idempotents(field, k, gamma)
         for t, m in enumerate(fam.members):
             idx = reciprocal_index(k, t, constant_is_one=(gamma == 1))
             rec = m.reciprocal()
@@ -147,8 +147,8 @@ def test_reciprocal_proportionality_map():
 def test_cyclic_case_reindexes_full_family():
     # when the constant is 1 the two families coincide up to an index shift
     for field, k in [(F5, 2), (F5, 4), (F7, 2), (F7, 3), (F7, 6)]:
-        con = build_constacyclic_idempotents(k, field.element(1))
-        full = build_full_idempotents(k, field.element(1))
+        con = build_constacyclic_idempotents(field, k, 1)
+        full = build_full_idempotents(field, k, 1)
         for t in range(k - 1):
             assert con.members[t] == full.members[t + 1]
         assert con.members[k - 1] == full.members[0]

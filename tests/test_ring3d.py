@@ -117,7 +117,7 @@ def test_mul_examples():
 
 def test_idempotent_orthogonality_lifts_to_ring():
     pr = ring1()
-    fam = build_constacyclic_idempotents(2, F5.element(pr.gamma))
+    fam = build_constacyclic_idempotents(F5, 2, pr.gamma)
     e0 = RingElement3D.from_axis_polys(pr, [1], [1], fam.members[0].coeffs)
     e1 = RingElement3D.from_axis_polys(pr, [1], [1], fam.members[1].coeffs)
     assert (e0 * e1).is_zero()
@@ -254,7 +254,7 @@ def test_shift_orbit_side_does_not_use_the_product(monkeypatch):
     # the bridge compares two independent routes, so the orbit side must not
     # fall back on the ring product it is checked against
     pr = ring1()
-    fam = build_constacyclic_idempotents(2, F5.element(pr.gamma))
+    fam = build_constacyclic_idempotents(F5, 2, pr.gamma)
     e0, e1 = (RingElement3D.from_axis_polys(pr, [1, 2], [3, 1], m.coeffs) for m in fam.members)
     pairs = [(e0, e1), (e0, e0)]
     expected = [(f * g).is_zero() for f, g in pairs]
