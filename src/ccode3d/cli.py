@@ -195,13 +195,11 @@ def cmd_selfdual(args) -> int:
 def cmd_mindist(args) -> int:
     spec = load_spec(args.spec)
     code = build_code(spec)
-    parity = None
     try:
         parity = build_dual(spec).generator_matrix
     except UnsupportedConstantsError:
         parity = None   # min_distance falls back to the kernel of G
-    res = min_distance(code, max_weight=args.max_weight, budget=args.budget,
-                       jobs=args.jobs, parity=parity)
+    res = min_distance(code, max_weight=args.max_weight, budget=args.budget, parity=parity)
     result = _base_result(spec, code)
     result["distance"] = {
         "d": res.d,
@@ -238,8 +236,9 @@ def _verify_checks(spec: CodeSpec, pairs: int, seed: int):
         dual = build_dual(spec)
         gh = linalg.matmul(code.generator_matrix, dual.generator_matrix.T, p)
         yield "dual_orthogonality", not gh.any()
-        yield "dual_rank_complement", code.dimension + dual.dimension == ring.n
-        kernel = linalg.null_space(code.generator_matrix, p)
+        kernel = linalg.null_space(code.generator_matrix, p)   # n - rank G rows
+        yield "dual_rank_complement", (kernel.shape[0] == dual.generator_matrix.shape[0]
+                                       == dual.dimension == ring.n - code.dimension)
         yield "dual_equals_kernel", linalg.row_space_equal(dual.generator_matrix, kernel, p)
         verdict, _ = self_dual_decide(spec, cross_check=False)
         yield "self_dual_criteria_agree", verdict == direct_self_dual_check(code)
@@ -388,7 +387,7 @@ def _parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--out")
     p_dist.add_argument("--max-weight", type=int, default=None)
     p_dist.add_argument("--budget", type=int, default=10**8)
-    p_dist.add_argument("--jobs", type=int, default=1)
+    p_dist.add_argument("--jobs", type=int, default=1, help="ignored: the search is serial")
     p_dist.set_defaults(func=cmd_mindist)
 
     p_exp = sub.add_parser("export", help="export matrices for external cross-checking")

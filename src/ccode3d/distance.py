@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,25 +70,8 @@ def _scan_supports(parity: np.ndarray, p: int, w: int, supports):
     return None
 
 
-def _scan_first_fixed(parity: np.ndarray, p: int, first: int, n: int, w: int):
-    supports = ((first, *rest) for rest in itertools.combinations(range(first + 1, n), w - 1))
-    return _scan_supports(parity, p, w, supports)
-
-
-def _search_weight(parity: np.ndarray, p: int, n: int, w: int, jobs: int):
-    if jobs <= 1:
-        return _scan_supports(parity, p, w, itertools.combinations(range(n), w))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_scan_first_fixed, parity, p, f, n, w) for f in range(n - w + 1)]
-        for fut in futures:        # ordered by first coordinate: deterministic
-            if fut.result() is not None:
-                pool.shutdown(cancel_futures=True)   # drop coordinates not yet started
-                return fut.result()
-    return None
-
-
 def min_distance(code: BuiltCode, max_weight: int | None = None,
-                 budget: int = DEFAULT_BUDGET, jobs: int = 1,
+                 budget: int = DEFAULT_BUDGET,
                  parity: np.ndarray | None = None) -> DistanceResult:
     """Increasing-weight syndrome search for the exact minimum distance.
 
@@ -113,7 +95,7 @@ def min_distance(code: BuiltCode, max_weight: int | None = None,
         candidates = math.comb(n, w) * (p - 1) ** (w - 1)
         if tested + candidates > budget:
             return DistanceResult(None, w - 1, None, tested)
-        hit = _search_weight(parity, p, n, w, jobs)
+        hit = _scan_supports(parity, p, w, itertools.combinations(range(n), w))
         tested += candidates
         if hit is not None:
             support, pattern = hit

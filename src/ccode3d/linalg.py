@@ -65,16 +65,15 @@ def row_space_contains(m, v, p: int) -> bool:
 
 
 def null_space(m, p: int) -> np.ndarray:
-    """Row basis of the right kernel {v : m @ v == 0}; cols - rank rows."""
-    a = as_matrix(m, p)
-    rows, cols = a.shape
-    reduced, rk, pivots = rref(a, p)
-    free = [c for c in range(cols) if c not in set(pivots)]
+    """Row basis of the right kernel {v : m @ v == 0}; cols - rank rows.  Row i
+    is 1 at the i-th free column, 0 at the others, -reduced[:, free_i] on pivots."""
+    reduced, rk, pivots = rref(m, p)
+    cols = reduced.shape[1]
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for idx, fc in enumerate(free):
-        basis[idx, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[idx, pc] = (-reduced[r, fc]) % p
+    basis[:, free] = np.eye(len(free), dtype=np.int64)
+    basis[:, list(pivots)] = (-reduced[:rk][:, free].T) % p
     return basis
 
 

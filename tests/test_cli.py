@@ -225,6 +225,64 @@ def test_each_spec_validated_once(capsys, monkeypatch):
     assert report["specs"] > 0 and len(calls) == report["specs"]
 
 
+def test_eliminations_per_command(capsys, monkeypatch):
+    # build_code and build_dual prove their rank by construction and eliminate nothing
+    from ccode3d import linalg
+
+    calls = []
+    rref = linalg.rref
+
+    def counting_rref(m, p):
+        calls.append(p)
+        return rref(m, p)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    for argv, expected in (
+        (["build", "--spec", EXAMPLE1], 1),       # the closure's kernel
+        (["dual", "--spec", EXAMPLE1], 1),
+        (["selfdual", "--spec", EXAMPLE1], 0),
+        (["mindist", "--spec", EXAMPLE1], 0),     # the dual's matrix is the parity check
+        (["mindist", "--spec", EXAMPLE3], 1),     # non-unit constants: the kernel of G
+    ):
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) == expected, argv
+    calls.clear()
+    assert main(["verify", "--spec", EXAMPLE1, "--pairs", "2"]) == 0
+    assert len(calls) <= 5
+    capsys.readouterr()
+    calls.clear()
+    code, out = run(capsys, "sweep", "grid", "--q", "5", "--s", "2", "--l", "2", "--k", "2")
+    assert code == 0
+    assert len(calls) == 3 * json.loads(out)["specs"]
+
+
+def test_rank_oracles_stay_live(capsys, monkeypatch, tmp_path):
+    # a construction fault that repeats a row must be caught by verify and the
+    # sweep, which check the rank the construction no longer eliminates for
+    from ccode3d import codes
+    from ccode3d.gf import FieldSpec
+
+    shift_rows = codes._shift_rows
+
+    def repeating_shift_rows(f, count, s):
+        rows = shift_rows(f, count, s)
+        if count >= 2:
+            rows[1] = rows[0]
+        return rows
+
+    monkeypatch.setattr(codes, "_shift_rows", repeating_shift_rows)
+    spec = json.loads(Path(EXAMPLE1).read_text())
+    spec["p"][0][0] = [1]                      # a cell with s = 2 rows
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    code, out = run(capsys, "verify", "--spec", str(spec_file), "--pairs", "2")
+    assert code == 1
+    assert "FAIL generator_rank_equals_dimension" in out
+    assert "FAIL dual_rank_complement" in out
+    assert codes.sign_grid_sweep_report(FieldSpec(5), 2, 2, 2)["rank_mismatches"] > 0
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ccode3d", "idempotents", "--q", "5", "--k", "2", "--gamma", "-1"],

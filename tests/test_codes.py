@@ -265,10 +265,13 @@ def test_kronecker_matrices_equal_per_row_products(rng):
                 code_cells.append((p, ring.s - p.degree, y_mem.coeffs, z_mem.coeffs))
                 dual_cells.append(((binom // p).reciprocal(), p.degree,
                                    y_mem.reciprocal().coeffs, z_mem.reciprocal().coeffs))
-        assert np.array_equal(build_code(spec).generator_matrix, per_row_matrix(ring, code_cells))
+        code = build_code(spec)
+        assert np.array_equal(code.generator_matrix, per_row_matrix(ring, code_cells))
+        assert linalg.rank(code.generator_matrix, ring.field.p) == code.dimension
         if has_unit_constants(ring):
-            assert np.array_equal(build_dual(spec).generator_matrix,
-                                  per_row_matrix(ring, dual_cells))
+            dual = build_dual(spec)
+            assert np.array_equal(dual.generator_matrix, per_row_matrix(ring, dual_cells))
+            assert linalg.rank(dual.generator_matrix, ring.field.p) == dual.dimension
 
 
 def test_closure_matches_per_row_oracle(rng):
@@ -328,9 +331,9 @@ def test_repeated_root_x_axis_supported():
     divisor = poly5(-1, 1) * poly5(-1, 1)
     spec = CodeSpec(ring, ((divisor,),))
     code = build_code(spec)
-    assert code.dimension == 3
+    assert code.dimension == 3 == linalg.rank(code.generator_matrix, 5)
     dual = build_dual(spec)
-    assert dual.dimension == 2
+    assert dual.dimension == 2 == linalg.rank(dual.generator_matrix, 5)
     assert not linalg.matmul(code.generator_matrix, dual.generator_matrix.T, 5).any()
     assert linalg.row_space_equal(
         dual.generator_matrix, linalg.null_space(code.generator_matrix, 5), 5)

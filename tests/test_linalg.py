@@ -113,6 +113,16 @@ def test_rank_nullity_and_orthogonality(mp):
     # every kernel row really is annihilated, checked entry-wise
     for row in basis:
         assert all(int(m[i] @ row) % p == 0 for i in range(m.shape[0]))
+    assert linalg.rank(basis, p) == basis.shape[0]
+    # the same basis, entry by entry, from the reduced form
+    reduced, _, pivots = linalg.rref(m, p)
+    free = [c for c in range(m.shape[1]) if c not in pivots]
+    expected = np.zeros_like(basis)
+    for idx, fc in enumerate(free):
+        expected[idx, fc] = 1
+        for r, pc in enumerate(pivots):
+            expected[idx, pc] = (-reduced[r, fc]) % p
+    assert np.array_equal(basis, expected)
 
 
 def test_row_space_equal():
