@@ -11,7 +11,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ccode3d.cli import load_spec
 from ccode3d.codes import (
-    UnsupportedConstantsError,
     build_code,
     build_dual,
     quasi_twisted_closure,
@@ -28,23 +27,22 @@ def main():
         ring = spec.ring
         start = time.perf_counter()
         code = build_code(spec)
-        res = min_distance(code)
-        try:
-            verdict, cert = self_dual_decide(spec)
-            dual_rows = build_dual(spec).generator_matrix.shape[0]
+        dual = build_dual(spec)
+        res = min_distance(code, parity=dual.generator_matrix)
+        if dual.ring == ring:
+            verdict, cert = self_dual_decide(spec, code)
             sd = "self-dual" if verdict else "not self-dual"
-        except UnsupportedConstantsError:
-            dual_rows = None
-            sd = "self-duality test needs constants +-1"
-        closure = quasi_twisted_closure(code)
+        else:
+            sd = "self-duality needs constants +-1"
+        closure, _ = quasi_twisted_closure(code)
         elapsed = time.perf_counter() - start
         consts = (ring.alpha, ring.beta, ring.gamma)
         print(f"{name}: q={ring.field.p} (s,l,k)=({ring.s},{ring.l},{ring.k}) "
               f"constants={consts}")
         print(f"  [{code.n},{code.dimension},{res.d}]  {sd}  "
               f"quasi-twisted closure={closure}  ({elapsed:.2f}s)")
-        if dual_rows is not None:
-            print(f"  dual matrix rows: {dual_rows}")
+        print(f"  dual matrix rows: {dual.generator_matrix.shape[0]}, constants "
+              f"{(dual.ring.alpha, dual.ring.beta, dual.ring.gamma)}")
 
 
 if __name__ == "__main__":

@@ -47,7 +47,7 @@ from .idempotents import (
     identity_report,
 )
 from .poly import Poly, factor_binomial, format_poly
-from .ring3d import RingElement3D, RingParams, annihilator_orthogonality_equiv, unflatten
+from .ring3d import RingElement3D, RingParams, annihilator_orthogonality_equiv, ring_products
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -157,7 +157,7 @@ def cmd_build(args) -> int:
     spec = load_spec(args.spec)
     code = build_code(spec)
     result = _base_result(spec, code)
-    result["verdicts"] = {"quasi_twisted": quasi_twisted_closure(code)}
+    result["verdicts"] = {"quasi_twisted": quasi_twisted_closure(code)[0]}
     _emit(result, args.out)
     return EXIT_OK
 
@@ -167,7 +167,7 @@ def cmd_dual(args) -> int:
     code = build_code(spec)
     dual = build_dual(spec)
     result = _base_result(spec, code)
-    result["verdicts"] = {"quasi_twisted": quasi_twisted_closure(code)}
+    result["verdicts"] = {"quasi_twisted": quasi_twisted_closure(code)[0]}
     result["H"] = _matrix_rows(dual.generator_matrix)
     result["dual_dimension"] = dual.dimension
     _emit(result, args.out)
@@ -176,8 +176,8 @@ def cmd_dual(args) -> int:
 
 def cmd_selfdual(args) -> int:
     spec = load_spec(args.spec)
-    verdict, certificate = self_dual_decide(spec)
     code = build_code(spec)
+    verdict, certificate = self_dual_decide(spec, code)
     result = _base_result(spec, code)
     result["verdicts"] = {"self_dual": verdict}
     result["certificate"] = certificate
@@ -195,11 +195,8 @@ def cmd_selfdual(args) -> int:
 def cmd_mindist(args) -> int:
     spec = load_spec(args.spec)
     code = build_code(spec)
-    try:
-        parity = build_dual(spec).generator_matrix
-    except UnsupportedConstantsError:
-        parity = None   # min_distance falls back to the kernel of G
-    res = min_distance(code, max_weight=args.max_weight, budget=args.budget, parity=parity)
+    res = min_distance(code, max_weight=args.max_weight, budget=args.budget,
+                       parity=build_dual(spec).generator_matrix)
     result = _base_result(spec, code)
     result["distance"] = {
         "d": res.d,
@@ -222,37 +219,28 @@ def _verify_checks(spec: CodeSpec, pairs: int, seed: int):
             yield f"idempotents_{axis}_{name}", ok
 
     code = build_code(spec)
+    closure, kernel = quasi_twisted_closure(code)   # the one elimination of G: n - rank G rows
     yield "generator_rank_equals_dimension", (
-        code.generator_matrix.shape[0] == code.dimension
-        and linalg.rank(code.generator_matrix, p) == code.dimension
-    )
-
-    closure = quasi_twisted_closure(code)
+        code.generator_matrix.shape[0] == code.dimension == ring.n - kernel.shape[0])
     for axis in ("x", "y", "z"):
         yield f"quasi_twisted_closure_{axis}", closure[axis]
 
-    units = {1, p - 1}
-    if {ring.alpha, ring.beta, ring.gamma} <= units:
-        dual = build_dual(spec)
-        gh = linalg.matmul(code.generator_matrix, dual.generator_matrix.T, p)
-        yield "dual_orthogonality", not gh.any()
-        kernel = linalg.null_space(code.generator_matrix, p)   # n - rank G rows
-        yield "dual_rank_complement", (kernel.shape[0] == dual.generator_matrix.shape[0]
-                                       == dual.dimension == ring.n - code.dimension)
-        yield "dual_equals_kernel", linalg.row_space_equal(dual.generator_matrix, kernel, p)
-        verdict, _ = self_dual_decide(spec, cross_check=False)
+    dual = build_dual(spec)
+    gh = linalg.matmul(code.generator_matrix, dual.generator_matrix.T, p)
+    yield "dual_orthogonality", not gh.any()
+    yield "dual_rank_complement", (kernel.shape[0] == dual.generator_matrix.shape[0]
+                                   == dual.dimension == ring.n - code.dimension)
+    yield "dual_equals_kernel", linalg.row_space_equal(dual.generator_matrix, kernel, p)
+    if dual.ring == ring:   # self-duality needs alpha = alpha^-1, beta = beta^-1, gamma = gamma^-1
+        verdict, _ = self_dual_decide(spec)
         yield "self_dual_criteria_agree", verdict == direct_self_dual_check(code)
-        binom = Poly.binomial(ring.field, ring.s, ring.alpha)
-        annihilates = True
-        for t in range(ring.k):
-            for j in range(ring.l):
-                q_poly = binom // spec.divisor_grid[t][j]
-                lhs = RingElement3D.from_axis_polys(
-                    ring, q_poly.coeffs, y_fam.members[j].coeffs, z_fam.members[t].coeffs)
-                for gen in code.generators:
-                    if not (lhs * gen).is_zero():
-                        annihilates = False
-        yield "complement_generators_annihilate", annihilates
+    binom = Poly.binomial(ring.field, ring.s, ring.alpha)
+    generators = np.stack([g.coeffs for g in code.generators])
+    yield "complement_generators_annihilate", not any(   # one complement at a time bounds memory
+        ring_products(ring, RingElement3D.from_axis_polys(
+            ring, (binom // spec.divisor_grid[t][j]).coeffs,
+            y_fam.members[j].coeffs, z_fam.members[t].coeffs).coeffs[None], generators).any()
+        for t in range(ring.k) for j in range(ring.l))
 
     rng = random.Random(seed)
     agree = True
@@ -282,7 +270,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok_all else EXIT_FALSE
 
 
-def _cas_script(spec: CodeSpec, code: BuiltCode, dual: BuiltCode | None) -> str:
+def _cas_script(spec: CodeSpec, code: BuiltCode, dual: BuiltCode) -> str:
     ring = spec.ring
     rows, cols = code.generator_matrix.shape
     flat = ", ".join(str(int(v)) for v in code.generator_matrix.reshape(-1))
@@ -294,7 +282,7 @@ def _cas_script(spec: CodeSpec, code: BuiltCode, dual: BuiltCode | None) -> str:
         "print Length(C), Dimension(C), MinimumDistance(C);",
         "print IsSelfDual(C);",
     ]
-    if dual is not None and dual.generator_matrix.shape[0] > 0:
+    if dual.generator_matrix.shape[0] > 0:
         hrows = dual.generator_matrix.shape[0]
         hflat = ", ".join(str(int(v)) for v in dual.generator_matrix.reshape(-1))
         lines += [
@@ -305,12 +293,11 @@ def _cas_script(spec: CodeSpec, code: BuiltCode, dual: BuiltCode | None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_grids(code: BuiltCode, dual: BuiltCode | None) -> str:
+def _csv_grids(code: BuiltCode, dual: BuiltCode) -> str:
     lines = ["# G"]
     lines += [",".join(str(int(v)) for v in row) for row in code.generator_matrix]
-    if dual is not None:
-        lines.append("# H")
-        lines += [",".join(str(int(v)) for v in row) for row in dual.generator_matrix]
+    lines.append("# H")
+    lines += [",".join(str(int(v)) for v in row) for row in dual.generator_matrix]
     return "\n".join(lines) + "\n"
 
 
@@ -320,10 +307,7 @@ def cmd_export(args) -> int:
     if code.dimension == 0:
         print("refusing to export a zero-dimensional code", file=sys.stderr)
         return EXIT_INVALID
-    try:
-        dual = build_dual(spec)
-    except UnsupportedConstantsError:
-        dual = None
+    dual = build_dual(spec)
     text = _cas_script(spec, code, dual) if args.format == "cas-script" else _csv_grids(code, dual)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -370,7 +354,7 @@ def _parser() -> argparse.ArgumentParser:
 
     for name, func, extra in (
         ("build", cmd_build, "build the code and emit its generator matrix"),
-        ("dual", cmd_dual, "also build the dual code matrix (constants +-1)"),
+        ("dual", cmd_dual, "also build the dual code matrix H (any constants)"),
         ("selfdual", cmd_selfdual, "decide self-duality; exit 0 = yes, 1 = no"),
         ("verify", cmd_verify, "run the invariant suite; exit 0 iff all pass"),
     ):

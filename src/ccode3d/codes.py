@@ -5,10 +5,12 @@ by a k x l grid of monic divisors of x^s - alpha: entry (t, j) is paired with
 the t-th z-idempotent and the j-th y-idempotent, and the code is the ideal
 generated by those k*l products.  A ``CodeSpec`` is checked once, when it is
 made (``validate_spec``), and holds monic divisors from then on.  This module
-builds the generator matrix and, for unit constants +-1, the dual code's
-matrix and its divisor grid (``dual_spec``); self-duality is decided on the
-grid alone, as the grid being a fixed point of ``dual_spec``.  It also
-provides the exhaustive sweep machinery.
+builds the generator matrix and, for any nonzero constants, the dual code's
+matrix, an (alpha^-1, beta^-1, gamma^-1)-constacyclic code.  For constants
++-1 the dual lives in the same ring and is itself a divisor grid
+(``dual_spec``); self-duality is decided on the grid alone, as the grid being
+a fixed point of ``dual_spec``.  It also provides the exhaustive sweep
+machinery.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ class SpecValidationError(ValueError):
 
 
 class UnsupportedConstantsError(ValueError):
-    """Operation requires alpha, beta, gamma in {1, -1}.
+    """Operation needs alpha = alpha^-1, beta = beta^-1, gamma = gamma^-1.
 
-    For other constants the dual is a constacyclic code over the ring with
-    inverted constants and is not an ideal of the same ring; a parity-check
-    matrix is still available through linalg.null_space.
+    The dual is an ideal of the ring with inverted constants (build_dual
+    builds it for any constants); the dual grid, the cell pairing and
+    self-duality compare it with the code in the same ring.
     """
 
 
@@ -64,17 +66,14 @@ class CodeSpec:
 
 @dataclass(frozen=True)
 class BuiltCode:
-    """A built code: its spec, the k*l ring generators, and a generator matrix
-    in the canonical z-major layout, full rank by construction (_assemble)."""
+    """A built code: the ring it is an ideal of, the k*l ring generators, and
+    a generator matrix in the canonical z-major layout, full rank by
+    construction (_assemble)."""
 
-    spec: CodeSpec
+    ring: RingParams
     generators: tuple[RingElement3D, ...]
     generator_matrix: np.ndarray
     dimension: int
-
-    @property
-    def ring(self) -> RingParams:
-        return self.spec.ring
 
     @property
     def n(self) -> int:
@@ -135,22 +134,22 @@ def _shift_rows(f: Poly, count: int, s: int) -> np.ndarray:
     return rows
 
 
-def _assemble(spec: CodeSpec, cells, dimension: int) -> BuiltCode:
+def _assemble(ring: RingParams, cells, dimension: int) -> BuiltCode:
     """The construction path of the code and its dual: cell (f, count, g, h)
     gives the ring generator f(x)*g(y)*h(z) and the Kronecker block of the
-    rows x^i * f(x) * g(y) * h(z), i < count.  No elimination runs, since
-    the rows are independent by construction: the cell vectors e_t ⊗ e_j are
+    rows x^i * f(x) * g(y) * h(z), i < count; no row wraps, so the blocks do
+    not depend on the ring's constants.  No elimination runs, since the rows
+    are independent by construction: the cell vectors e_t ⊗ e_j are
     independent, and so are their reversals, because the geometric-sum
     idempotents have full degree k - 1 (l - 1); X_p is banded and in echelon
     form, as p is monic, and X_q* is banded with leading coefficient
     q(0) != 0; so the Kronecker blocks form a direct sum.  verify and the
     tests keep the rank as an oracle."""
-    ring = spec.ring
     generators, blocks = [], []
     for f, count, gy, hz in cells:
         generators.append(RingElement3D.from_axis_polys(ring, f.coeffs, gy, hz))
         blocks.append(kron_words(ring, _shift_rows(f, count, ring.s), gy, hz))
-    return BuiltCode(spec, tuple(generators), np.vstack(blocks), dimension)
+    return BuiltCode(ring, tuple(generators), np.vstack(blocks), dimension)
 
 
 def build_code(spec: CodeSpec) -> BuiltCode:
@@ -170,32 +169,32 @@ def build_code(spec: CodeSpec) -> BuiltCode:
         for t, row in enumerate(spec.divisor_grid)
         for j, p in enumerate(row)
     ]
-    return _assemble(spec, cells, ring.n - spec.degree_sum())
+    return _assemble(ring, cells, ring.n - spec.degree_sum())
 
 
 def _require_unit_constants(ring: RingParams, what: str):
-    units = {1, ring.field.p - 1}
-    if not {ring.alpha, ring.beta, ring.gamma} <= units:
+    if not {ring.alpha, ring.beta, ring.gamma} <= {1, ring.field.p - 1}:   # c = c^-1 iff c = +-1
         raise UnsupportedConstantsError(
-            f"{what} requires alpha, beta, gamma in {{1, -1}}; the dual of this code "
-            f"lives in the ring with constants ({ring.field.p}-adic inverses) "
-            f"(alpha^-1, beta^-1, gamma^-1) and is not an ideal of the same ring. "
-            f"Use linalg.null_space on the generator matrix for a parity check."
+            f"{what} needs alpha = alpha^-1, beta = beta^-1, gamma = gamma^-1 "
+            f"(constants 1 or -1); got ({ring.alpha}, {ring.beta}, {ring.gamma}) "
+            f"over F_{ring.field.p}"
         )
 
 
 def build_dual(spec: CodeSpec) -> BuiltCode:
-    """Generator matrix of the dual code, for constants in {1, -1}.
+    """The dual code, an ideal of the ring with inverted constants.
 
     Cell (t, j) contributes the rows x^i * q*(x) * e_j*(y) * e_t*(z) for
     i = 0..a-1, where p*q = x^s - alpha, a = deg p, and * is coefficient
     reversal: the block kron(e_t*, kron(e_j*, X_q*)), built like the code's
     blocks; deg(x^i * q*) < s for i < a, so no row wraps.  Cells with
     constant divisor contribute no rows.  The rows are independent
-    (_assemble), so the rank is the divisor degree sum; G*H^T = 0.
+    (_assemble), so the rank is the divisor degree sum; G*H^T = 0, so H
+    spans the kernel of G for any nonzero constants, and its row space is
+    an ideal of F_q[x,y,z]/(x^s - alpha^-1, y^l - beta^-1, z^k - gamma^-1),
+    the ring of the returned code.
     """
     ring = spec.ring
-    _require_unit_constants(ring, "dual construction")
     z_fam, y_fam = code_idempotents(ring)
     q_stars = _reversed_complements(ring, spec.divisor_grid)
     cells = [
@@ -204,7 +203,7 @@ def build_dual(spec: CodeSpec) -> BuiltCode:
         for t, row in enumerate(spec.divisor_grid)
         for j, p in enumerate(row)
     ]
-    return _assemble(spec, cells, spec.degree_sum())
+    return _assemble(ring.inverse_constants(), cells, spec.degree_sum())
 
 
 def _reversed_complements(ring: RingParams, rows) -> list[list[Poly]]:
@@ -242,21 +241,22 @@ def dual_spec(spec: CodeSpec) -> CodeSpec:
     return CodeSpec(ring, tuple(tuple(row) for row in grid))
 
 
-def quasi_twisted_closure(code: BuiltCode) -> dict[str, bool]:
-    """Check closure of the row space under each axis shift.
+def quasi_twisted_closure(code: BuiltCode) -> tuple[dict[str, bool], np.ndarray]:
+    """Closure of the row space under each axis shift, and K = null_space(G).
 
     One elimination serves all three axes: a word lies in the row space of G
-    iff it is orthogonal to K = null_space(G), so an axis is closed iff the
-    batched shift of G's rows (the wrapped block scaled by the axis constant)
-    has shift(G) * K^T = 0.  An ideal passes on all three axes.
+    iff it is orthogonal to K, so an axis is closed iff the batched shift of
+    G's rows (the wrapped block scaled by the axis constant) has
+    shift(G) * K^T = 0.  An ideal passes on all three axes.  K is returned
+    for callers that check more against the same kernel.
     """
     ring = code.ring
     g = code.generator_matrix
-    kernel_t = linalg.null_space(g, ring.field.p).T
+    kernel = linalg.null_space(g, ring.field.p)
     return {
-        axis: not linalg.matmul(shift_words(ring, g, axis), kernel_t, ring.field.p).any()
+        axis: not linalg.matmul(shift_words(ring, g, axis), kernel.T, ring.field.p).any()
         for axis in AXES
-    }
+    }, kernel
 
 
 def direct_self_dual_check(code: BuiltCode) -> bool:
@@ -265,7 +265,7 @@ def direct_self_dual_check(code: BuiltCode) -> bool:
     return (not gg.any()) and 2 * code.dimension == code.n
 
 
-def self_dual_decide(spec: CodeSpec, *, cross_check: bool = True) -> tuple[bool, dict]:
+def self_dual_decide(spec: CodeSpec, code: BuiltCode | None = None) -> tuple[bool, dict]:
     """Decide self-duality from the divisor grid alone.
 
     Two conditions: (i) the divisor degrees sum to half the length, and
@@ -274,8 +274,9 @@ def self_dual_decide(spec: CodeSpec, *, cross_check: bool = True) -> tuple[bool,
     the partner cell holds monic(q*).  This is the pair of divisibilities
     "partner p | q*" and "partner q* | p": they force equal degrees, and the
     reversal of x^s - alpha is a unit multiple of it for alpha = +-1.  The
-    certificate records every cell comparison; with cross_check the verdict
-    is recomputed from the generator matrix and a mismatch raises.
+    certificate records every cell comparison; given the spec's built code,
+    the verdict is recomputed from its generator matrix (the certificate's
+    direct_check) and a mismatch raises.
     """
     ring = spec.ring
     _require_unit_constants(ring, "self-duality test")
@@ -309,8 +310,8 @@ def self_dual_decide(spec: CodeSpec, *, cross_check: bool = True) -> tuple[bool,
         "cell_conditions_ok": first_failure is None,
         "first_failure": first_failure,
     }
-    if cross_check:
-        direct = direct_self_dual_check(build_code(spec))
+    if code is not None:
+        direct = direct_self_dual_check(code)
         certificate["direct_check"] = direct
         if direct != verdict:
             raise RuntimeError(
@@ -489,7 +490,7 @@ def sign_grid_sweep_report(field: FieldSpec, s: int, l: int, k: int) -> dict:
                 report["orthogonality_failures"] += 1
             if not linalg.row_space_equal(dual.generator_matrix, kernel, p):
                 report["kernel_mismatches"] += 1
-            verdict, _ = self_dual_decide(spec, cross_check=False)
+            verdict, _ = self_dual_decide(spec)
             if verdict != direct_self_dual_check(code):
                 report["verdict_disagreements"] += 1
             if verdict:

@@ -20,7 +20,14 @@ def matmul(a, b, p: int) -> np.ndarray:
 
 
 def rref(m, p: int) -> tuple[np.ndarray, int, tuple[int, ...]]:
-    """Unique reduced row echelon form, rank, and pivot columns."""
+    """Unique reduced row echelon form, rank, and pivot columns.
+
+    Each pivot is one whole-block update of columns c.. (columns < c of rows
+    r.. are zero; rows zero in column c subtract zero).  Entries are reduced
+    mod p only in the pivot column and row and once at the end: each update
+    adds less than p^2 in magnitude, so entries stay below p + rank * p^2,
+    within int64 for p < 2^16.
+    """
     a = as_matrix(m, p).copy()
     rows, cols = a.shape
     pivots = []
@@ -28,19 +35,19 @@ def rref(m, p: int) -> tuple[np.ndarray, int, tuple[int, ...]]:
     for c in range(cols):
         if r >= rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        col = a[r:, c] % p
+        pr = int(col.argmax())   # any nonzero pivot row: the reduced form is unique
+        if col[pr] == 0:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), -1, p)) % p
-        for other in range(rows):
-            if other != r and a[other, c]:
-                a[other] = (a[other] - a[other, c] * a[r]) % p
+        pivot = a[r + pr, c:] * pow(int(col[pr]), -1, p) % p
+        if pr:
+            a[r + pr] = a[r]
+        rest = a[:, c:]
+        rest -= rest[:, :1] % p * pivot
+        a[r, c:] = pivot
         pivots.append(c)
         r += 1
-    return a, r, tuple(pivots)
+    return a % p, r, tuple(pivots)
 
 
 def rank(m, p: int) -> int:

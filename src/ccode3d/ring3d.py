@@ -13,9 +13,10 @@ for a stack of x-rows f_i as the Kronecker block kron(kron(h, g), X), and
 ``shift_words`` applies one constacyclic axis shift to every word at once.
 
 R is the tensor product of the three univariate rings F_q[u]/(u^m - c), so
-the ring product factors axis by axis: ``__mul__`` contracts both operands
-against one cached multiplication table per axis, T[i, i', d] = c^((i+i')//m)
-where d = (i+i') mod m and 0 elsewhere, with no loop over monomials.
+the ring product factors axis by axis: ``ring_products`` contracts two
+stacks of operands against one cached multiplication table per axis,
+T[i, i', d] = c^((i+i')//m) where d = (i+i') mod m and 0 elsewhere, with no
+loop over monomials.
 """
 
 from __future__ import annotations
@@ -138,26 +139,10 @@ class RingElement3D:
 
     def __mul__(self, other: "RingElement3D") -> "RingElement3D":
         """Ring product: 3-D convolution where an index overflow along x, y, z
-        contributes a factor alpha, beta, gamma per full wrap.
-
-        Computed as the contraction sum a[i,j,t] b[i',j',t'] Tx[i,i',d]
-        Ty[j,j',e] Tz[t,t',f] against the per-axis tables of ``axis_table``,
-        one axis at a time in int64 with a reduction mod p after each stage.
-        Overflow bound: every term is a product of two residues, < p^2 < 2^32
-        for p < 2^16, and each output sums at most max(s, l, k) nonzero
-        terms, since T[i, :, d] has a single nonzero entry; so no partial sum
-        reaches 2^63 while max(s, l, k) < 2^31.
-        """
+        contributes a factor alpha, beta, gamma per full wrap (ring_products)."""
         self._check(other)
-        pr = self.params
-        p = pr.field.p
-        tx = axis_table(pr.s, pr.alpha, p)
-        ty = axis_table(pr.l, pr.beta, p)
-        tz = axis_table(pr.k, pr.gamma, p)
-        w = np.tensordot(tx, self.coeffs, axes=(0, 0)) % p      # (i', d, j, t)
-        w = np.tensordot(w, other.coeffs, axes=(0, 0)) % p      # (d, j, t, j', t')
-        w = np.tensordot(w, ty, axes=([1, 3], [0, 1])) % p      # (d, t, t', e)
-        return RingElement3D.from_tensor(pr, np.tensordot(w, tz, axes=([1, 2], [0, 1])))
+        return RingElement3D.from_tensor(
+            self.params, ring_products(self.params, self.coeffs[None], other.coeffs[None])[0, 0])
 
     def shift(self, axis: str) -> "RingElement3D":
         """Constacyclic shift along one axis; equals multiplication by that
@@ -235,6 +220,29 @@ def axis_table(m: int, constant: int, p: int) -> np.ndarray:
     table[i[:, None], i[None, :], total % m] = np.where(total < m, 1, constant % p)
     table.setflags(write=False)
     return table
+
+
+def ring_products(params: RingParams, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every product a[u] * b[v] of two stacks of coefficient tensors, (A, s, l, k)
+    and (B, s, l, k), as the (A, B, s, l, k) stack of canonical tensors.
+
+    Computed as the contraction sum a[i,j,t] b[i',j',t'] Tx[i,i',d]
+    Ty[j,j',e] Tz[t,t',f] against the per-axis tables of ``axis_table``,
+    one axis at a time in int64 with a reduction mod p after each stage.
+    Overflow bound: every term is a product of two residues, < p^2 < 2^32
+    for p < 2^16, and each output sums at most max(s, l, k) nonzero
+    terms, since T[i, :, d] has a single nonzero entry; so no partial sum
+    reaches 2^63 while max(s, l, k) < 2^31.
+    """
+    p = params.field.p
+    tx = axis_table(params.s, params.alpha, p)
+    ty = axis_table(params.l, params.beta, p)
+    tz = axis_table(params.k, params.gamma, p)
+    w = np.tensordot(a, tx, axes=(1, 0)) % p                # (A, j, t, i', d)
+    w = np.tensordot(w, b, axes=(3, 1)) % p                 # (A, j, t, d, B, j', t')
+    w = np.tensordot(w, ty, axes=([1, 5], [0, 1])) % p      # (A, t, d, B, t', e)
+    w = np.tensordot(w, tz, axes=([1, 4], [0, 1]))          # (A, d, B, e, f)
+    return w.transpose(0, 2, 1, 3, 4) % p
 
 
 def _reduce_axis(field: FieldSpec, coeffs, m: int, constant: int) -> np.ndarray:

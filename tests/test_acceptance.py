@@ -90,7 +90,7 @@ def test_criterion_1_example1():
         [-1, -1, -2, -2, -2, -2, 1, 1],
     ]) % 5
     assert linalg.row_space_equal(code.generator_matrix, paper_rows, 5)
-    verdict, _ = self_dual_decide(spec)
+    verdict, _ = self_dual_decide(spec, code)
     assert verdict is True
     res = min_distance(code)
     assert res.exact and res.d == 2
@@ -106,7 +106,7 @@ def test_criterion_2_example2():
     assert (code.n, code.dimension) == (12, 6)
     res = min_distance(code)
     assert res.exact and res.d == 2
-    verdict, cert = self_dual_decide(spec)
+    verdict, cert = self_dual_decide(spec, code)
     assert verdict is False
     assert cert["first_failure"] == [0, 0]
     failing = next(c for c in cert["cells"] if c["cell"] == [0, 0])
@@ -243,7 +243,7 @@ def test_criterion_6_duality_suite(sign_sweep):
         assert code.dimension + dual.dimension == n
         kernel = linalg.null_space(code.generator_matrix, p)
         assert linalg.row_space_equal(dual.generator_matrix, kernel, p)
-        verdict, _ = self_dual_decide(spec, cross_check=False)
+        verdict, _ = self_dual_decide(spec)
         if verdict != direct_self_dual_check(code):
             disagreements += 1
     assert disagreements == 0
@@ -271,7 +271,7 @@ def test_criterion_7_no_self_dual_with_trivial_yz_constants():
             if count_divisor_grids(ring) <= 4096:
                 found = sum(
                     1 for spec in enumerate_divisor_grids(ring)
-                    if self_dual_decide(spec, cross_check=False)[0]
+                    if self_dual_decide(spec)[0]
                 )
                 assert found == 0
     assert tuples >= 100

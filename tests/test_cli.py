@@ -122,6 +122,11 @@ def test_dual_command(capsys):
     assert code == 0
     result = json.loads(out)
     assert len(result["H"]) == 6 and result["dual_dimension"] == 6
+    # constants (6, 2, 6): the dual is a (6, 4, 6)-constacyclic code, built the same way
+    code, out = run(capsys, "dual", "--spec", EXAMPLE3)
+    assert code == 0
+    result = json.loads(out)
+    assert len(result["H"]) == 6 and result["dual_dimension"] == 6 and result["dimension"] == 12
 
 
 def test_mindist_commands(capsys):
@@ -150,11 +155,14 @@ def test_verify_all_pass(capsys):
     assert "PASS self_dual_criteria_agree" in out
 
 
-def test_verify_example3_skips_dual_checks(capsys):
+def test_verify_example3_runs_dual_checks(capsys):
     code, out = run(capsys, "verify", "--spec", EXAMPLE3, "--pairs", "5")
     assert code == 0
-    assert "dual_equals_kernel" not in out
-    assert "PASS quasi_twisted_closure_x" in out
+    assert "FAIL" not in out
+    for name in ("dual_orthogonality", "dual_rank_complement", "dual_equals_kernel",
+                 "complement_generators_annihilate", "quasi_twisted_closure_x"):
+        assert f"PASS {name}" in out
+    assert "self_dual_criteria_agree" not in out   # self-duality needs alpha = alpha^-1
 
 
 def test_export_cas_script(capsys):
@@ -171,9 +179,10 @@ def test_export_csv(capsys, tmp_path):
     text = out_file.read_text()
     lines = text.strip().splitlines()
     assert lines[0] == "# G"
-    g_rows = [l for l in lines[1:] if not l.startswith("#")]
-    assert len(g_rows) == 12 and all(len(r.split(",")) == 18 for r in g_rows)
-    assert "# H" not in text   # constants outside +-1: no dual matrix
+    h_at = lines.index("# H")   # constants outside +-1 have a dual matrix too
+    g_rows, h_rows = lines[1:h_at], lines[h_at + 1:]
+    assert len(g_rows) == 12 and len(h_rows) == 6
+    assert all(len(r.split(",")) == 18 for r in g_rows + h_rows)
 
 
 def test_export_refuses_zero_dimension(capsys, tmp_path):
@@ -242,19 +251,37 @@ def test_eliminations_per_command(capsys, monkeypatch):
         (["dual", "--spec", EXAMPLE1], 1),
         (["selfdual", "--spec", EXAMPLE1], 0),
         (["mindist", "--spec", EXAMPLE1], 0),     # the dual's matrix is the parity check
-        (["mindist", "--spec", EXAMPLE3], 1),     # non-unit constants: the kernel of G
+        (["mindist", "--spec", EXAMPLE3], 0),     # for non-unit constants too
+        # one kernel of G for closure, rank and dual checks, and rref of H and of the kernel
+        (["verify", "--spec", EXAMPLE1, "--pairs", "2"], 3),
+        (["verify", "--spec", EXAMPLE3, "--pairs", "2"], 3),
     ):
         calls.clear()
         assert main(argv) == 0
         assert len(calls) == expected, argv
-    calls.clear()
-    assert main(["verify", "--spec", EXAMPLE1, "--pairs", "2"]) == 0
-    assert len(calls) <= 5
     capsys.readouterr()
     calls.clear()
     code, out = run(capsys, "sweep", "grid", "--q", "5", "--s", "2", "--l", "2", "--k", "2")
     assert code == 0
     assert len(calls) == 3 * json.loads(out)["specs"]
+
+
+def test_selfdual_builds_code_once(capsys, monkeypatch):
+    # the command's code is the one the self-duality verdict is checked against
+    from ccode3d import cli, codes
+
+    calls = []
+    build_code = codes.build_code
+
+    def counting_build_code(spec):
+        calls.append(spec)
+        return build_code(spec)
+
+    for module in (codes, cli):
+        monkeypatch.setattr(module, "build_code", counting_build_code)
+    assert main(["selfdual", "--spec", EXAMPLE1]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["certificate"]["direct_check"] is True
 
 
 def test_rank_oracles_stay_live(capsys, monkeypatch, tmp_path):

@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -135,11 +137,12 @@ def test_example1_dual_matches_published_rows():
 
 def test_example1_self_dual_and_quasi_twisted():
     spec = example1_spec()
-    verdict, cert = self_dual_decide(spec)
-    assert verdict and cert["dimension_condition_ok"] and cert["first_failure"] is None
     code = build_code(spec)
+    verdict, cert = self_dual_decide(spec, code)
+    assert verdict and cert["dimension_condition_ok"] and cert["first_failure"] is None
+    assert cert["direct_check"] is True
     assert direct_self_dual_check(code)
-    assert quasi_twisted_closure(code) == {"x": True, "y": True, "z": True}
+    assert quasi_twisted_closure(code)[0] == {"x": True, "y": True, "z": True}
 
 
 def test_example2_parameters_and_certificate():
@@ -149,7 +152,7 @@ def test_example2_parameters_and_certificate():
     assert (code.n, code.dimension) == (12, 6)
     assert dual.generator_matrix.shape == (6, 12)
     assert not linalg.matmul(code.generator_matrix, dual.generator_matrix.T, 7).any()
-    verdict, cert = self_dual_decide(spec)
+    verdict, cert = self_dual_decide(spec, code)
     assert not verdict
     assert cert["first_failure"] == [0, 0]
     failing = next(c for c in cert["cells"] if c["cell"] == [0, 0])
@@ -177,7 +180,7 @@ def test_example2_published_displays_use_swapped_column_labels():
     assert linalg.row_space_equal(code.generator_matrix, np.array(g_rows) % 7, 7)
     assert linalg.row_space_equal(dual.generator_matrix, np.array(h_rows) % 7, 7)
     # both gridings give the same parameters and verdict
-    verdict, cert = self_dual_decide(spec)
+    verdict, cert = self_dual_decide(spec, code)
     assert not verdict and code.dimension == 6
 
 
@@ -268,44 +271,94 @@ def test_kronecker_matrices_equal_per_row_products(rng):
         code = build_code(spec)
         assert np.array_equal(code.generator_matrix, per_row_matrix(ring, code_cells))
         assert linalg.rank(code.generator_matrix, ring.field.p) == code.dimension
-        if has_unit_constants(ring):
-            dual = build_dual(spec)
-            assert np.array_equal(dual.generator_matrix, per_row_matrix(ring, dual_cells))
-            assert linalg.rank(dual.generator_matrix, ring.field.p) == dual.dimension
+        dual = build_dual(spec)
+        assert np.array_equal(dual.generator_matrix, per_row_matrix(dual.ring, dual_cells))
+        assert linalg.rank(dual.generator_matrix, ring.field.p) == dual.dimension
 
 
 def test_closure_matches_per_row_oracle(rng):
     specs = [s for s in random_specs(rng, 40) if s.ring.n <= 60]
     for spec in specs:
         code = build_code(spec)
-        assert quasi_twisted_closure(code) == per_row_closure(code) == {
+        assert quasi_twisted_closure(code)[0] == per_row_closure(code) == {
             "x": True, "y": True, "z": True}
         # a random subset of the rows is seldom an ideal: the batched check
         # must still agree with the per-row oracle axis by axis
         if code.dimension > 1:
             g = code.generator_matrix[rng.sample(range(code.dimension), code.dimension // 2)]
-            part = BuiltCode(spec, (), g, g.shape[0])
-            assert quasi_twisted_closure(part) == per_row_closure(part)
+            part = BuiltCode(spec.ring, (), g, g.shape[0])
+            assert quasi_twisted_closure(part)[0] == per_row_closure(part)
 
 
 def test_closure_rejects_non_ideal_code():
     # span{1, x} in F_5[x, y, z]/(x^2 - 1, y - 1, z^2 + 1): closed under x
     # (x * x = 1) and under y (y = 1), but z * 1 = z leaves the span
     ring = RingParams(F5, 2, 1, 2, 1, 1, -1)
-    spec = CodeSpec(ring, ((Poly.one(F5),), (Poly.binomial(F5, 2, 1),)))
     g = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.int64)
-    code = BuiltCode(spec, (), g, 2)
-    assert quasi_twisted_closure(code) == {"x": True, "y": True, "z": False}
+    code = BuiltCode(ring, (), g, 2)
+    assert quasi_twisted_closure(code)[0] == {"x": True, "y": True, "z": False}
     assert per_row_closure(code) == {"x": True, "y": True, "z": False}
 
 
-def test_example3_dual_requires_unit_constants():
-    with pytest.raises(UnsupportedConstantsError, match="null_space"):
-        build_dual(example3_spec())
+def test_dual_of_non_unit_constants_spans_kernel(rng):
+    # the reversal blocks give the (alpha^-1, beta^-1, gamma^-1)-constacyclic
+    # dual for any nonzero constants: H spans ker G and is an ideal of the
+    # inverse-constant ring
+    specs = [example3_spec()] + [s for s in random_specs(rng, 80)
+                                 if not has_unit_constants(s.ring)][:40]
+    assert {s.ring.field.p for s in specs} == {5, 7, 13}
+    for spec in specs:
+        ring, p = spec.ring, spec.ring.field.p
+        code, dual = build_code(spec), build_dual(spec)
+        assert dual.ring == ring.inverse_constants() != ring
+        g, h = code.generator_matrix, dual.generator_matrix
+        assert not linalg.matmul(g, h.T, p).any()
+        assert linalg.rank(h, p) == dual.dimension == ring.n - code.dimension
+        assert linalg.row_space_equal(h, linalg.null_space(g, p), p)
+        assert quasi_twisted_closure(dual)[0] == {"x": True, "y": True, "z": True}
     code = build_code(example3_spec())
-    parity = linalg.null_space(code.generator_matrix, 7)
-    assert parity.shape == (6, 18)
-    assert not linalg.matmul(code.generator_matrix, parity.T, 7).any()
+    with pytest.raises(UnsupportedConstantsError, match="alpha = alpha\\^-1"):
+        self_dual_decide(example3_spec(), code)
+
+
+def weight_enumerator(m: np.ndarray, p: int, n: int) -> list[int]:
+    """A_0..A_n of the row space of m, by enumerating every message."""
+    counts = [0] * (n + 1)
+    rows = m.shape[0]
+    msgs = np.array(list(itertools.product(range(p), repeat=rows)),
+                    dtype=np.int64).reshape(p ** rows, rows)
+    for w in np.count_nonzero((msgs @ m) % p, axis=1):
+        counts[w] += 1
+    return counts
+
+
+def macwilliams_transform(a: list[int], p: int, n: int) -> list[Fraction]:
+    """B_j = |C|^-1 sum_i A_i K_j(i), with the q-ary Krawtchouk polynomial
+    K_j(i) = sum_m (-1)^m (q-1)^(j-m) C(i, m) C(n-i, j-m)."""
+    size = sum(a)
+    return [
+        Fraction(sum(a[i] * sum((-1) ** m * (p - 1) ** (j - m) * math.comb(i, m)
+                                * math.comb(n - i, j - m) for m in range(j + 1))
+                     for i in range(n + 1)), size)
+        for j in range(n + 1)
+    ]
+
+
+def test_dual_weight_enumerator_is_macwilliams_transform(rng):
+    # MacWilliams (Bell Syst. Tech. J. 42, 1963): the weight enumerator of
+    # C^perp = rowspace(H) is the MacWilliams transform of C's enumerator
+    def enumerable(spec):   # both codes have at most 10^5 words
+        return spec.ring.field.p ** max(spec.degree_sum(), spec.ring.n - spec.degree_sum()) <= 10**5
+
+    specs = [example1_spec(), example2_spec()] + [
+        s for s in random_specs(rng, 200) if s.ring.n <= 9 and enumerable(s)][:20]
+    assert any(has_unit_constants(s.ring) for s in specs[2:])
+    assert any(not has_unit_constants(s.ring) for s in specs[2:])
+    for spec in specs:
+        ring, p = spec.ring, spec.ring.field.p
+        a = weight_enumerator(build_code(spec).generator_matrix, p, ring.n)
+        b = weight_enumerator(build_dual(spec).generator_matrix, p, ring.n)
+        assert macwilliams_transform(a, p, ring.n) == b
 
 
 def test_zero_and_full_grids():
@@ -321,8 +374,8 @@ def test_zero_and_full_grids():
     full_code = build_code(full_spec)
     assert full_code.dimension == 8
     assert build_dual(full_spec).generator_matrix.shape == (0, 8)
-    assert quasi_twisted_closure(full_code) == {"x": True, "y": True, "z": True}
-    assert quasi_twisted_closure(zero_code) == {"x": True, "y": True, "z": True}
+    assert quasi_twisted_closure(full_code)[0] == {"x": True, "y": True, "z": True}
+    assert quasi_twisted_closure(zero_code)[0] == {"x": True, "y": True, "z": True}
 
 
 def test_repeated_root_x_axis_supported():
@@ -407,7 +460,7 @@ def test_odd_length_never_self_dual():
     ring = RingParams(F7, 3, 1, 3, -1, 1, -1)
     lin = poly7(1, 1)
     spec = CodeSpec(ring, ((lin,), (lin,), (lin,)))
-    verdict, cert = self_dual_decide(spec)
+    verdict, cert = self_dual_decide(spec, build_code(spec))
     assert not verdict and not cert["dimension_condition_ok"]
 
 
@@ -416,7 +469,7 @@ def test_self_dual_count_matches_enumeration():
     for ring in admissible_sign_rings(F5, 2, 2, 2) + admissible_sign_rings(F7, 2, 2, 2):
         found = sum(
             1 for spec in enumerate_divisor_grids(ring)
-            if self_dual_decide(spec, cross_check=False)[0]
+            if self_dual_decide(spec)[0]
         )
         assert found == self_dual_grid_count(ring)
 
@@ -440,7 +493,7 @@ def test_fixed_point_test_matches_divisibility_oracle(rng):
     assert len(sampled) > 50
     self_dual = 0
     for spec in specs + sampled:
-        verdict, cert = self_dual_decide(spec, cross_check=False)
+        verdict, cert = self_dual_decide(spec)
         for cell in cert["cells"]:
             assert cell["ok"] == divisibility_oracle(spec, *cell["cell"])
         assert verdict == (cert["dimension_condition_ok"] and dual_spec(spec) == spec)
@@ -461,7 +514,7 @@ def test_verdict_agreement_sampled_on_larger_ring():
         for _ in range(64):
             combo = [rng.choice(divisors) for _ in range(4)]
             spec = CodeSpec(ring, ((combo[0], combo[1]), (combo[2], combo[3])))
-            verdict, _ = self_dual_decide(spec, cross_check=False)
+            verdict, _ = self_dual_decide(spec)
             assert verdict == direct_self_dual_check(build_code(spec))
 
 
@@ -477,7 +530,7 @@ def test_selfdual_scan_beta_gamma_one_small():
         if count_divisor_grids(ring) <= 4096:
             found = sum(
                 1 for spec in enumerate_divisor_grids(ring)
-                if self_dual_decide(spec, cross_check=False)[0]
+                if self_dual_decide(spec)[0]
             )
             assert found == 0
 

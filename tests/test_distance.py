@@ -19,10 +19,14 @@ F5 = FieldSpec(5)
 F7 = FieldSpec(7)
 
 
-def example1_code():
+def example1_spec():
     ring = RingParams(F5, 2, 2, 2, 1, -1, -1)
     xm, xp = Poly.from_coeffs(F5, [-1, 1]), Poly.from_coeffs(F5, [1, 1])
-    return build_code(CodeSpec(ring, ((xm, xp), (xm, xp))))
+    return CodeSpec(ring, ((xm, xp), (xm, xp)))
+
+
+def example1_code():
+    return build_code(example1_spec())
 
 
 def example2_code():
@@ -91,9 +95,8 @@ def test_injected_repetition_style_code():
     # a weight-n single generator: distance equals the length
     from ccode3d.codes import BuiltCode
     ring = RingParams(F5, 3, 1, 1, 1, 1, 1)
-    spec = CodeSpec(ring, ((Poly.one(F5),),))   # the test checks the hand-built G only
     G = np.ones((1, 3), dtype=np.int64)
-    code = BuiltCode(spec, (), G, 1)
+    code = BuiltCode(ring, (), G, 1)
     assert min_distance_bruteforce(code) == 3
     res = min_distance(code)
     assert res.d == 3 and res.weight_checked == 2
@@ -101,7 +104,7 @@ def test_injected_repetition_style_code():
 
 def test_parity_override_gives_same_answer():
     code = example1_code()
-    dual = build_dual(code.spec)
+    dual = build_dual(example1_spec())
     res = min_distance(code, parity=dual.generator_matrix)
     assert res.exact and res.d == 2
 
@@ -124,7 +127,7 @@ def test_jobs_partitioning_matches_serial():
     from ccode3d.codes import BuiltCode
     ring = RingParams(F5, 5, 1, 1, 1, 1, 1)
     G = np.array([[0, 1, 1, 0, 0], [0, 0, 0, 1, 1]], dtype=np.int64)
-    code = BuiltCode(CodeSpec(ring, ((Poly.one(F5),),)), (), G, 2)
+    code = BuiltCode(ring, (), G, 2)
     assert min_distance(code).witness == (0, 1, 1, 0, 0)
 
 

@@ -13,6 +13,7 @@ from ccode3d.ring3d import (
     annihilator_orthogonality_equiv,
     axis_table,
     kron_words,
+    ring_products,
     shift_orbit_orthogonal,
     shift_words,
     unflatten,
@@ -128,6 +129,18 @@ def test_idempotent_orthogonality_lifts_to_ring():
 def test_mul_matches_bruteforce_oracle(pe):
     pr, f, g = pe
     assert np.array_equal((f * g).coeffs, brute_mul_oracle(f, g))
+
+
+@given(params_and_elements(count=5))
+def test_ring_products_of_stacks_match_pairwise_oracle(pe):
+    # a (3, ...) stack times a (2, ...) stack gives all six products, in order
+    pr, *elems = pe
+    left, right = elems[:3], elems[3:]
+    out = ring_products(pr, np.stack([f.coeffs for f in left]), np.stack([g.coeffs for g in right]))
+    assert out.shape == (3, 2) + pr.shape()
+    for u, f in enumerate(left):
+        for v, g in enumerate(right):
+            assert np.array_equal(out[u, v], brute_mul_oracle(f, g))
 
 
 # (p, s, l, k, alpha, beta, gamma): ladder shapes up to (12, 4, 3) with
