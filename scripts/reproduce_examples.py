@@ -34,7 +34,7 @@ def main():
             sd = "self-dual" if verdict else "not self-dual"
         else:
             sd = "self-duality needs constants +-1"
-        closure, _ = quasi_twisted_closure(code)
+        closure = quasi_twisted_closure(code, dual.generator_matrix)
         elapsed = time.perf_counter() - start
         consts = (ring.alpha, ring.beta, ring.gamma)
         print(f"{name}: q={ring.field.p} (s,l,k)=({ring.s},{ring.l},{ring.k}) "

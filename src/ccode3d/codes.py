@@ -6,11 +6,13 @@ the t-th z-idempotent and the j-th y-idempotent, and the code is the ideal
 generated by those k*l products.  A ``CodeSpec`` is checked once, when it is
 made (``validate_spec``), and holds monic divisors from then on.  This module
 builds the generator matrix and, for any nonzero constants, the dual code's
-matrix, an (alpha^-1, beta^-1, gamma^-1)-constacyclic code.  For constants
-+-1 the dual lives in the same ring and is itself a divisor grid
-(``dual_spec``); self-duality is decided on the grid alone, as the grid being
-a fixed point of ``dual_spec``.  It also provides the exhaustive sweep
-machinery.
+matrix H, an (alpha^-1, beta^-1, gamma^-1)-constacyclic code: both are
+Kronecker blocks, built with no elimination, and H, spanning ker G, is the
+parity check of the closure test.  The ring generators are made on demand
+(``cell_generators``).  For constants +-1 the dual lives in the same ring and
+is itself a divisor grid (``dual_spec``); self-duality is decided on the grid
+alone, as the grid being a fixed point of ``dual_spec``.  It also provides the
+exhaustive sweep machinery.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .idempotents import (
     reciprocal_index,
 )
 from .poly import Poly, factor_binomial
-from .ring3d import AXES, RingElement3D, RingParams, kron_words, shift_words
+from .ring3d import AXES, RingParams, kron_words, shift_words
 
 
 class SpecValidationError(ValueError):
@@ -66,12 +68,10 @@ class CodeSpec:
 
 @dataclass(frozen=True)
 class BuiltCode:
-    """A built code: the ring it is an ideal of, the k*l ring generators, and
-    a generator matrix in the canonical z-major layout, full rank by
-    construction (_assemble)."""
+    """A built code: the ring it is an ideal of and a generator matrix in the
+    canonical z-major layout, full rank by construction (_assemble)."""
 
     ring: RingParams
-    generators: tuple[RingElement3D, ...]
     generator_matrix: np.ndarray
     dimension: int
 
@@ -107,22 +107,17 @@ def validate_spec(spec: CodeSpec) -> CodeSpec:
             f"{[len(row) for row in spec.divisor_grid]}"
         )
     code_idempotents(ring)   # raises if a root of unity is missing
-    binom = Poly.binomial(field, ring.s, ring.alpha)
-    checked = set()   # grids repeat divisors: divide by each distinct one once
     for t, row in enumerate(spec.divisor_grid):
         for j, p in enumerate(row):
-            if p in checked:
-                continue
             if p.field != field:
                 raise SpecValidationError(f"divisor at cell (t={t}, j={j}) is over the wrong field")
             if p.is_zero():
                 raise SpecValidationError(f"divisor at cell (t={t}, j={j}) is zero")
-            if not (binom % p).is_zero():
+            if _reversed_complement(field, ring.s, ring.alpha, p) is None:
                 raise SpecValidationError(
                     f"divisor at cell (t={t}, j={j}) does not divide x^{ring.s} - {ring.alpha} "
                     f"over F_{field.p}: {p!r}"
                 )
-            checked.add(p)
     return spec
 
 
@@ -134,22 +129,33 @@ def _shift_rows(f: Poly, count: int, s: int) -> np.ndarray:
     return rows
 
 
+def cell_generators(ring: RingParams, x_grid) -> np.ndarray:
+    """The products f_tj(x)*e_j(y)*e_t(z) for a k x l grid of polynomials of
+    degree <= s (x^s folds onto alpha), as the (k*l, s, l, k) stack of
+    coefficient tensors in (t, j) order.  On the divisor grid these are the
+    code's ring generators; no matrix is built from them (_assemble)."""
+    z_fam, y_fam = code_idempotents(ring)
+    x = np.vstack([_shift_rows(f, 1, ring.s + 1) for row in x_grid for f in row])
+    x[:, 0] += ring.alpha * x[:, ring.s]
+    x = x[:, :ring.s].reshape(ring.k, ring.l, ring.s) % ring.field.p
+    y = np.vstack([_shift_rows(e, 1, ring.l) for e in y_fam.members])
+    z = np.vstack([_shift_rows(e, 1, ring.k) for e in z_fam.members])
+    tensors = np.einsum("tji,jb,tc->tjibc", x, y, z)   # products of three residues
+    return tensors.reshape(ring.k * ring.l, *ring.shape()) % ring.field.p
+
+
 def _assemble(ring: RingParams, cells, dimension: int) -> BuiltCode:
     """The construction path of the code and its dual: cell (f, count, g, h)
-    gives the ring generator f(x)*g(y)*h(z) and the Kronecker block of the
-    rows x^i * f(x) * g(y) * h(z), i < count; no row wraps, so the blocks do
-    not depend on the ring's constants.  No elimination runs, since the rows
-    are independent by construction: the cell vectors e_t ⊗ e_j are
-    independent, and so are their reversals, because the geometric-sum
-    idempotents have full degree k - 1 (l - 1); X_p is banded and in echelon
-    form, as p is monic, and X_q* is banded with leading coefficient
-    q(0) != 0; so the Kronecker blocks form a direct sum.  verify and the
-    tests keep the rank as an oracle."""
-    generators, blocks = [], []
-    for f, count, gy, hz in cells:
-        generators.append(RingElement3D.from_axis_polys(ring, f.coeffs, gy, hz))
-        blocks.append(kron_words(ring, _shift_rows(f, count, ring.s), gy, hz))
-    return BuiltCode(ring, tuple(generators), np.vstack(blocks), dimension)
+    gives the Kronecker block of the rows x^i * f(x) * g(y) * h(z), i < count;
+    no row wraps, so the blocks do not depend on the ring's constants.  No
+    elimination runs, since the rows are independent by construction: the
+    cell vectors e_t ⊗ e_j are independent, and so are their reversals,
+    because the geometric-sum idempotents have full degree k - 1 (l - 1);
+    X_p is banded and in echelon form, as p is monic, and X_q* is banded with
+    leading coefficient q(0) != 0; so the Kronecker blocks form a direct sum.
+    verify and the tests keep the rank as an oracle."""
+    blocks = [kron_words(ring, _shift_rows(f, count, ring.s), gy, hz) for f, count, gy, hz in cells]
+    return BuiltCode(ring, np.vstack(blocks), dimension)
 
 
 def build_code(spec: CodeSpec) -> BuiltCode:
@@ -241,22 +247,21 @@ def dual_spec(spec: CodeSpec) -> CodeSpec:
     return CodeSpec(ring, tuple(tuple(row) for row in grid))
 
 
-def quasi_twisted_closure(code: BuiltCode) -> tuple[dict[str, bool], np.ndarray]:
-    """Closure of the row space under each axis shift, and K = null_space(G).
+def quasi_twisted_closure(code: BuiltCode, parity: np.ndarray) -> dict[str, bool]:
+    """Closure of the row space under each axis shift, against a parity
+    matrix spanning ker G: build_dual(spec)'s H for a spec's code, G for H.
 
-    One elimination serves all three axes: a word lies in the row space of G
-    iff it is orthogonal to K, so an axis is closed iff the batched shift of
-    G's rows (the wrapped block scaled by the axis constant) has
-    shift(G) * K^T = 0.  An ideal passes on all three axes.  K is returned
-    for callers that check more against the same kernel.
+    A word lies in the row space of G iff it is orthogonal to the parity
+    rows, so an axis is closed iff the batched shift of G's rows (the
+    wrapped block scaled by the axis constant) has shift(G) * parity^T = 0.
+    No elimination runs; a parity matrix spanning less can pass a non-ideal.
     """
     ring = code.ring
     g = code.generator_matrix
-    kernel = linalg.null_space(g, ring.field.p)
     return {
-        axis: not linalg.matmul(shift_words(ring, g, axis), kernel.T, ring.field.p).any()
+        axis: not linalg.matmul(shift_words(ring, g, axis), parity.T, ring.field.p).any()
         for axis in AXES
-    }, kernel
+    }
 
 
 def direct_self_dual_check(code: BuiltCode) -> bool:
@@ -368,9 +373,11 @@ def binomial_divisors(field: FieldSpec, s: int, alpha: int) -> tuple[Poly, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reversed_complement(field: FieldSpec, s: int, alpha: int, p: Poly) -> Poly:
-    """q* = reverse((x^s - alpha) / p), cached: the sweeps reuse a few divisors."""
-    return (Poly.binomial(field, s, alpha) // p).reciprocal()
+def _reversed_complement(field: FieldSpec, s: int, alpha: int, p: Poly) -> Poly | None:
+    """q* = reverse((x^s - alpha) / p), or None if p does not divide x^s - alpha;
+    cached, so validation and the dual share one division per divisor."""
+    q, r = divmod(Poly.binomial(field, s, alpha), p)
+    return q.reciprocal() if r.is_zero() else None
 
 
 def count_divisor_grids(ring: RingParams) -> int:

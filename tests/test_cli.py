@@ -235,7 +235,8 @@ def test_each_spec_validated_once(capsys, monkeypatch):
 
 
 def test_eliminations_per_command(capsys, monkeypatch):
-    # build_code and build_dual prove their rank by construction and eliminate nothing
+    # build_code and build_dual prove their rank by construction and eliminate
+    # nothing, and the closure is tested against the dual's H
     from ccode3d import linalg
 
     calls = []
@@ -247,12 +248,13 @@ def test_eliminations_per_command(capsys, monkeypatch):
 
     monkeypatch.setattr(linalg, "rref", counting_rref)
     for argv, expected in (
-        (["build", "--spec", EXAMPLE1], 1),       # the closure's kernel
-        (["dual", "--spec", EXAMPLE1], 1),
+        (["build", "--spec", EXAMPLE1], 0),
+        (["dual", "--spec", EXAMPLE1], 0),
+        (["dual", "--spec", EXAMPLE3], 0),        # for non-unit constants too
         (["selfdual", "--spec", EXAMPLE1], 0),
         (["mindist", "--spec", EXAMPLE1], 0),     # the dual's matrix is the parity check
         (["mindist", "--spec", EXAMPLE3], 0),     # for non-unit constants too
-        # one kernel of G for closure, rank and dual checks, and rref of H and of the kernel
+        # one kernel of G for the rank and dual checks, and rref of H and of the kernel
         (["verify", "--spec", EXAMPLE1, "--pairs", "2"], 3),
         (["verify", "--spec", EXAMPLE3, "--pairs", "2"], 3),
     ):
@@ -264,6 +266,18 @@ def test_eliminations_per_command(capsys, monkeypatch):
     code, out = run(capsys, "sweep", "grid", "--q", "5", "--s", "2", "--l", "2", "--k", "2")
     assert code == 0
     assert len(calls) == 3 * json.loads(out)["specs"]
+
+
+def test_parser_is_built_once(capsys):
+    from ccode3d.cli import _parser
+
+    assert _parser() is _parser()
+    with pytest.raises(SystemExit) as exc:   # argparse usage error
+        main(["build"])
+    assert exc.value.code == 2
+    assert "--spec" in capsys.readouterr().err
+    code, out = run(capsys, "build", "--spec", EXAMPLE1)
+    assert code == 0 and json.loads(out)["dimension"] == 4
 
 
 def test_selfdual_builds_code_once(capsys, monkeypatch):

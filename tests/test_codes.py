@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 from fractions import Fraction
@@ -16,6 +17,7 @@ from ccode3d.codes import (
     binomial_divisors,
     build_code,
     build_dual,
+    cell_generators,
     code_idempotents,
     count_divisor_grids,
     cyclic_yz_selfdual_scan,
@@ -142,7 +144,8 @@ def test_example1_self_dual_and_quasi_twisted():
     assert verdict and cert["dimension_condition_ok"] and cert["first_failure"] is None
     assert cert["direct_check"] is True
     assert direct_self_dual_check(code)
-    assert quasi_twisted_closure(code)[0] == {"x": True, "y": True, "z": True}
+    assert quasi_twisted_closure(code, build_dual(spec).generator_matrix) == {
+        "x": True, "y": True, "z": True}
 
 
 def test_example2_parameters_and_certificate():
@@ -230,6 +233,12 @@ def has_unit_constants(ring: RingParams) -> bool:
     return {ring.alpha, ring.beta, ring.gamma} <= {1, ring.field.p - 1}
 
 
+def non_unit_specs(rng) -> list[CodeSpec]:
+    """example3 and up to 40 seeded random specs with a constant outside +-1."""
+    return [example3_spec()] + [s for s in random_specs(rng, 80)
+                                if not has_unit_constants(s.ring)][:40]
+
+
 def per_row_matrix(ring, cells) -> np.ndarray:
     """Oracle: one from_axis_polys product per row x^i * f(x) * g(y) * h(z)."""
     rows = [
@@ -277,17 +286,23 @@ def test_kronecker_matrices_equal_per_row_products(rng):
 
 
 def test_closure_matches_per_row_oracle(rng):
+    # the parity input is the kernel of G by elimination or the dual's H,
+    # which spans it by construction; the non-unit specs are those of
+    # test_dual_of_non_unit_constants_spans_kernel
+    seeded_non_unit = non_unit_specs(copy.copy(rng))
     specs = [s for s in random_specs(rng, 40) if s.ring.n <= 60]
-    for spec in specs:
-        code = build_code(spec)
-        assert quasi_twisted_closure(code)[0] == per_row_closure(code) == {
-            "x": True, "y": True, "z": True}
+    for spec in specs + seeded_non_unit:
+        code, p = build_code(spec), spec.ring.field.p
+        for parity in (linalg.null_space(code.generator_matrix, p),
+                       build_dual(spec).generator_matrix):
+            assert quasi_twisted_closure(code, parity) == per_row_closure(code) == {
+                "x": True, "y": True, "z": True}
         # a random subset of the rows is seldom an ideal: the batched check
         # must still agree with the per-row oracle axis by axis
         if code.dimension > 1:
             g = code.generator_matrix[rng.sample(range(code.dimension), code.dimension // 2)]
-            part = BuiltCode(spec.ring, (), g, g.shape[0])
-            assert quasi_twisted_closure(part)[0] == per_row_closure(part)
+            part = BuiltCode(spec.ring, g, g.shape[0])
+            assert quasi_twisted_closure(part, linalg.null_space(g, p)) == per_row_closure(part)
 
 
 def test_closure_rejects_non_ideal_code():
@@ -295,8 +310,8 @@ def test_closure_rejects_non_ideal_code():
     # (x * x = 1) and under y (y = 1), but z * 1 = z leaves the span
     ring = RingParams(F5, 2, 1, 2, 1, 1, -1)
     g = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.int64)
-    code = BuiltCode(ring, (), g, 2)
-    assert quasi_twisted_closure(code)[0] == {"x": True, "y": True, "z": False}
+    code = BuiltCode(ring, g, 2)
+    assert quasi_twisted_closure(code, linalg.null_space(g, 5)) == {"x": True, "y": True, "z": False}
     assert per_row_closure(code) == {"x": True, "y": True, "z": False}
 
 
@@ -304,8 +319,7 @@ def test_dual_of_non_unit_constants_spans_kernel(rng):
     # the reversal blocks give the (alpha^-1, beta^-1, gamma^-1)-constacyclic
     # dual for any nonzero constants: H spans ker G and is an ideal of the
     # inverse-constant ring
-    specs = [example3_spec()] + [s for s in random_specs(rng, 80)
-                                 if not has_unit_constants(s.ring)][:40]
+    specs = non_unit_specs(rng)
     assert {s.ring.field.p for s in specs} == {5, 7, 13}
     for spec in specs:
         ring, p = spec.ring, spec.ring.field.p
@@ -315,7 +329,7 @@ def test_dual_of_non_unit_constants_spans_kernel(rng):
         assert not linalg.matmul(g, h.T, p).any()
         assert linalg.rank(h, p) == dual.dimension == ring.n - code.dimension
         assert linalg.row_space_equal(h, linalg.null_space(g, p), p)
-        assert quasi_twisted_closure(dual)[0] == {"x": True, "y": True, "z": True}
+        assert quasi_twisted_closure(dual, g) == {"x": True, "y": True, "z": True}
     code = build_code(example3_spec())
     with pytest.raises(UnsupportedConstantsError, match="alpha = alpha\\^-1"):
         self_dual_decide(example3_spec(), code)
@@ -374,8 +388,10 @@ def test_zero_and_full_grids():
     full_code = build_code(full_spec)
     assert full_code.dimension == 8
     assert build_dual(full_spec).generator_matrix.shape == (0, 8)
-    assert quasi_twisted_closure(full_code)[0] == {"x": True, "y": True, "z": True}
-    assert quasi_twisted_closure(zero_code)[0] == {"x": True, "y": True, "z": True}
+    assert quasi_twisted_closure(full_code, build_dual(full_spec).generator_matrix) == {
+        "x": True, "y": True, "z": True}
+    assert quasi_twisted_closure(zero_code, dual.generator_matrix) == {
+        "x": True, "y": True, "z": True}
 
 
 def test_repeated_root_x_axis_supported():
@@ -395,17 +411,25 @@ def test_repeated_root_x_axis_supported():
 def test_generators_annihilate_complement_products():
     for spec in (example1_spec(), example2_spec(), example3_spec()):
         ring = spec.ring
-        code = build_code(spec)
-        from ccode3d.codes import code_idempotents
         z_fam, y_fam = code_idempotents(ring)
         binom = Poly.binomial(ring.field, ring.s, ring.alpha)
+        complements = [[binom // p for p in row] for row in spec.divisor_grid]
+        generators = cell_generators(ring, spec.divisor_grid)
+        assert generators.shape == (ring.k * ring.l, *ring.shape())
+        for x_grid, stack in ((spec.divisor_grid, generators),
+                              (complements, cell_generators(ring, complements))):
+            # one from_axis_polys product per cell, in (t, j) order
+            assert [RingElement3D.from_tensor(ring, c) for c in stack] == [
+                RingElement3D.from_axis_polys(ring, f.coeffs, y_fam.members[j].coeffs,
+                                              z_fam.members[t].coeffs)
+                for t, row in enumerate(x_grid) for j, f in enumerate(row)]
         for t in range(ring.k):
             for j in range(ring.l):
-                q = binom // spec.divisor_grid[t][j]
                 lhs = RingElement3D.from_axis_polys(
-                    ring, q.coeffs, y_fam.members[j].coeffs, z_fam.members[t].coeffs)
-                for gen in code.generators:
-                    assert (lhs * gen).is_zero()
+                    ring, complements[t][j].coeffs, y_fam.members[j].coeffs,
+                    z_fam.members[t].coeffs)
+                for gen in generators:
+                    assert (lhs * RingElement3D.from_tensor(ring, gen)).is_zero()
 
 
 def test_general_constants_dual_lives_in_inverse_ring():

@@ -96,7 +96,7 @@ def test_injected_repetition_style_code():
     from ccode3d.codes import BuiltCode
     ring = RingParams(F5, 3, 1, 1, 1, 1, 1)
     G = np.ones((1, 3), dtype=np.int64)
-    code = BuiltCode(ring, (), G, 1)
+    code = BuiltCode(ring, G, 1)
     assert min_distance_bruteforce(code) == 3
     res = min_distance(code)
     assert res.d == 3 and res.weight_checked == 2
@@ -127,7 +127,7 @@ def test_jobs_partitioning_matches_serial():
     from ccode3d.codes import BuiltCode
     ring = RingParams(F5, 5, 1, 1, 1, 1, 1)
     G = np.array([[0, 1, 1, 0, 0], [0, 0, 0, 1, 1]], dtype=np.int64)
-    code = BuiltCode(ring, (), G, 2)
+    code = BuiltCode(ring, G, 2)
     assert min_distance(code).witness == (0, 1, 1, 0, 0)
 
 
