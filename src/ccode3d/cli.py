@@ -324,6 +324,18 @@ def cmd_sweep_no_selfdual(args) -> int:
     return EXIT_OK if found == 0 else EXIT_FALSE
 
 
+def _count(text: str) -> int:
+    """An argparse type for counts: a negative value is a usage error (exit 2)
+    whose message names the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 @functools.cache   # filled on the first main call, so it binds the cmd_* bound at that time
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ccode3d",
@@ -354,15 +366,15 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--spec", required=True, help="JSON spec file")
         sp.add_argument("--out", help="write the JSON result here instead of stdout")
         if name == "verify":
-            sp.add_argument("--pairs", type=int, default=50,
+            sp.add_argument("--pairs", type=_count, default=50,
                             help="random pairs for the orthogonality equivalence check")
         sp.set_defaults(func=func)
 
     p_dist = sub.add_parser("mindist", help="exact minimum distance by low-weight search")
     p_dist.add_argument("--spec", required=True)
     p_dist.add_argument("--out")
-    p_dist.add_argument("--max-weight", type=int, default=None)
-    p_dist.add_argument("--budget", type=int, default=10**8)
+    p_dist.add_argument("--max-weight", type=_count, default=None)
+    p_dist.add_argument("--budget", type=_count, default=10**8)
     p_dist.add_argument("--jobs", type=int, default=1, help="ignored: the search is serial")
     p_dist.set_defaults(func=cmd_mindist)
 

@@ -408,3 +408,24 @@ def test_cli_outputs_match_golden_digests(tmp_path, monkeypatch):
     got = cli_digests(tmp_path)
     mismatched = [cmd for cmd in golden if got[cmd] != golden[cmd]]
     assert not mismatched, f"CLI output changed for: {mismatched}"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--spec", EXAMPLE1, "--pairs", "-1"], "--pairs"),
+    (["mindist", "--spec", EXAMPLE1, "--max-weight", "-1"], "--max-weight"),
+    (["mindist", "--spec", EXAMPLE1, "--budget", "-5"], "--budget"),
+    (["mindist", "--spec", EXAMPLE1, "--budget", "x"], "--budget"),
+])
+def test_negative_counts_exit_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be a non-negative integer" in err
+
+
+def test_zero_counts_are_accepted(capsys):
+    code, out = run(capsys, "mindist", "--spec", EXAMPLE1, "--max-weight", "0")
+    assert code == 3 and json.loads(out)["distance"]["weight_checked"] == 0
+    code, out = run(capsys, "verify", "--spec", EXAMPLE1, "--pairs", "0")
+    assert code == 0

@@ -1,12 +1,15 @@
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
-from ccode3d import linalg
-from ccode3d.codes import CodeSpec, binomial_divisors, build_code, build_dual
+from ccode3d import distance, linalg
+from ccode3d.codes import BuiltCode, CodeSpec, binomial_divisors, build_code, build_dual
 from ccode3d.distance import (
+    DEFAULT_BUDGET,
+    DistanceResult,
     SearchBudgetError,
     min_distance,
     min_distance_bruteforce,
@@ -154,3 +157,101 @@ def test_search_matches_bruteforce_on_random_specs(rng: random.Random):
             assert sum(1 for v in res.witness if v) == res.d
             assert linalg.row_space_contains(
                 code.generator_matrix, list(res.witness), ring.field.p)
+
+
+def reference_search(code, parity, max_weight=None, budget=DEFAULT_BUDGET):
+    """The unreduced search: every support, every pattern with first entry 1,
+    in lexicographic (support, pattern) order, charged as min_distance."""
+    p, n = code.ring.field.p, code.n
+    cap = n if max_weight is None else min(max_weight, n)
+    tested = 0
+    for w in range(1, cap + 1):
+        candidates = math.comb(n, w) * (p - 1) ** (w - 1)
+        if tested + candidates > budget:
+            return DistanceResult(None, w - 1, None, tested)
+        tested += candidates
+        patterns = np.array([(1, *t) for t in itertools.product(range(1, p), repeat=w - 1)])
+        for support in itertools.combinations(range(n), w):
+            zero = ~(patterns @ parity[:, support].T % p).any(axis=1)
+            if zero.any():
+                witness = np.zeros(n, dtype=np.int64)
+                witness[list(support)] = patterns[np.argmax(zero)]
+                return DistanceResult(w, w - 1, tuple(int(v) for v in witness), tested)
+    return DistanceResult(None, cap, None, tested)
+
+
+F13 = FieldSpec(13)
+# n = 8..12 over q in {5, 7, 13}, unit and non-unit constants
+REFERENCE_RINGS = [
+    RingParams(F5, 2, 2, 2, 1, -1, -1),
+    RingParams(F5, 4, 2, 1, 2, 1, 1),
+    RingParams(F5, 3, 2, 2, 1, 1, 4),
+    RingParams(F7, 3, 2, 2, 6, 1, 1),
+    RingParams(F7, 2, 2, 3, 3, 1, 1),
+    RingParams(F13, 2, 2, 2, 5, 1, 12),
+    RingParams(F13, 3, 2, 2, 1, 12, 1),
+    RingParams(F13, 4, 1, 2, 2, 1, 1),
+]
+
+
+def reference_cases(rng: random.Random, per_ring: int = 4):
+    """(code, parity) pairs: seeded grids with the kernel and with build_dual's
+    H as parity, plus a hand-built code from a random row subset of G, which
+    is rarely an ideal."""
+    for ring in REFERENCE_RINGS:
+        divisors = binomial_divisors(ring.field, ring.s, ring.alpha)
+        for _ in range(per_ring):
+            grid = tuple(tuple(rng.choice(divisors) for _ in range(ring.l)) for _ in range(ring.k))
+            spec = CodeSpec(ring, grid)
+            code = build_code(spec)
+            if code.dimension == 0:
+                continue
+            p = ring.field.p
+            yield code, linalg.null_space(code.generator_matrix, p)
+            yield code, build_dual(spec).generator_matrix
+            rows = sorted(rng.sample(range(code.dimension), rng.randint(1, code.dimension)))
+            g = code.generator_matrix[rows]
+            yield BuiltCode(ring, g, len(rows)), linalg.null_space(g, p)
+
+
+REFERENCE_BUDGET = 3 * 10**5   # keeps the reference's pattern arrays small
+
+
+def assert_matches_reference(code, parity):
+    full = reference_search(code, parity, budget=REFERENCE_BUDGET)
+    assert min_distance(code, budget=REFERENCE_BUDGET, parity=parity) == full
+    assert min_distance(code, budget=REFERENCE_BUDGET) == full   # the default kernel parity
+    charge = 0
+    for w in range(1, (full.d or full.weight_checked) + 1):   # stops by budget and max_weight
+        step = math.comb(code.n, w) * (code.ring.field.p - 1) ** (w - 1)
+        for budget in (charge + step - 1, charge + step):
+            assert (min_distance(code, budget=budget, parity=parity)
+                    == reference_search(code, parity, budget=budget))
+        assert (min_distance(code, max_weight=w - 1, parity=parity)
+                == reference_search(code, parity, max_weight=w - 1))
+        charge += step
+
+
+def test_search_matches_unreduced_reference(rng: random.Random):
+    for code, parity in reference_cases(rng):
+        assert_matches_reference(code, parity)
+
+
+def test_key_collisions_are_rechecked(rng: random.Random, monkeypatch):
+    # all-zero key weights: every syndrome's key matches every column's, so
+    # only the exact comparison tells hits from misses
+    monkeypatch.setattr(distance, "_key_weights", lambda m: np.zeros(m, dtype=np.uint64))
+    for code, parity in reference_cases(rng, per_ring=2):
+        assert_matches_reference(code, parity)
+
+
+def test_pattern_chunks_keep_the_first_hit(rng: random.Random, monkeypatch):
+    # five prefix patterns a product: a prefix's hits spread over several
+    # chunks, and the least (j, pattern) over all of them must win
+    monkeypatch.setattr(distance, "_PATTERN_CHUNK", 5)
+    distance._prefix_patterns.cache_clear()
+    try:
+        for code, parity in reference_cases(rng, per_ring=2):
+            assert_matches_reference(code, parity)
+    finally:
+        distance._prefix_patterns.cache_clear()
