@@ -19,6 +19,7 @@ import functools
 import json
 import os
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -43,7 +44,7 @@ from .distance import min_distance
 from .gf import FieldSpec
 from .idempotents import build_constacyclic_idempotents, build_full_idempotents, identity_report
 from .poly import Poly, factor_binomial, format_poly
-from .ring3d import RingElement3D, RingParams, annihilator_orthogonality_equiv, ring_products
+from .ring3d import RingParams, annihilator_orthogonality_flags, ring_products
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -51,10 +52,65 @@ EXIT_INVALID = 2
 EXIT_BUDGET = 3
 
 SEED_ENV = "CCODE_SEED"
+PAIR_CHUNK = 16   # random pairs per batched product in verify
+
+_COMPACT = json.JSONEncoder(separators=(", ", ": "))   # the C encoder; indent would disable it
+_INDENTED = json.JSONEncoder(indent=2, sort_keys=True)
+_INT_LIST_CHARS = re.compile(r"[\[\]0-9, -]*")
+
+
+def _indented_int_lists(value, level: int) -> str | None:
+    """json.dumps(value, indent=2) as nested at indent level `level`, when
+    value is a list whose leaves are all ints at one depth and which holds
+    no empty list; None otherwise.
+
+    The C encoder writes the compact text, which is then re-indented with
+    str.replace at each boundary "]"*r + ", " + "["*r, deepest first.  The
+    text holds only brackets, digits, "-", "," and " " iff every leaf is an
+    int; the leaves are all at the depth of the leading "[" run iff every
+    separator closes as many lists as it opens, which the three counts per r
+    check: a separator with a closes and b opens is counted by the first
+    for r <= a, the third for r <= b, the second for r <= min(a, b).
+    """
+    leaf = value
+    while isinstance(leaf, (list, tuple)) and leaf:
+        leaf = leaf[0]
+    if leaf is value or type(leaf) is not int:   # not a list, an empty list, or a non-int leaf
+        return None
+    text = _COMPACT.encode(value)
+    if "[]" in text or not _INT_LIST_CHARS.fullmatch(text):
+        return None
+    depth = len(text) - len(text.lstrip("["))
+    for r in range(1, depth + 1):
+        closes, opens = "]" * r + ", ", ", " + "[" * r
+        if not text.count(closes) == text.count(closes + "[" * r) == text.count(opens):
+            return None
+    pad = ["\n" + "  " * (level + d) for d in range(depth + 1)]
+    text = text[depth:-depth]
+    for r in range(depth - 1, -1, -1):
+        text = text.replace("]" * r + ", " + "[" * r,
+                            "".join(pad[depth - i] + "]" for i in range(1, r + 1)) + ","
+                            + "".join(pad[depth - i] + "[" for i in range(r, 0, -1)) + pad[depth])
+    return ("[" + "".join(pad[d] + "[" for d in range(1, depth)) + pad[depth] + text
+            + "".join(pad[d - 1] + "]" for d in range(depth, 0, -1)))
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) + "\n", byte for byte.
+
+    A top-level dict with str keys that holds int matrices (G, H,
+    generators) is written value by value, so that the matrices take the C
+    encoder through _indented_int_lists; every other value, and every other
+    object, takes the stdlib's indenting encoder in one call.
+    """
+    if isinstance(obj, dict) and all(type(key) is str for key in obj):
+        fast = {key: _indented_int_lists(value, 1) for key, value in obj.items()}
+        if any(fast.values()):
+            items = (f"  {json.dumps(key)}: "
+                     + (fast[key] or _INDENTED.encode(value).replace("\n", "\n  "))
+                     for key, value in sorted(obj.items()))
+            return "{\n" + ",\n".join(items) + "\n}\n"
+    return (_indented_int_lists(obj, 0) or _INDENTED.encode(obj)) + "\n"
 
 
 def spec_to_dict(spec: CodeSpec) -> dict:
@@ -104,17 +160,13 @@ def _emit(result: dict, out: str | None):
         sys.stdout.write(text)
 
 
-def _matrix_rows(m: np.ndarray) -> list[list[int]]:
-    return [[int(v) for v in row] for row in m]
-
-
 def _base_result(spec: CodeSpec, code: BuiltCode) -> dict:
     return {
         "spec": spec_to_dict(spec),
         "n": code.n,
         "dimension": code.dimension,
         "generators": cell_generators(spec.ring, spec.divisor_grid).tolist(),
-        "G": _matrix_rows(code.generator_matrix),
+        "G": code.generator_matrix.tolist(),
     }
 
 
@@ -163,7 +215,7 @@ def cmd_dual(args) -> int:
     code, dual = build_code(spec), build_dual(spec)
     result = _base_result(spec, code)
     result["verdicts"] = {"quasi_twisted": quasi_twisted_closure(code, dual.generator_matrix)}
-    result["H"] = _matrix_rows(dual.generator_matrix)
+    result["H"] = dual.generator_matrix.tolist()
     result["dual_dimension"] = dual.dimension
     _emit(result, args.out)
     return EXIT_OK
@@ -234,16 +286,18 @@ def _verify_checks(spec: CodeSpec, pairs: int, seed: int):
     generators = cell_generators(ring, spec.divisor_grid)
     complements = cell_generators(ring, [[binom // d for d in row] for row in spec.divisor_grid])
     yield "complement_generators_annihilate", not any(   # one complement at a time bounds memory
-        ring_products(ring, c[None], generators).any() for c in complements)
+        ring_products(ring, c, generators).any() for c in complements)
 
     rng = random.Random(seed)
     agree = True
-    for _ in range(pairs):   # 32 random bits a coefficient; numpy.random would add 6 MB of RSS
-        words = np.frombuffer(rng.randbytes(8 * ring.n), dtype=np.uint32)
-        f, g = (words % p).reshape(2, *ring.shape())
-        zero_flag, ortho_flag = annihilator_orthogonality_equiv(
-            RingElement3D.from_tensor(ring, f), RingElement3D.from_tensor(ring, g))
-        agree &= zero_flag == ortho_flag
+    for start in range(0, pairs, PAIR_CHUNK):   # chunks of pairs bound the product's memory
+        count = min(PAIR_CHUNK, pairs - start)
+        # 32 random bits a coefficient, the same words as one randbytes(8 n) per pair;
+        # numpy.random would add 6 MB of RSS
+        words = np.frombuffer(rng.randbytes(8 * ring.n * count), dtype=np.uint32)
+        f, g = np.swapaxes((words % p).reshape(count, 2, *ring.shape()), 0, 1)
+        zero_flags, ortho_flags = annihilator_orthogonality_flags(ring, f, g)
+        agree &= bool((zero_flags == ortho_flags).all())
     yield "product_zero_matches_shift_orthogonality", agree
 
 

@@ -16,7 +16,12 @@ R is the tensor product of the three univariate rings F_q[u]/(u^m - c), so
 the ring product factors axis by axis: ``ring_products`` contracts two
 stacks of operands against one cached multiplication table per axis,
 T[i, i', d] = c^((i+i')//m) where d = (i+i') mod m and 0 elsewhere, with no
-loop over monomials.
+loop over monomials.  The stacks' leading axes broadcast as in np.matmul, so
+one call gives the pairwise products of two (P, s, l, k) stacks, or all
+products of an (A, 1, s, l, k) and a (1, B, s, l, k) stack.  Every product
+in the package goes through it: RingElement3D.__mul__, verify's complement
+check, and ``annihilator_orthogonality_flags``, the bridge between ring
+annihilators and Euclidean duality tested on a whole stack of pairs at once.
 """
 
 from __future__ import annotations
@@ -141,8 +146,8 @@ class RingElement3D:
         """Ring product: 3-D convolution where an index overflow along x, y, z
         contributes a factor alpha, beta, gamma per full wrap (ring_products)."""
         self._check(other)
-        return RingElement3D.from_tensor(
-            self.params, ring_products(self.params, self.coeffs[None], other.coeffs[None])[0, 0])
+        return RingElement3D.from_tensor(self.params,
+                                         ring_products(self.params, self.coeffs, other.coeffs))
 
     def shift(self, axis: str) -> "RingElement3D":
         """Constacyclic shift along one axis; equals multiplication by that
@@ -222,27 +227,61 @@ def axis_table(m: int, constant: int, p: int) -> np.ndarray:
     return table
 
 
-def ring_products(params: RingParams, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Every product a[u] * b[v] of two stacks of coefficient tensors, (A, s, l, k)
-    and (B, s, l, k), as the (A, B, s, l, k) stack of canonical tensors.
+def ring_products(params: RingParams, a, b) -> np.ndarray:
+    """The products a * b of two stacks of coefficient tensors, (..., s, l, k)
+    each, as a stack of canonical tensors.  The leading axes broadcast as in
+    np.matmul: (P, ...) by (P, ...) gives the P pairwise products, (A, 1, ...)
+    by (1, B, ...) all A*B products, and two single tensors their product.
 
     Computed as the contraction sum a[i,j,t] b[i',j',t'] Tx[i,i',d]
     Ty[j,j',e] Tz[t,t',f] against the per-axis tables of ``axis_table``,
-    one axis at a time in int64 with a reduction mod p after each stage.
+    one axis at a time in int64 with a reduction mod p after each stage; the
+    middle stage is one batched matmul of (..., l*k*s, s) by (..., s, l*k).
     Overflow bound: every term is a product of two residues, < p^2 < 2^32
     for p < 2^16, and each output sums at most max(s, l, k) nonzero
     terms, since T[i, :, d] has a single nonzero entry; so no partial sum
     reaches 2^63 while max(s, l, k) < 2^31.
     """
     p = params.field.p
-    tx = axis_table(params.s, params.alpha, p)
-    ty = axis_table(params.l, params.beta, p)
-    tz = axis_table(params.k, params.gamma, p)
-    w = np.tensordot(a, tx, axes=(1, 0)) % p                # (A, j, t, i', d)
-    w = np.tensordot(w, b, axes=(3, 1)) % p                 # (A, j, t, d, B, j', t')
-    w = np.tensordot(w, ty, axes=([1, 5], [0, 1])) % p      # (A, t, d, B, t', e)
-    w = np.tensordot(w, tz, axes=([1, 4], [0, 1]))          # (A, d, B, e, f)
-    return w.transpose(0, 2, 1, 3, 4) % p
+    s, l, k = params.shape()
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    tx = axis_table(s, params.alpha, p).reshape(s, s * s)
+    ty = axis_table(l, params.beta, p)
+    tz = axis_table(k, params.gamma, p)
+    w = np.moveaxis(a, -3, -1) @ tx                          # (..., j, t, i'd)
+    w %= p
+    w = np.swapaxes(w.reshape(*a.shape[:-3], l * k, s, s), -1, -2)
+    w = w.reshape(*a.shape[:-3], l * k * s, s) @ b.reshape(*b.shape[:-3], s, l * k)
+    w %= p                                                  # (..., jtd, j't')
+    w = w.reshape(*w.shape[:-2], l, k, s, l, k)
+    w = np.tensordot(w, ty, axes=([-5, -2], [0, 1]))        # (..., t, d, t', e)
+    w %= p
+    w = np.tensordot(w, tz, axes=([-4, -2], [0, 1]))        # (..., d, e, f)
+    w %= p
+    return w
+
+
+def annihilator_orthogonality_flags(params: RingParams, f, g) -> tuple[np.ndarray, np.ndarray]:
+    """Batched annihilator_orthogonality_equiv over two (P, s, l, k) stacks of
+    canonical tensors: the boolean arrays (f[u]*g[u] == 0, shift-orbit
+    orthogonality of f[u] and g[u]) for every u.
+
+    The products come from one ring_products call.  The orbit test opens with
+    the dot product of f's word and g's reversed word, which one array
+    operation gives for every pair; only a pair whose first dot product is
+    zero can be orthogonal to the whole orbit, so only those run
+    shift_orbit_orthogonal.
+    """
+    f = np.asarray(f, dtype=np.int64)
+    g = np.asarray(g, dtype=np.int64)
+    zero = ~ring_products(params, f, g).reshape(len(f), -1).any(axis=1)
+    first = (_to_words(params, f) * _to_words(params, g)[:, ::-1]).sum(axis=1) % params.field.p
+    ortho = first == 0
+    for u in np.flatnonzero(ortho):
+        ortho[u] = shift_orbit_orthogonal(RingElement3D.from_tensor(params, f[u]),
+                                          RingElement3D.from_tensor(params, g[u]))
+    return zero, ortho
 
 
 def _reduce_axis(field: FieldSpec, coeffs, m: int, constant: int) -> np.ndarray:

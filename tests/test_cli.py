@@ -1,10 +1,15 @@
 import json
+import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ccode3d import cli, ring3d
 from ccode3d.cli import canonical_json, load_spec, main, spec_from_dict, spec_to_dict
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -163,6 +168,80 @@ def test_verify_example3_runs_dual_checks(capsys):
                  "complement_generators_annihilate", "quasi_twisted_closure_x"):
         assert f"PASS {name}" in out
     assert "self_dual_criteria_agree" not in out   # self-duality needs alpha = alpha^-1
+
+
+def test_verify_draws_the_pairs_per_pair_in_chunks(capsys, monkeypatch):
+    # the chunked draw hands the batched check the same pairs, in order, as
+    # one randbytes(8 n) call per pair, including a short last chunk
+    seen = []
+    flags = cli.annihilator_orthogonality_flags
+
+    def spy(ring, f, g):
+        seen.append((f.copy(), g.copy()))
+        return flags(ring, f, g)
+
+    monkeypatch.setattr(cli, "annihilator_orthogonality_flags", spy)
+    pairs = 2 * cli.PAIR_CHUNK + 5
+    code, out = run(capsys, "verify", "--spec", EXAMPLE3, "--pairs", str(pairs))
+    assert code == 0 and "PASS product_zero_matches_shift_orthogonality" in out
+    assert [len(f) for f, _ in seen] == [cli.PAIR_CHUNK, cli.PAIR_CHUNK, 5]
+    ring = load_spec(EXAMPLE3).ring
+    rng = random.Random(int(os.environ.get("CCODE_SEED", "20260810")))
+    for f, g in zip(np.concatenate([f for f, _ in seen]), np.concatenate([g for _, g in seen])):
+        words = np.frombuffer(rng.randbytes(8 * ring.n), dtype=np.uint32) % ring.field.p
+        assert np.array_equal(np.stack([f, g]), words.reshape(2, *ring.shape()))
+
+
+def test_verify_pair_check_stays_live(capsys, monkeypatch):
+    # a product that always vanishes disagrees with the orbit test on random pairs
+    def vanishing(params, a, b):
+        return np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+
+    monkeypatch.setattr(ring3d, "ring_products", vanishing)
+    code, out = run(capsys, "verify", "--spec", EXAMPLE1, "--pairs", "5")
+    assert code == 1
+    assert "FAIL product_zero_matches_shift_orthogonality" in out
+
+
+_JSON_LEAVES = st.one_of(st.integers(-10**6, 10**6), st.integers(0, 12),
+                         st.booleans(), st.none(), st.text(max_size=4))
+
+
+def _int_lists(depth, min_size=0):
+    """Lists of ints nested `depth` deep and ragged; empty ones unless min_size."""
+    strategy = st.integers(-20, 10**9)
+    for _ in range(depth):
+        strategy = st.lists(strategy, min_size=min_size, max_size=4)
+    return strategy
+
+
+_INT_LISTS = st.one_of(*(_int_lists(d, m) for d in range(1, 5) for m in (1, 0)))
+_JSON_VALUES = st.recursive(
+    st.one_of(_JSON_LEAVES, _INT_LISTS,
+              st.lists(st.one_of(st.integers(0, 5), st.booleans()), max_size=5)),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(st.text(max_size=3), children, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.dictionaries(st.text(max_size=5), st.one_of(_INT_LISTS, _JSON_VALUES),
+                                 max_size=6),
+                 _JSON_VALUES))
+def test_canonical_json_matches_stdlib_indent(obj):
+    # byte-identical to the stdlib's indenting encoder both on int lists (the
+    # C-encoder path) and on what must fall back: bools mixed into int lists,
+    # None, strings, empty, ragged and mixed-depth lists, nested dicts
+    assert canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_canonical_json_int_matrices():
+    for obj in ({"G": [[1, 2, 3], [4, 5, 6]], "n": 3},
+                {"generators": [[[[0, 1], [2, 3]]], [[[4, 5], [6, 7]]]]},
+                {"b": [[True, 1], [0, False]], "e": [[], [1]], "r": [[1], 2], "u": [1, [2]]},
+                {"s": [1, "], [", "2, 3"], "d": [[1, 2], [{"a": 1, "b": [2, 3]}]], "f": [0, 1.5]},
+                [[1, -2], [3]], [[[1, 2], [3]], [[4]]], [1, None]):
+        assert canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def test_export_cas_script(capsys):

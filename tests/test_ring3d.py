@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ccode3d.codes import binomial_divisors, cell_generators
 from ccode3d.gf import FieldMismatchError, FieldSpec
 from ccode3d.idempotents import build_constacyclic_idempotents
 from ccode3d.poly import Poly
@@ -11,6 +13,7 @@ from ccode3d.ring3d import (
     RingElement3D,
     RingParams,
     annihilator_orthogonality_equiv,
+    annihilator_orthogonality_flags,
     axis_table,
     kron_words,
     ring_products,
@@ -133,10 +136,11 @@ def test_mul_matches_bruteforce_oracle(pe):
 
 @given(params_and_elements(count=5))
 def test_ring_products_of_stacks_match_pairwise_oracle(pe):
-    # a (3, ...) stack times a (2, ...) stack gives all six products, in order
+    # a (3, 1, ...) stack times a (1, 2, ...) stack broadcasts to all six products, in order
     pr, *elems = pe
     left, right = elems[:3], elems[3:]
-    out = ring_products(pr, np.stack([f.coeffs for f in left]), np.stack([g.coeffs for g in right]))
+    out = ring_products(pr, np.stack([f.coeffs for f in left])[:, None],
+                        np.stack([g.coeffs for g in right])[None])
     assert out.shape == (3, 2) + pr.shape()
     for u, f in enumerate(left):
         for v, g in enumerate(right):
@@ -169,6 +173,22 @@ def test_mul_matches_bruteforce_oracle_wide(p, s, l, k, alpha, beta, gamma):
     full = RingElement3D.from_tensor(pr, np.full(pr.shape(), p - 1))
     assert np.array_equal((full * full).coeffs, brute_mul_oracle(full, full))
     assert np.array_equal((full * f).coeffs, brute_mul_oracle(full, f))
+
+
+@pytest.mark.parametrize("p,s,l,k,alpha,beta,gamma", WIDE_MUL_CASES)
+def test_ring_products_pairwise_match_oracle(p, s, l, k, alpha, beta, gamma):
+    # (P, ...) by (P, ...) gives the P products f[u] * g[u]; an empty stack gives none
+    pr = RingParams(FieldSpec(p), s, l, k, alpha, beta, gamma)
+    rng = np.random.default_rng(7 + 1000 * s + 100 * l + k)
+    f, g = rng.integers(0, p, (2, 4) + pr.shape())
+    f[0] = p - 1   # the largest residues the int64 stages meet
+    out = ring_products(pr, f, g)
+    assert out.shape == (4,) + pr.shape()
+    for u in range(4):
+        expected = brute_mul_oracle(RingElement3D.from_tensor(pr, f[u]),
+                                    RingElement3D.from_tensor(pr, g[u]))
+        assert np.array_equal(out[u], expected)
+    assert ring_products(pr, f[:0], g[:0]).shape == (0,) + pr.shape()
 
 
 @pytest.mark.parametrize("p,s,l,k,alpha,beta,gamma", WIDE_MUL_CASES)
@@ -261,6 +281,51 @@ def test_product_zero_iff_shift_orbit_orthogonal(pe):
     pr, f, g = pe
     zero_flag, ortho_flag = annihilator_orthogonality_equiv(f, g)
     assert zero_flag == ortho_flag
+
+
+# (q, s, l, k, alpha, beta, gamma): y and z split over F_q; unit and non-unit constants
+BRIDGE_RINGS = [
+    (5, 4, 2, 2, 1, 1, 4),
+    (5, 9, 4, 1, 2, 1, 3),
+    (7, 6, 3, 2, 1, 1, 1),
+    (7, 3, 2, 3, 3, 2, 6),
+    (13, 6, 2, 2, 12, 1, 12),
+    (13, 4, 4, 3, 2, 3, 5),
+]
+
+
+@pytest.mark.parametrize("q,s,l,k,alpha,beta,gamma", BRIDGE_RINGS)
+def test_batched_bridge_flags_match_pairwise_oracle(q, s, l, k, alpha, beta, gamma):
+    field = FieldSpec(q)
+    pr = RingParams(field, s, l, k, alpha, beta, gamma)
+    rng = random.Random(1000 * q + 100 * s + 10 * l + k)
+    divisors = binomial_divisors(field, s, pr.alpha)
+    grid = [[rng.choice(divisors) for _ in range(l)] for _ in range(k)]
+    binom = Poly.binomial(field, s, pr.alpha)
+    gens = cell_generators(pr, grid)
+    comps = cell_generators(pr, [[binom // d for d in row] for row in grid])
+    # every generator annihilates every complement, so these pairs take the
+    # orbit test's True branch
+    f, g = [gens, gens], [comps, comps[::-1]]
+    randoms = np.array([[rng.randrange(q) for _ in range(pr.n)] for _ in range(16)])
+    f.append(np.stack([unflatten(pr, w).coeffs for w in randoms[:8]]))
+    g.append(np.stack([unflatten(pr, w).coeffs for w in randoms[8:]]))
+    # random pairs whose first orbit dot product is zero, so the orbit loop runs and fails
+    for fw, gw in zip(randoms[:8], randoms[8:]):
+        fw[0] = 1
+        gw[-1] = (gw[-1] - fw @ gw[::-1]) % q
+        assert fw @ gw[::-1] % q == 0
+    f.append(np.stack([unflatten(pr, w).coeffs for w in randoms[:8]]))
+    g.append(np.stack([unflatten(pr, w).coeffs for w in randoms[8:]]))
+    f, g = np.concatenate(f), np.concatenate(g)
+
+    zero, ortho = annihilator_orthogonality_flags(pr, f, g)
+    expected = [annihilator_orthogonality_equiv(RingElement3D.from_tensor(pr, a),
+                                                RingElement3D.from_tensor(pr, b))
+                for a, b in zip(f, g)]
+    assert list(zip(zero.tolist(), ortho.tolist())) == expected
+    assert zero[:2 * k * l].all() and not zero[2 * k * l:].any()
+    assert np.array_equal(zero, ortho)
 
 
 def test_shift_orbit_side_does_not_use_the_product(monkeypatch):
