@@ -27,6 +27,7 @@ import numpy as np
 
 from . import linalg
 from .codes import (
+    SWEEP_SPEC_LIMIT,
     BuiltCode,
     CodeSpec,
     SpecValidationError,
@@ -441,7 +442,8 @@ def _parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="exhaustive parameter scans")
     sweep_sub = p_sweep.add_subparsers(dest="mode", required=True)
 
-    sg = sweep_sub.add_parser("grid", help="all divisor grids for all +-1 sign choices")
+    sg = sweep_sub.add_parser("grid", help="all divisor grids for all +-1 sign choices "
+                              f"(at most {SWEEP_SPEC_LIMIT} specs)")
     sg.add_argument("--q", type=int, required=True)
     sg.add_argument("--s", type=int, required=True)
     sg.add_argument("--l", type=int, required=True)

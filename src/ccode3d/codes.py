@@ -12,7 +12,9 @@ parity check of the closure test.  The ring generators are made on demand
 (``cell_generators``).  For constants +-1 the dual lives in the same ring and
 is itself a divisor grid (``dual_spec``); self-duality is decided on the grid
 alone, as the grid being a fixed point of ``dual_spec``.  It also provides the
-exhaustive sweep machinery.
+exhaustive sweep machinery: ``sign_grid_sweep_report`` builds every spec of
+every +-1 sign ring and checks them SWEEP_CHUNK at a time, as zero-padded
+stacks through ``linalg.rref_stack`` and ``linalg.null_space_stack``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,14 @@ from .ring3d import AXES, RingParams, kron_words, shift_words
 
 class SpecValidationError(ValueError):
     """A code spec violates one of the construction hypotheses."""
+
+
+class SweepTooLargeError(ValueError):
+    """A sweep would enumerate more than SWEEP_SPEC_LIMIT specs."""
+
+
+SWEEP_CHUNK = 512            # specs per stacked check in sign_grid_sweep_report
+SWEEP_SPEC_LIMIT = 10**6     # the most specs sign_grid_sweep_report enumerates
 
 
 class UnsupportedConstantsError(ValueError):
@@ -474,8 +484,24 @@ def sign_grid_sweep_report(field: FieldSpec, s: int, l: int, k: int) -> dict:
     the kernel of G, dual orthogonality, row-space equality of the dual matrix
     with that kernel, and agreement of the grid-based self-dual verdict with
     the direct matrix test.  Returns aggregate counts.
+
+    Every spec is validated and built, and its verdict decided, one at a
+    time; the matrix checks run on each ring's specs SWEEP_CHUNK at a time,
+    as zero-padded (B, n, n) stacks of G and H: one rref_stack of G gives
+    rank G and the padded kernel (null_space_stack), whose nonzero rows are
+    the n - rank G kernel vectors; G*H^T and G*G^T are one batched product
+    each; and H spans the kernel iff the padded reduced forms of H and of the
+    kernel stack are equal, since zero rows change no reduced form.  A sweep
+    of more than SWEEP_SPEC_LIMIT specs is refused before any is made.
     """
     p = field.p
+    rings = admissible_sign_rings(field, s, l, k)
+    total = sum(count_divisor_grids(ring) for ring in rings)
+    if total > SWEEP_SPEC_LIMIT:
+        raise SweepTooLargeError(
+            f"sweep grid over F_{p} with (s, l, k) = ({s}, {l}, {k}) has {total} specs "
+            f"over {len(rings)} sign rings, past the limit of {SWEEP_SPEC_LIMIT}"
+        )
     report = {
         "q": p, "s": s, "l": l, "k": k,
         "specs": 0, "self_dual": 0,
@@ -483,23 +509,36 @@ def sign_grid_sweep_report(field: FieldSpec, s: int, l: int, k: int) -> dict:
         "kernel_mismatches": 0, "verdict_disagreements": 0,
         "rings": [],
     }
-    for ring in admissible_sign_rings(field, s, l, k):
+    for ring in rings:
         report["rings"].append({"alpha": ring.alpha, "beta": ring.beta, "gamma": ring.gamma})
-        for spec in enumerate_divisor_grids(ring):
-            report["specs"] += 1
-            code = build_code(spec)
-            dual = build_dual(spec)
-            kernel = linalg.null_space(code.generator_matrix, p)
-            if kernel.shape[0] != ring.n - code.dimension:
-                report["rank_mismatches"] += 1
-            gh = linalg.matmul(code.generator_matrix, dual.generator_matrix.T, p)
-            if gh.any():
-                report["orthogonality_failures"] += 1
-            if not linalg.row_space_equal(dual.generator_matrix, kernel, p):
-                report["kernel_mismatches"] += 1
-            verdict, _ = self_dual_decide(spec)
-            if verdict != direct_self_dual_check(code):
-                report["verdict_disagreements"] += 1
-            if verdict:
-                report["self_dual"] += 1
+        specs = enumerate_divisor_grids(ring)
+        while chunk := list(itertools.islice(specs, SWEEP_CHUNK)):
+            _sweep_chunk(report, ring, chunk)
     return report
+
+
+def _sweep_chunk(report: dict, ring: RingParams, specs: list[CodeSpec]):
+    """Add one chunk of a ring's specs to the sweep report (sign_grid_sweep_report)."""
+    p, n = ring.field.p, ring.n
+    g = np.zeros((len(specs), n, n), dtype=np.int64)
+    h = np.zeros_like(g)
+    dims = np.zeros(len(specs), dtype=np.int64)
+    verdicts = np.zeros(len(specs), dtype=bool)
+    for b, spec in enumerate(specs):
+        code = build_code(spec)
+        dual = build_dual(spec)
+        g[b, :code.generator_matrix.shape[0]] = code.generator_matrix
+        h[b, :dual.generator_matrix.shape[0]] = dual.generator_matrix
+        dims[b] = code.dimension
+        verdicts[b] = self_dual_decide(spec)[0]
+    kernel = linalg.null_space_stack(g, p)
+    kernel_rows = kernel.any(axis=2).sum(axis=1)
+    g_t = g.transpose(0, 2, 1)
+    direct = ~(g @ g_t % p).any(axis=(1, 2)) & (2 * dims == n)
+    same_span = (linalg.rref_stack(h, p)[0] == linalg.rref_stack(kernel, p)[0]).all(axis=(1, 2))
+    report["specs"] += len(specs)
+    report["self_dual"] += int(verdicts.sum())
+    report["rank_mismatches"] += int((kernel_rows != n - dims).sum())
+    report["orthogonality_failures"] += int((g @ h.transpose(0, 2, 1) % p).any(axis=(1, 2)).sum())
+    report["kernel_mismatches"] += int((~same_span).sum())
+    report["verdict_disagreements"] += int((verdicts != direct).sum())

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +285,20 @@ def test_sweep_grid_small(capsys):
     assert report["kernel_mismatches"] == 0
 
 
+def test_sweep_grid_refuses_past_the_spec_limit(capsys, tmp_path):
+    # 8 sign rings with 1.1 * 10^15 grids: refused before any spec is made
+    from ccode3d.codes import SWEEP_SPEC_LIMIT
+
+    out_file = tmp_path / "report.json"
+    start = time.perf_counter()
+    code = main(["sweep", "grid", "--q", "13", "--s", "12", "--l", "2", "--k", "2",
+                 "--out", str(out_file)])
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and not out_file.exists()
+    assert "has 1125899973951488 specs over 8 sign rings" in err and f"limit of {SWEEP_SPEC_LIMIT}" in err
+
+
 def test_sweep_no_selfdual(capsys):
     code, out = run(capsys, "sweep", "no-selfdual", "--q", "5", "--s", "2", "--l", "2", "--k", "2")
     assert code == 0
@@ -316,16 +331,22 @@ def test_each_spec_validated_once(capsys, monkeypatch):
 def test_eliminations_per_command(capsys, monkeypatch):
     # build_code and build_dual prove their rank by construction and eliminate
     # nothing, and the closure is tested against the dual's H
-    from ccode3d import linalg
+    from ccode3d import codes, linalg
+    from ccode3d.gf import FieldSpec
 
-    calls = []
-    rref = linalg.rref
+    calls, stack_calls = [], []
+    rref, rref_stack = linalg.rref, linalg.rref_stack
 
     def counting_rref(m, p):
         calls.append(p)
         return rref(m, p)
 
+    def counting_rref_stack(m, p):
+        stack_calls.append(p)
+        return rref_stack(m, p)
+
     monkeypatch.setattr(linalg, "rref", counting_rref)
+    monkeypatch.setattr(linalg, "rref_stack", counting_rref_stack)
     for argv, expected in (
         (["build", "--spec", EXAMPLE1], 0),
         (["dual", "--spec", EXAMPLE1], 0),
@@ -340,11 +361,18 @@ def test_eliminations_per_command(capsys, monkeypatch):
         calls.clear()
         assert main(argv) == 0
         assert len(calls) == expected, argv
+        assert not stack_calls, argv
     capsys.readouterr()
     calls.clear()
+    # the sweep eliminates stacks only: G (for its kernel), H and the kernel,
+    # once per chunk of each sign ring; 100 splits each ring's 256 specs
+    monkeypatch.setattr(codes, "SWEEP_CHUNK", 100)
     code, out = run(capsys, "sweep", "grid", "--q", "5", "--s", "2", "--l", "2", "--k", "2")
     assert code == 0
-    assert len(calls) == 3 * json.loads(out)["specs"]
+    chunks = sum(-(-codes.count_divisor_grids(ring) // codes.SWEEP_CHUNK)
+                 for ring in codes.admissible_sign_rings(FieldSpec(5), 2, 2, 2))
+    assert len(stack_calls) == 3 * chunks
+    assert not calls
 
 
 def test_parser_is_built_once(capsys):

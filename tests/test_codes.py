@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ccode3d import linalg
+from ccode3d import codes, linalg
 from ccode3d.gf import FieldSpec, MissingRootOfUnityError
 from ccode3d.codes import (
     BuiltCode,
@@ -29,6 +29,7 @@ from ccode3d.codes import (
     self_dual_decide,
     self_dual_feasible,
     self_dual_grid_count,
+    sign_grid_sweep_report,
     validate_spec,
 )
 from ccode3d.poly import Poly
@@ -591,3 +592,96 @@ def test_binomial_divisors_count():
     assert [d.degree for d in divisors] == [0, 1, 1, 2]
     assert all(d.is_monic() for d in divisors)
     assert len(binomial_divisors(F7, 2, -1)) == 2   # x^2 + 1 irreducible over F_7
+
+
+# the sweep's grid tuples: each runs all admissible +-1 sign rings, the
+# all-ones ring and the mixed-sign ones
+SWEEP_TUPLES = [(F5, 2, 2, 2), (F7, 2, 2, 2)]
+
+
+def per_spec_sweep_report(field, s, l, k) -> dict:
+    """The sweep report spec by spec, each check on one matrix: the oracle
+    of the stacked checks.  It calls build_code, build_dual and
+    self_dual_decide through the codes module, so a fault installed there
+    reaches both."""
+    p = field.p
+    report = {
+        "q": p, "s": s, "l": l, "k": k,
+        "specs": 0, "self_dual": 0,
+        "rank_mismatches": 0, "orthogonality_failures": 0,
+        "kernel_mismatches": 0, "verdict_disagreements": 0,
+        "rings": [],
+    }
+    for ring in admissible_sign_rings(field, s, l, k):
+        report["rings"].append({"alpha": ring.alpha, "beta": ring.beta, "gamma": ring.gamma})
+        for spec in enumerate_divisor_grids(ring):
+            report["specs"] += 1
+            code = codes.build_code(spec)
+            dual = codes.build_dual(spec)
+            kernel = linalg.null_space(code.generator_matrix, p)
+            if kernel.shape[0] != ring.n - code.dimension:
+                report["rank_mismatches"] += 1
+            if linalg.matmul(code.generator_matrix, dual.generator_matrix.T, p).any():
+                report["orthogonality_failures"] += 1
+            if not linalg.row_space_equal(dual.generator_matrix, kernel, p):
+                report["kernel_mismatches"] += 1
+            verdict, _ = codes.self_dual_decide(spec)
+            gg = linalg.matmul(code.generator_matrix, code.generator_matrix.T, p)
+            if verdict != (not gg.any() and 2 * code.dimension == ring.n):
+                report["verdict_disagreements"] += 1
+            if verdict:
+                report["self_dual"] += 1
+    return report
+
+
+@pytest.mark.parametrize("tup", SWEEP_TUPLES)
+def test_stacked_sweep_report_equals_per_spec_reference(tup, monkeypatch):
+    # a chunk of 7 puts chunk boundaries inside every ring
+    monkeypatch.setattr(codes, "SWEEP_CHUNK", 7)
+    report = sign_grid_sweep_report(*tup)
+    assert report == per_spec_sweep_report(*tup)
+    assert not any(report[key] for key in ("rank_mismatches", "orthogonality_failures",
+                                "kernel_mismatches", "verdict_disagreements"))
+
+
+def _corrupt_first_dual_row(build):
+    def corrupted(spec):
+        dual = build(spec)
+        h = dual.generator_matrix.copy()
+        if h.shape[0]:
+            h[0, 0] = (h[0, 0] + 1) % spec.ring.field.p
+        return BuiltCode(dual.ring, h, dual.dimension)
+    return corrupted
+
+
+def _flip_verdict(decide):
+    def flipped(spec, code=None):
+        verdict, certificate = decide(spec, code)
+        return not verdict, certificate
+    return flipped
+
+
+@pytest.mark.parametrize("fault, counters", [
+    ((codes, "build_dual", _corrupt_first_dual_row), ("orthogonality_failures", "kernel_mismatches")),
+    ((codes, "self_dual_decide", _flip_verdict), ("verdict_disagreements",)),
+])
+def test_stacked_sweep_counters_stay_live(fault, counters, monkeypatch):
+    # a corrupted H row and a flipped grid verdict each show in the stacked
+    # counters, exactly as in the per-spec reference
+    module, name, make = fault
+    monkeypatch.setattr(module, name, make(getattr(module, name)))
+    monkeypatch.setattr(codes, "SWEEP_CHUNK", 7)
+    report = sign_grid_sweep_report(F5, 2, 2, 1)
+    assert report == per_spec_sweep_report(F5, 2, 2, 1)
+    assert all(report[counter] > 0 for counter in counters)
+
+
+def test_sweep_refuses_past_the_spec_limit(monkeypatch):
+    rings = admissible_sign_rings(F5, 2, 2, 1)
+    total = sum(count_divisor_grids(ring) for ring in rings)
+    monkeypatch.setattr(codes, "SWEEP_SPEC_LIMIT", total)
+    assert sign_grid_sweep_report(F5, 2, 2, 1)["specs"] == total
+    monkeypatch.setattr(codes, "SWEEP_SPEC_LIMIT", total - 1)
+    monkeypatch.setattr(codes, "CodeSpec", None)   # no spec may be made
+    with pytest.raises(codes.SweepTooLargeError, match=f"has {total} specs .* limit of {total - 1}"):
+        sign_grid_sweep_report(F5, 2, 2, 1)

@@ -139,3 +139,67 @@ def test_empty_matrix_conventions():
     assert linalg.null_space(empty, 5).shape == (4, 4)
     assert linalg.row_space_contains(empty, [0, 0, 0, 0], 5)
     assert not linalg.row_space_contains(empty, [1, 0, 0, 0], 5)
+
+
+@st.composite
+def stacks(draw):
+    # rows below, equal to and above cols, zero rows and all-zero matrices
+    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    count = draw(st.integers(1, 4))
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(1, 6))
+    entries = st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols)
+    m = np.array(draw(st.lists(entries, min_size=count, max_size=count)),
+                 dtype=np.int64).reshape(count, rows, cols)
+    if rows:
+        for b, r in draw(st.lists(st.tuples(st.integers(0, count - 1), st.integers(0, rows - 1)),
+                                  max_size=3)):
+            m[b, r] = 0
+    if draw(st.booleans()):
+        m[draw(st.integers(0, count - 1))] = 0
+    return m, p
+
+
+def assert_stack_matches_rref(m, p):
+    reduced, ranks, pivot_mask = linalg.rref_stack(m, p)
+    assert reduced.shape == m.shape and ranks.shape == pivot_mask.shape[:1] == m.shape[:1]
+    for b in range(m.shape[0]):
+        red, rk, pivots = linalg.rref(m[b], p)
+        assert np.array_equal(reduced[b], red)
+        assert ranks[b] == rk
+        assert tuple(np.flatnonzero(pivot_mask[b])) == pivots
+
+
+def assert_kernel_stack_matches_null_space(m, p):
+    kernel = linalg.null_space_stack(m, p)
+    assert kernel.shape == (m.shape[0], m.shape[2], m.shape[2])
+    for b in range(m.shape[0]):
+        basis = kernel[b][kernel[b].any(axis=1)]
+        assert basis.shape[0] == m.shape[2] - linalg.rank(m[b], p)
+        assert linalg.row_space_equal(basis, linalg.null_space(m[b], p), p)
+
+
+@given(stacks())
+def test_rref_stack_matches_rref(mp):
+    assert_stack_matches_rref(*mp)
+
+
+@given(stacks())
+def test_null_space_stack_spans_each_kernel(mp):
+    assert_kernel_stack_matches_null_space(*mp)
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 5), (1, 5, 2), (3, 6, 3), (2, 3, 6), (2, 0, 4), (4, 4, 4)])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_stack_kernels_on_fixed_shapes(shape, p):
+    m = np.random.default_rng(shape[1] * 100 + shape[2] * 10 + p).integers(0, p, shape)
+    if shape[1] > 1:
+        m[0, -1] = 2 * m[0, 0]   # a dependent row
+    m[-1, :1] = 0                # a zero row (the whole matrix for a stack of one row)
+    assert_stack_matches_rref(m, p)
+    assert_kernel_stack_matches_null_space(m, p)
+    zero = np.zeros(shape, dtype=np.int64)
+    assert_stack_matches_rref(zero, p)
+    assert not linalg.rref_stack(zero, p)[1].any()
+    assert np.array_equal(linalg.null_space_stack(zero, p),
+                          np.broadcast_to(np.eye(shape[2], dtype=np.int64), (shape[0],) + shape[2:] * 2))
