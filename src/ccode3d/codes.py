@@ -8,13 +8,15 @@ made (``validate_spec``), and holds monic divisors from then on.  This module
 builds the generator matrix and, for any nonzero constants, the dual code's
 matrix H, an (alpha^-1, beta^-1, gamma^-1)-constacyclic code: both are
 Kronecker blocks, built with no elimination, and H, spanning ker G, is the
-parity check of the closure test.  The ring generators are made on demand
-(``cell_generators``).  For constants +-1 the dual lives in the same ring and
-is itself a divisor grid (``dual_spec``); self-duality is decided on the grid
-alone, as the grid being a fixed point of ``dual_spec``.  It also provides the
-exhaustive sweep machinery: ``sign_grid_sweep_report`` builds every spec of
-every +-1 sign ring and checks them SWEEP_CHUNK at a time, as zero-padded
-stacks through ``linalg.rref_stack`` and ``linalg.null_space_stack``.
+parity check of the closure test.  Every cell is an x-polynomial times the
+fixed tensor e_j(y)*e_t(z); G, H (reversing both axes) and the generators
+(``cell_generators``) read one cached stack of them per ring (``_cell_tensors``).
+For constants +-1 the dual lives in the same ring and is itself a divisor grid
+(``dual_spec``); self-duality is decided on the grid alone, as the grid being
+a fixed point of ``dual_spec``.  It also provides the exhaustive sweep
+machinery: ``sign_grid_sweep_report`` builds every spec of every +-1 sign ring
+and checks them SWEEP_CHUNK at a time, as zero-padded stacks through
+``linalg.rref_stack`` and ``linalg.null_space_stack``.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ class SweepTooLargeError(ValueError):
 
 SWEEP_CHUNK = 512            # specs per stacked check in sign_grid_sweep_report
 SWEEP_SPEC_LIMIT = 10**6     # the most specs sign_grid_sweep_report enumerates
+SPEC_LENGTH_LIMIT = 4096     # the longest code a CodeSpec admits: G and H take <= 128 MiB each
 
 
 class UnsupportedConstantsError(ValueError):
@@ -101,16 +104,20 @@ def code_idempotents(ring: RingParams) -> tuple[IdempotentFamily, IdempotentFami
 def validate_spec(spec: CodeSpec) -> CodeSpec:
     """Check the construction hypotheses of a spec and return it.
 
-    Confirms the grid shape, that both root-of-unity hypotheses hold (the
-    y- and z-moduli must split into distinct linear factors, which also
-    forces their degrees to be coprime to the characteristic), and that every
-    grid entry exactly divides x^s - alpha.  CodeSpec runs this on every
-    spec it makes, so a caller holding a CodeSpec need not.  The x-side
-    length s is unrestricted: the generator and dual constructions do not
-    need x^s - alpha to be squarefree.
+    Confirms, first and before any division, that n = s*l*k is at most
+    SPEC_LENGTH_LIMIT; then the grid shape, that both root-of-unity
+    hypotheses hold (the y- and z-moduli must split into distinct linear
+    factors, which also forces their degrees to be coprime to the
+    characteristic), and that every grid entry exactly divides x^s - alpha.
+    CodeSpec runs this on every spec it makes, so a caller holding a
+    CodeSpec need not.  x^s - alpha need not be squarefree: the generator
+    and dual constructions do not use it.
     """
     ring = spec.ring
     field = ring.field
+    if ring.n > SPEC_LENGTH_LIMIT:
+        raise SpecValidationError(
+            f"code length n = s*l*k = {ring.n} is past the limit of {SPEC_LENGTH_LIMIT}")
     if len(spec.divisor_grid) != ring.k or any(len(row) != ring.l for row in spec.divisor_grid):
         raise SpecValidationError(
             f"divisor grid must be {ring.k} rows of {ring.l} entries, got "
@@ -131,6 +138,18 @@ def validate_spec(spec: CodeSpec) -> CodeSpec:
     return spec
 
 
+@lru_cache(maxsize=None)
+def _cell_tensors(ring: RingParams) -> np.ndarray:
+    """The read-only (k*l, l, k) stack of the cell tensors e_j(y)*e_t(z), in
+    (t, j) order, made once per ring.  Every member has full degree m - 1
+    (the geometric sum has no zero coefficient), so reversing both trailing
+    axes gives e_j*(y)*e_t*(z), the dual's cells."""
+    z, y = (np.array([e.coeffs for e in fam.members], dtype=np.int64) for fam in code_idempotents(ring))
+    cells = np.einsum("jb,tc->tjbc", y, z).reshape(-1, ring.l, ring.k) % ring.field.p
+    cells.setflags(write=False)
+    return cells
+
+
 def _shift_rows(f: Poly, count: int, s: int) -> np.ndarray:
     """The count x s matrix of x^i * f(x), i < count; needs count + deg f <= s."""
     rows = np.zeros((count, s), dtype=np.int64)
@@ -144,27 +163,23 @@ def cell_generators(ring: RingParams, x_grid) -> np.ndarray:
     degree <= s (x^s folds onto alpha), as the (k*l, s, l, k) stack of
     coefficient tensors in (t, j) order.  On the divisor grid these are the
     code's ring generators; no matrix is built from them (_assemble)."""
-    z_fam, y_fam = code_idempotents(ring)
     x = np.vstack([_shift_rows(f, 1, ring.s + 1) for row in x_grid for f in row])
-    x[:, 0] += ring.alpha * x[:, ring.s]
-    x = x[:, :ring.s].reshape(ring.k, ring.l, ring.s) % ring.field.p
-    y = np.vstack([_shift_rows(e, 1, ring.l) for e in y_fam.members])
-    z = np.vstack([_shift_rows(e, 1, ring.k) for e in z_fam.members])
-    tensors = np.einsum("tji,jb,tc->tjibc", x, y, z)   # products of three residues
-    return tensors.reshape(ring.k * ring.l, *ring.shape()) % ring.field.p
+    x[:, 0] += ring.alpha * x[:, ring.s]   # < p + p^2: every product below stays < 2^63
+    return x[:, :ring.s, None, None] * _cell_tensors(ring)[:, None] % ring.field.p
 
 
-def _assemble(ring: RingParams, cells, dimension: int) -> BuiltCode:
-    """The construction path of the code and its dual: cell (f, count, g, h)
-    gives the Kronecker block of the rows x^i * f(x) * g(y) * h(z), i < count;
-    no row wraps, so the blocks do not depend on the ring's constants.  No
-    elimination runs, since the rows are independent by construction: the
-    cell vectors e_t ⊗ e_j are independent, and so are their reversals,
-    because the geometric-sum idempotents have full degree k - 1 (l - 1);
-    X_p is banded and in echelon form, as p is monic, and X_q* is banded with
-    leading coefficient q(0) != 0; so the Kronecker blocks form a direct sum.
-    verify and the tests keep the rank as an oracle."""
-    blocks = [kron_words(ring, _shift_rows(f, count, ring.s), gy, hz) for f, count, gy, hz in cells]
+def _assemble(ring: RingParams, x_blocks, cells: np.ndarray, dimension: int) -> BuiltCode:
+    """The construction path of the code and its dual: x-block c = (f, count)
+    and the (l, k) tensor cells[c] give the kron_words block of the rows
+    x^i * f(x) * cells[c], i < count; no row wraps, so the blocks do not
+    depend on the ring's constants.  No elimination runs, since the rows are
+    independent by construction: the cell tensors (_cell_tensors) and their
+    reversals are independent, X_p is banded and in echelon form, as p is
+    monic, and X_q* is banded with leading coefficient q(0) != 0; so the
+    Kronecker blocks form a direct sum.  verify and the tests keep the rank
+    as an oracle."""
+    blocks = [kron_words(ring, _shift_rows(f, count, ring.s), cells[c])
+              for c, (f, count) in enumerate(x_blocks)]
     return BuiltCode(ring, np.vstack(blocks), dimension)
 
 
@@ -176,16 +191,11 @@ def build_code(spec: CodeSpec) -> BuiltCode:
     they form the block kron(e_t, kron(e_j, X_p)), where X_p is the banded
     (s-a) x s matrix of x^i * p(x); deg(x^i * p) < s, so no row wraps.  The
     rows are independent (_assemble), so the dimension is s*l*k minus the sum
-    of divisor degrees.
+    of divisor degrees.  The cells e_j(y)*e_t(z) are the ring's cached stack.
     """
     ring = spec.ring
-    z_fam, y_fam = code_idempotents(ring)
-    cells = [
-        (p, ring.s - p.degree, y_fam.members[j].coeffs, z_fam.members[t].coeffs)
-        for t, row in enumerate(spec.divisor_grid)
-        for j, p in enumerate(row)
-    ]
-    return _assemble(ring, cells, ring.n - spec.degree_sum())
+    x_blocks = [(p, ring.s - p.degree) for row in spec.divisor_grid for p in row]
+    return _assemble(ring, x_blocks, _cell_tensors(ring), ring.n - spec.degree_sum())
 
 
 def _require_unit_constants(ring: RingParams, what: str):
@@ -202,24 +212,20 @@ def build_dual(spec: CodeSpec) -> BuiltCode:
 
     Cell (t, j) contributes the rows x^i * q*(x) * e_j*(y) * e_t*(z) for
     i = 0..a-1, where p*q = x^s - alpha, a = deg p, and * is coefficient
-    reversal: the block kron(e_t*, kron(e_j*, X_q*)), built like the code's
-    blocks; deg(x^i * q*) < s for i < a, so no row wraps.  Cells with
-    constant divisor contribute no rows.  The rows are independent
+    reversal: the block kron(e_t*, kron(e_j*, X_q*)).  The cells are the
+    code's cached stack with both (y, z) axes reversed, and q* is the cached
+    _reversed_complement; deg(x^i * q*) < s for i < a, so no row wraps.
+    Cells with constant divisor contribute no rows.  The rows are independent
     (_assemble), so the rank is the divisor degree sum; G*H^T = 0, so H
     spans the kernel of G for any nonzero constants, and its row space is
     an ideal of F_q[x,y,z]/(x^s - alpha^-1, y^l - beta^-1, z^k - gamma^-1),
     the ring of the returned code.
     """
     ring = spec.ring
-    z_fam, y_fam = code_idempotents(ring)
-    q_stars = _reversed_complements(ring, spec.divisor_grid)
-    cells = [
-        (q_stars[t][j], p.degree,
-         y_fam.members[j].reciprocal().coeffs, z_fam.members[t].reciprocal().coeffs)
-        for t, row in enumerate(spec.divisor_grid)
-        for j, p in enumerate(row)
-    ]
-    return _assemble(ring.inverse_constants(), cells, spec.degree_sum())
+    x_blocks = [(_reversed_complement(ring.field, ring.s, ring.alpha, p), p.degree)
+                for row in spec.divisor_grid for p in row]
+    cells = _cell_tensors(ring)[:, ::-1, ::-1]   # e_j*(y)*e_t*(z), a view of the code's stack
+    return _assemble(ring.inverse_constants(), x_blocks, cells, spec.degree_sum())
 
 
 def _reversed_complements(ring: RingParams, rows) -> list[list[Poly]]:

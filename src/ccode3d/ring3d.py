@@ -8,9 +8,9 @@ x^i y^j z^t.  The canonical codeword layout concatenates the z-slices:
 so a flattened word reads (z^0 block | z^1 block | ... | z^(k-1) block), each
 block listing the y^j runs of x-coefficients, low powers first.  This module
 is the only place that knows the layout.  Two batched operations act on whole
-stacks of flattened words: ``kron_words`` gives the words f_i(x)*g(y)*h(z)
-for a stack of x-rows f_i as the Kronecker block kron(kron(h, g), X), and
-``shift_words`` applies one constacyclic axis shift to every word at once.
+stacks of flattened words: ``kron_words`` lays a stack of x-rows f_i against
+one fixed (l, k) tensor w, such as e_j(y)*e_t(z), as kron(w^T, X), reducing
+nothing, and ``shift_words`` applies one axis shift to every word at once.
 
 R is the tensor product of the three univariate rings F_q[u]/(u^m - c), so
 the ring product factors axis by axis: ``ring_products`` contracts two
@@ -184,16 +184,13 @@ def unflatten(params: RingParams, vec) -> RingElement3D:
     return RingElement3D.from_tensor(params, _to_tensors(params, arr))
 
 
-def kron_words(params: RingParams, x_rows: np.ndarray, gy, hz) -> np.ndarray:
-    """Flattened words f_i(x)*g(y)*h(z) for the rows f_i of an (r, s) array of
-    reduced x-coefficients; g and h are reduced as in from_axis_polys.  In the
-    z-major layout the words are the rows of kron(kron(h, g), x_rows), formed
-    by broadcasting because np.kron is several times slower on small blocks."""
-    f = params.field
-    yv = _reduce_axis(f, gy, params.l, params.beta)
-    zv = _reduce_axis(f, hz, params.k, params.gamma)
-    hg = np.outer(zv, yv).reshape(1, -1, 1)
-    return (hg * x_rows[:, None, :]).reshape(len(x_rows), params.n) % f.p
+def kron_words(params: RingParams, x_rows: np.ndarray, yz: np.ndarray) -> np.ndarray:
+    """Flattened words f_i(x)*w(y, z) for the rows f_i of an (r, s) array of
+    x-residues and one (l, k) tensor w of residues: in the z-major layout the
+    rows of kron(w^T, x_rows), formed by broadcasting because np.kron is
+    several times slower on small blocks.  Only the products are reduced."""
+    zy = yz.T.reshape(1, -1, 1)
+    return (zy * x_rows[:, None, :]).reshape(len(x_rows), params.n) % params.field.p
 
 
 def shift_words(params: RingParams, words, axis: str) -> np.ndarray:

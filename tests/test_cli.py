@@ -299,6 +299,22 @@ def test_sweep_grid_refuses_past_the_spec_limit(capsys, tmp_path):
     assert "has 1125899973951488 specs over 8 sign rings" in err and f"limit of {SWEEP_SPEC_LIMIT}" in err
 
 
+def test_build_refuses_an_oversized_spec(capsys, tmp_path):
+    # n = 10^6 is refused before x^s - 1 is divided or any matrix allocated
+    from ccode3d.codes import SPEC_LENGTH_LIMIT
+
+    spec = {"q": 5, "s": 1000000, "l": 1, "k": 1, "alpha": 1, "beta": 1, "gamma": 1, "p": [[[4, 1]]]}
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    out_file = tmp_path / "build.json"
+    start = time.perf_counter()
+    code = main(["build", "--spec", str(spec_file), "--out", str(out_file)])
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and not out_file.exists()
+    assert f"n = s*l*k = 1000000 is past the limit of {SPEC_LENGTH_LIMIT}" in err
+
+
 def test_sweep_no_selfdual(capsys):
     code, out = run(capsys, "sweep", "no-selfdual", "--q", "5", "--s", "2", "--l", "2", "--k", "2")
     assert code == 0

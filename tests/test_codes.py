@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,11 +33,13 @@ from ccode3d.codes import (
     sign_grid_sweep_report,
     validate_spec,
 )
+from ccode3d.cli import load_spec
 from ccode3d.poly import Poly
 from ccode3d.ring3d import RingElement3D, RingParams, unflatten
 
 F5 = FieldSpec(5)
 F7 = FieldSpec(7)
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def poly5(*coeffs):
@@ -118,6 +121,14 @@ def test_validate_rejects_bad_grid_shape():
     ring = RingParams(F5, 2, 2, 2, 1, -1, -1)
     with pytest.raises(SpecValidationError, match="grid"):
         CodeSpec(ring, ((Poly.one(F5),),))
+
+
+def test_validate_admits_length_up_to_the_limit():
+    at_limit = RingParams(F5, codes.SPEC_LENGTH_LIMIT, 1, 1, 1, 1, 1)
+    assert CodeSpec(at_limit, ((poly5(-1, 1),),)).ring.n == codes.SPEC_LENGTH_LIMIT == 4096
+    past = RingParams(F5, codes.SPEC_LENGTH_LIMIT // 2 + 1, 2, 1, 1, -1, 1)
+    with pytest.raises(SpecValidationError, match=r"n = s\*l\*k = 4098 .* limit of 4096"):
+        CodeSpec(past, ((poly5(-1, 1), poly5(-1, 1)),))
 
 
 def test_example1_generator_matrix_matches_published_rows():
@@ -431,6 +442,62 @@ def test_generators_annihilate_complement_products():
                     z_fam.members[t].coeffs)
                 for gen in generators:
                     assert (lhs * RingElement3D.from_tensor(ring, gen)).is_zero()
+
+
+def bundled_specs() -> list[CodeSpec]:
+    return [load_spec(str(path)) for path in sorted(SPECS.glob("example*.json"))]
+
+
+def test_cell_tensor_stack_is_cached_and_read_only():
+    for spec in bundled_specs():
+        ring = spec.ring
+        cells = codes._cell_tensors(ring)
+        assert cells is codes._cell_tensors(ring) and not cells.flags.writeable
+        with pytest.raises(ValueError):
+            cells[0, 0, 0] = 1
+        z_fam, y_fam = code_idempotents(ring)
+        assert cells.shape == (ring.k * ring.l, ring.l, ring.k)
+        for c, (t, j) in enumerate(itertools.product(range(ring.k), range(ring.l))):
+            outer = np.outer(y_fam.members[j].coeffs, z_fam.members[t].coeffs) % ring.field.p
+            assert np.array_equal(cells[c], outer)
+            # full-degree members: the double reversal is the reversed members' product
+            reversed_outer = np.outer(y_fam.members[j].reciprocal().coeffs,
+                                      z_fam.members[t].reciprocal().coeffs) % ring.field.p
+            assert np.array_equal(cells[c, ::-1, ::-1], reversed_outer)
+
+
+def test_zeroing_returned_arrays_leaves_later_builds_unchanged():
+    for spec in bundled_specs():
+        ring = spec.ring
+        made = [build_code(spec).generator_matrix, build_dual(spec).generator_matrix,
+                cell_generators(ring, spec.divisor_grid)]
+        kept = [m.copy() for m in made]
+        for m in made:
+            m[...] = 0
+        again = [build_code(spec).generator_matrix, build_dual(spec).generator_matrix,
+                 cell_generators(ring, spec.divisor_grid)]
+        assert all(np.array_equal(a, b) for a, b in zip(again, kept))
+        assert all(m.any() for m in kept)
+
+
+def test_construction_reduces_no_axis_polynomial(monkeypatch):
+    from ccode3d import ring3d
+
+    calls = []
+    reduce_axis = ring3d._reduce_axis
+
+    def counting_reduce_axis(*args):
+        calls.append(args)
+        return reduce_axis(*args)
+
+    monkeypatch.setattr(ring3d, "_reduce_axis", counting_reduce_axis)
+    for spec in bundled_specs():
+        build_code(spec)
+        build_dual(spec)
+        cell_generators(spec.ring, spec.divisor_grid)
+    assert calls == []
+    RingElement3D.from_axis_polys(spec.ring, [1], [1], [1])   # the counter is live
+    assert len(calls) == 3
 
 
 def test_general_constants_dual_lives_in_inverse_ring():
