@@ -8,7 +8,7 @@ from .idempotents import (
     build_full_idempotents,
     reciprocal_index,
 )
-from .ring3d import RingElement3D, RingParams, annihilator_orthogonality_equiv, unflatten
+from .ring3d import RingElement3D, RingParams, annihilator_orthogonality_flags, unflatten
 from .codes import (
     BuiltCode,
     CodeSpec,

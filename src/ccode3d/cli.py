@@ -194,9 +194,10 @@ def cmd_idempotents(args) -> int:
 
 def cmd_factor(args) -> int:
     field = FieldSpec(args.q)
+    factors = factor_binomial(field, args.s, args.alpha)   # invalid input exits 2 before any output
     binom = Poly.binomial(field, args.s, field.canon(args.alpha))
     print(f"{format_poly(binom, signed=True)} over F_{field.p}:")
-    for f, mult in factor_binomial(field, args.s, args.alpha):
+    for f, mult in factors:
         suffix = f"  (multiplicity {mult})" if mult > 1 else ""
         print(f"  {format_poly(f)}   (signed: {format_poly(f, signed=True)}){suffix}")
     return EXIT_OK

@@ -52,6 +52,8 @@ class IdempotentFamily:
 
 def _root_data(field: FieldSpec, k: int, gamma: int) -> tuple[int, int]:
     """(r, omega): the order of gamma and the fixed root find_root gives."""
+    if k < 1:   # before the repeated-roots test, which k = 0 would pass as r*k = 0
+        raise ValueError(f"block length must be positive, got {k}")
     r = element_order(field, gamma)
     if (r * k) % field.p == 0:
         raise RepeatedRootsError(

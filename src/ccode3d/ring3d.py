@@ -19,13 +19,17 @@ T[i, i', d] = c^((i+i')//m) where d = (i+i') mod m and 0 elsewhere, with no
 loop over monomials.  The stacks' leading axes broadcast as in np.matmul, so
 one call gives the pairwise products of two (P, s, l, k) stacks, or all
 products of an (A, 1, s, l, k) and a (1, B, s, l, k) stack.  Every product
-in the package goes through it: RingElement3D.__mul__, verify's complement
-check, and ``annihilator_orthogonality_flags``, the bridge between ring
+in the package goes through it: verify's complement check and the product
+side of ``annihilator_orthogonality_flags``, the bridge between ring
 annihilators and Euclidean duality tested on a whole stack of pairs at once.
+
+RingElement3D wraps a single tensor with its ring.  Nothing else in the
+package uses it; the tests use it as an oracle, and ccbench traces it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -87,25 +91,6 @@ class RingElement3D:
         return RingElement3D(params, _as_tensor(params, data))
 
     @staticmethod
-    def zero(params: RingParams) -> "RingElement3D":
-        return RingElement3D.from_tensor(params, np.zeros(params.shape(), dtype=np.int64))
-
-    @staticmethod
-    def one(params: RingParams) -> "RingElement3D":
-        return RingElement3D.monomial(params, 0, 0, 0)
-
-    @staticmethod
-    def monomial(params: RingParams, i: int, j: int, t: int, scale: int = 1) -> "RingElement3D":
-        f = params.field
-        for steps, m, const in ((i, params.s, params.alpha),
-                                (j, params.l, params.beta),
-                                (t, params.k, params.gamma)):
-            scale = f.mul(scale, f.pow(const, steps // m))
-        arr = np.zeros(params.shape(), dtype=np.int64)
-        arr[i % params.s, j % params.l, t % params.k] = f.canon(scale)
-        return RingElement3D.from_tensor(params, arr)
-
-    @staticmethod
     def from_axis_polys(params: RingParams, fx, gy, hz) -> "RingElement3D":
         """Product f(x)*g(y)*h(z) from ascending coefficient sequences.
 
@@ -131,17 +116,6 @@ class RingElement3D:
             return NotImplemented
         return self.params == other.params and np.array_equal(self.coeffs, other.coeffs)
 
-    def __add__(self, other: "RingElement3D") -> "RingElement3D":
-        self._check(other)
-        return RingElement3D.from_tensor(self.params, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "RingElement3D") -> "RingElement3D":
-        self._check(other)
-        return RingElement3D.from_tensor(self.params, self.coeffs - other.coeffs)
-
-    def scale(self, c: int) -> "RingElement3D":
-        return RingElement3D.from_tensor(self.params, self.coeffs * self.params.field.canon(c))
-
     def __mul__(self, other: "RingElement3D") -> "RingElement3D":
         """Ring product: 3-D convolution where an index overflow along x, y, z
         contributes a factor alpha, beta, gamma per full wrap (ring_products)."""
@@ -157,21 +131,11 @@ class RingElement3D:
             self.params, _monomial_shift(self.coeffs, self.params, *_UNIT_STEPS[axis])
         )
 
-    def monomial_times(self, i: int, j: int, t: int) -> "RingElement3D":
-        return RingElement3D.from_tensor(
-            self.params, _monomial_shift(self.coeffs, self.params, i, j, t)
-        )
-
     def flatten(self) -> np.ndarray:
         """Canonical z-major codeword layout (see module docstring)."""
         vec = _to_words(self.params, self.coeffs).copy()
         vec.setflags(write=False)
         return vec
-
-    def star(self) -> np.ndarray:
-        """Full reversal of the flattened word (block order in t, then j,
-        then within-block x-coefficients), used by the orthogonality test."""
-        return self.flatten()[::-1].copy()
 
     def __repr__(self) -> str:
         return f"RingElement3D({self.params.s}x{self.params.l}x{self.params.k} over F_{self.params.field.p})"
@@ -260,24 +224,33 @@ def ring_products(params: RingParams, a, b) -> np.ndarray:
 
 
 def annihilator_orthogonality_flags(params: RingParams, f, g) -> tuple[np.ndarray, np.ndarray]:
-    """Batched annihilator_orthogonality_equiv over two (P, s, l, k) stacks of
-    canonical tensors: the boolean arrays (f[u]*g[u] == 0, shift-orbit
-    orthogonality of f[u] and g[u]) for every u.
+    """The bridge between ring annihilators and Euclidean duality, over two
+    (P, s, l, k) stacks of canonical tensors: the boolean arrays
+    (f[u]*g[u] == 0, shift-orbit orthogonality of f[u] and g[u]) for every u.
+    The bridge says that the two flags agree on every pair.
 
-    The products come from one ring_products call.  The orbit test opens with
-    the dot product of f's word and g's reversed word, which one array
-    operation gives for every pair; only a pair whose first dot product is
-    zero can be orthogonal to the whole orbit, so only those run
-    shift_orbit_orthogonal.
+    The products come from one ring_products call.  The orbit side never
+    multiplies: it dots f's word with x^i y^j z^t times g's reversed word,
+    read in the ring with the inverse constants, one monomial at a time for
+    all pairs still orthogonal.  A pair drops out at its first nonzero dot
+    product, and the walk stops when no pair is left; its first step,
+    (0, 0, 0), is the plain dot product f . reverse(g).  Each dot sums n
+    products of residues, below 2^63 for p < 2^16 and n < 2^31.
     """
+    p = params.field.p
     f = np.asarray(f, dtype=np.int64)
     g = np.asarray(g, dtype=np.int64)
-    zero = ~ring_products(params, f, g).reshape(len(f), -1).any(axis=1)
-    first = (_to_words(params, f) * _to_words(params, g)[:, ::-1]).sum(axis=1) % params.field.p
-    ortho = first == 0
-    for u in np.flatnonzero(ortho):
-        ortho[u] = shift_orbit_orthogonal(RingElement3D.from_tensor(params, f[u]),
-                                          RingElement3D.from_tensor(params, g[u]))
+    zero = ~ring_products(params, f, g).reshape(len(f), params.n).any(axis=1)
+    inv = params.inverse_constants()
+    words = _to_words(params, f)
+    reversed_g = _to_tensors(inv, _to_words(params, g)[:, ::-1])
+    ortho = np.ones(len(f), dtype=bool)
+    for i, j, t in itertools.product(range(inv.s), range(inv.l), range(inv.k)):
+        live = np.flatnonzero(ortho)
+        if not live.size:
+            break
+        shifted = _to_words(inv, _monomial_shift(reversed_g[live], inv, i, j, t))
+        ortho[live] = (words[live] * shifted).sum(axis=1) % p == 0
     return zero, ortho
 
 
@@ -308,32 +281,3 @@ def _monomial_shift(tensor: np.ndarray, params: RingParams, i: int, j: int, t: i
         sl[1 + axis] = slice(0, steps)
         out[tuple(sl)] = (out[tuple(sl)] * const) % p
     return out % p
-
-
-def shift_orbit_orthogonal(f: RingElement3D, g: RingElement3D) -> bool:
-    """True iff flatten(f) is orthogonal to the reversal of flatten(g) and to
-    all of its constacyclic shifts taken with the inverted constants."""
-    f._check(g)
-    p = f.params.field.p
-    a = f.flatten()
-    inv = f.params.inverse_constants()
-    b = unflatten(inv, g.star())
-    for i in range(inv.s):
-        for j in range(inv.l):
-            for t in range(inv.k):
-                shifted = b.monomial_times(i, j, t).flatten()
-                if int(a @ shifted) % p != 0:
-                    return False
-    return True
-
-
-def annihilator_orthogonality_equiv(f: RingElement3D, g: RingElement3D) -> tuple[bool, bool]:
-    """(product-is-zero, shift-orbit-orthogonal): the two flags agree.
-
-    The first flag tests f*g == 0 in the ring; the second tests the flattened
-    form of f against the reversed word of g and its full shift orbit under
-    the inverse constants.  Their equality is the bridge between the ring
-    annihilator and Euclidean duality.
-    """
-    f._check(g)
-    return ((f * g).is_zero(), shift_orbit_orthogonal(f, g))

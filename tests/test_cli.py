@@ -51,6 +51,21 @@ def test_factor_command(capsys):
     assert "1 + x" in out and "2 + x" in out and "4 + x" in out
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["factor", "--q", "5", "--s", "0", "--alpha", "1"], "exponent must be positive, got 0"),
+    (["factor", "--q", "5", "--s", "-3", "--alpha", "1"], "exponent must be positive, got -3"),
+    (["factor", "--q", "5", "--s", "3", "--alpha", "0"], "constant must be nonzero"),
+    (["idempotents", "--q", "5", "--k", "0", "--gamma", "1"], "block length must be positive, got 0"),
+    (["idempotents", "--q", "5", "--k", "5", "--gamma", "1"],
+     "z^5 - 1 has repeated roots over F_5 (characteristic divides 5)"),
+])
+def test_invalid_factor_and_idempotents_print_only_the_error(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_build_result_file(capsys, tmp_path):
     out_file = tmp_path / "result.json"
     code, _ = run(capsys, "build", "--spec", EXAMPLE1, "--out", str(out_file))

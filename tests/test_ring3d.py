@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ccode3d import ring3d
 from ccode3d.codes import binomial_divisors, cell_generators
 from ccode3d.gf import FieldMismatchError, FieldSpec
 from ccode3d.idempotents import build_constacyclic_idempotents
@@ -12,12 +13,10 @@ from ccode3d.poly import Poly
 from ccode3d.ring3d import (
     RingElement3D,
     RingParams,
-    annihilator_orthogonality_equiv,
     annihilator_orthogonality_flags,
     axis_table,
     kron_words,
     ring_products,
-    shift_orbit_orthogonal,
     shift_words,
     unflatten,
 )
@@ -26,18 +25,18 @@ F5 = FieldSpec(5)
 F7 = FieldSpec(7)
 
 
-def brute_mul_oracle(f: RingElement3D, g: RingElement3D) -> np.ndarray:
-    """Schoolbook product over all monomial pairs, wraps reduced one power at
-    a time with explicit constant factors; independent of the library path."""
-    pr = f.params
+def brute_mul_oracle(pr: RingParams, f, g) -> np.ndarray:
+    """Schoolbook product of two (s, l, k) tensors over all monomial pairs,
+    wraps reduced one power at a time with explicit constant factors;
+    independent of the library path."""
     p = pr.field.p
     out = np.zeros(pr.shape(), dtype=np.int64)
     for i1, j1, t1 in itertools.product(range(pr.s), range(pr.l), range(pr.k)):
-        a = int(f.coeffs[i1, j1, t1])
+        a = int(f[i1, j1, t1])
         if not a:
             continue
         for i2, j2, t2 in itertools.product(range(pr.s), range(pr.l), range(pr.k)):
-            b = int(g.coeffs[i2, j2, t2])
+            b = int(g[i2, j2, t2])
             if not b:
                 continue
             scale = a * b
@@ -47,6 +46,34 @@ def brute_mul_oracle(f: RingElement3D, g: RingElement3D) -> np.ndarray:
             # reduced per term, so n terms < p fit int64 at every p < 2^16
             out[(i1 + i2) % pr.s, (j1 + j2) % pr.l, (t1 + t2) % pr.k] += scale % p
     return out % p
+
+
+def monomial(pr: RingParams, i: int, j: int, t: int) -> np.ndarray:
+    """The tensor of x^i y^j z^t, each exponent reduced with its axis constant."""
+    out = np.zeros(pr.shape(), dtype=np.int64)
+    scale = pr.alpha ** (i // pr.s) * pr.beta ** (j // pr.l) * pr.gamma ** (t // pr.k)
+    out[i % pr.s, j % pr.l, t % pr.k] = scale % pr.field.p
+    return out
+
+
+def word(pr: RingParams, tensor) -> np.ndarray:
+    """The z-major word of a tensor: coefficient (i, j, t) at t*s*l + j*s + i."""
+    return np.asarray(tensor, dtype=np.int64).transpose(2, 1, 0).reshape(pr.n)
+
+
+def tensor(pr: RingParams, w) -> np.ndarray:
+    """The inverse of ``word``."""
+    return np.asarray(w, dtype=np.int64).reshape(pr.k, pr.l, pr.s).transpose(2, 1, 0)
+
+
+def orbit_dots(pr: RingParams, f, g) -> list[int]:
+    """The dot products of f's word with x^i y^j z^t * reverse(g) in the ring
+    with the inverse constants, for every monomial in (i, j, t) order; the
+    shifts are schoolbook products with monomial tensors."""
+    inv = pr.inverse_constants()
+    a, b = word(pr, f), tensor(inv, word(pr, g)[::-1])
+    return [int(a @ word(inv, brute_mul_oracle(inv, monomial(inv, i, j, t), b))) % pr.field.p
+            for i, j, t in itertools.product(range(pr.s), range(pr.l), range(pr.k))]
 
 
 @st.composite
@@ -82,9 +109,9 @@ def test_params_validation():
 
 def test_flatten_golden():
     pr = ring1()
-    one = RingElement3D.one(pr)
+    one = RingElement3D.from_tensor(pr, monomial(pr, 0, 0, 0))
     assert list(one.flatten()) == [1, 0, 0, 0, 0, 0, 0, 0]
-    m = RingElement3D.monomial(pr, 1, 1, 1)
+    m = RingElement3D.from_tensor(pr, monomial(pr, 1, 1, 1))
     assert list(m.flatten()).index(1) == 7
     # row polynomial (x-1)(-y+3)(-z+3) over F_5
     e = RingElement3D.from_axis_polys(pr, [-1, 1], [3, -1], [3, -1])
@@ -100,15 +127,16 @@ def test_unflatten_inverts_flatten(pe):
 def test_flatten_layout_positions():
     pr = RingParams(F5, 2, 3, 2, 1, 1, 1)
     for i, j, t in itertools.product(range(2), range(3), range(2)):
-        m = RingElement3D.monomial(pr, i, j, t)
+        m = RingElement3D.from_tensor(pr, monomial(pr, i, j, t))
         assert list(m.flatten()).index(1) == t * 6 + j * 2 + i
+        assert list(word(pr, m.coeffs)) == list(m.flatten())
 
 
 def test_mul_examples():
     pr = ring1()
-    x = RingElement3D.monomial(pr, 1, 0, 0)
+    x = RingElement3D.from_tensor(pr, monomial(pr, 1, 0, 0))
     assert x * x == RingElement3D.from_axis_polys(pr, [pr.alpha], [1], [1])
-    z = RingElement3D.monomial(pr, 0, 0, 1)
+    z = RingElement3D.from_tensor(pr, monomial(pr, 0, 0, 1))
     assert z * z == RingElement3D.from_axis_polys(pr, [1], [1], [pr.gamma])
     all_one = RingParams(F5, 2, 2, 2, 1, 1, 1)
     xy = RingElement3D.from_tensor(all_one, [[[0, 0], [1, 0]], [[1, 0], [0, 0]]])
@@ -125,13 +153,14 @@ def test_idempotent_orthogonality_lifts_to_ring():
     e0 = RingElement3D.from_axis_polys(pr, [1], [1], fam.members[0].coeffs)
     e1 = RingElement3D.from_axis_polys(pr, [1], [1], fam.members[1].coeffs)
     assert (e0 * e1).is_zero()
-    assert annihilator_orthogonality_equiv(e0, e1) == (True, True)
+    zero, ortho = annihilator_orthogonality_flags(pr, e0.coeffs[None], e1.coeffs[None])
+    assert zero.tolist() == ortho.tolist() == [True]
 
 
 @given(params_and_elements(count=2))
 def test_mul_matches_bruteforce_oracle(pe):
     pr, f, g = pe
-    assert np.array_equal((f * g).coeffs, brute_mul_oracle(f, g))
+    assert np.array_equal((f * g).coeffs, brute_mul_oracle(pr, f.coeffs, g.coeffs))
 
 
 @given(params_and_elements(count=5))
@@ -144,7 +173,7 @@ def test_ring_products_of_stacks_match_pairwise_oracle(pe):
     assert out.shape == (3, 2) + pr.shape()
     for u, f in enumerate(left):
         for v, g in enumerate(right):
-            assert np.array_equal(out[u, v], brute_mul_oracle(f, g))
+            assert np.array_equal(out[u, v], brute_mul_oracle(pr, f.coeffs, g.coeffs))
 
 
 # (p, s, l, k, alpha, beta, gamma): ladder shapes up to (12, 4, 3) with
@@ -168,11 +197,11 @@ def test_mul_matches_bruteforce_oracle_wide(p, s, l, k, alpha, beta, gamma):
     pr = RingParams(FieldSpec(p), s, l, k, alpha, beta, gamma)
     rng = np.random.default_rng(1000 * s + 100 * l + k)
     f, g = (RingElement3D.from_tensor(pr, rng.integers(0, p, pr.shape())) for _ in range(2))
-    assert np.array_equal((f * g).coeffs, brute_mul_oracle(f, g))
+    assert np.array_equal((f * g).coeffs, brute_mul_oracle(pr, f.coeffs, g.coeffs))
     # every coefficient p - 1: the largest residues the int64 stages meet
     full = RingElement3D.from_tensor(pr, np.full(pr.shape(), p - 1))
-    assert np.array_equal((full * full).coeffs, brute_mul_oracle(full, full))
-    assert np.array_equal((full * f).coeffs, brute_mul_oracle(full, f))
+    assert np.array_equal((full * full).coeffs, brute_mul_oracle(pr, full.coeffs, full.coeffs))
+    assert np.array_equal((full * f).coeffs, brute_mul_oracle(pr, full.coeffs, f.coeffs))
 
 
 @pytest.mark.parametrize("p,s,l,k,alpha,beta,gamma", WIDE_MUL_CASES)
@@ -185,9 +214,7 @@ def test_ring_products_pairwise_match_oracle(p, s, l, k, alpha, beta, gamma):
     out = ring_products(pr, f, g)
     assert out.shape == (4,) + pr.shape()
     for u in range(4):
-        expected = brute_mul_oracle(RingElement3D.from_tensor(pr, f[u]),
-                                    RingElement3D.from_tensor(pr, g[u]))
-        assert np.array_equal(out[u], expected)
+        assert np.array_equal(out[u], brute_mul_oracle(pr, f[u], g[u]))
     assert ring_products(pr, f[:0], g[:0]).shape == (0,) + pr.shape()
 
 
@@ -213,7 +240,7 @@ def test_mul_algebra_laws(pe):
     pr, f, g, h = pe
     assert f * g == g * f
     assert (f * g) * h == f * (g * h)
-    one = RingElement3D.one(pr)
+    one = RingElement3D.from_tensor(pr, monomial(pr, 0, 0, 0))
     assert one * f == f
 
 
@@ -221,7 +248,7 @@ def test_mul_algebra_laws(pe):
 def test_shift_is_multiplication_by_variable(pe):
     pr, e = pe
     for axis, (i, j, t) in zip("xyz", [(1, 0, 0), (0, 1, 0), (0, 0, 1)]):
-        assert e.shift(axis) == RingElement3D.monomial(pr, i, j, t) * e
+        assert e.shift(axis) == RingElement3D.from_tensor(pr, monomial(pr, i, j, t)) * e
 
 
 @given(params_and_elements(count=3))
@@ -253,34 +280,20 @@ def test_z_shift_rotates_blocks(pe):
     assert np.array_equal(e.shift("z").flatten(), rotated.reshape(-1))
 
 
-def test_star_examples():
-    pr = ring1()
-    assert list(RingElement3D.one(pr).star()) == [0] * 7 + [1]
-    line = RingParams(F5, 2, 1, 1, 1, 1, 1)
-    e = RingElement3D.from_tensor(line, [[[2]], [[3]]])
-    assert list(e.star()) == [3, 2]
-
-
-@given(params_and_elements())
-def test_star_is_an_involution(pe):
-    pr, e = pe
-    again = unflatten(pr, e.star()).star()
-    assert np.array_equal(again, e.flatten())
-
-
 def test_orthogonality_equiv_trivial_cases():
     pr = ring1()
-    z = RingElement3D.zero(pr)
-    f = RingElement3D.from_axis_polys(pr, [1, 2], [3, 1], [0, 1])
-    assert annihilator_orthogonality_equiv(f, z) == (True, True)
-    assert annihilator_orthogonality_equiv(z, f) == (True, True)
+    z = np.zeros(pr.shape(), dtype=np.int64)
+    f = RingElement3D.from_axis_polys(pr, [1, 2], [3, 1], [0, 1]).coeffs
+    zero, ortho = annihilator_orthogonality_flags(pr, np.stack([f, z]), np.stack([z, f]))
+    assert zero.tolist() == ortho.tolist() == [True, True]
 
 
 @given(params_and_elements(count=2))
 def test_product_zero_iff_shift_orbit_orthogonal(pe):
     pr, f, g = pe
-    zero_flag, ortho_flag = annihilator_orthogonality_equiv(f, g)
-    assert zero_flag == ortho_flag
+    zero, ortho = annihilator_orthogonality_flags(pr, f.coeffs[None], g.coeffs[None])
+    assert zero.tolist() == ortho.tolist()
+    assert ortho[0] == (not any(orbit_dots(pr, f.coeffs, g.coeffs)))
 
 
 # (q, s, l, k, alpha, beta, gamma): y and z split over F_q; unit and non-unit constants
@@ -304,28 +317,33 @@ def test_batched_bridge_flags_match_pairwise_oracle(q, s, l, k, alpha, beta, gam
     binom = Poly.binomial(field, s, pr.alpha)
     gens = cell_generators(pr, grid)
     comps = cell_generators(pr, [[binom // d for d in row] for row in grid])
-    # every generator annihilates every complement, so these pairs take the
-    # orbit test's True branch
+    # every generator annihilates every complement, so these pairs walk the whole orbit
     f, g = [gens, gens], [comps, comps[::-1]]
     randoms = np.array([[rng.randrange(q) for _ in range(pr.n)] for _ in range(16)])
-    f.append(np.stack([unflatten(pr, w).coeffs for w in randoms[:8]]))
-    g.append(np.stack([unflatten(pr, w).coeffs for w in randoms[8:]]))
-    # random pairs whose first orbit dot product is zero, so the orbit loop runs and fails
+    f.append(np.stack([tensor(pr, w) for w in randoms[:8]]))
+    g.append(np.stack([tensor(pr, w) for w in randoms[8:]]))
+    # random pairs whose first orbit dot product is zero, so the walk goes on and fails
     for fw, gw in zip(randoms[:8], randoms[8:]):
         fw[0] = 1
         gw[-1] = (gw[-1] - fw @ gw[::-1]) % q
         assert fw @ gw[::-1] % q == 0
-    f.append(np.stack([unflatten(pr, w).coeffs for w in randoms[:8]]))
-    g.append(np.stack([unflatten(pr, w).coeffs for w in randoms[8:]]))
+    f.append(np.stack([tensor(pr, w) for w in randoms[:8]]))
+    g.append(np.stack([tensor(pr, w) for w in randoms[8:]]))
+    # f = 3 is orthogonal to every shift of the reversed g = x^(s-2) y^(l-2) z^(k-2) but the last
+    last = monomial(pr, (s - 2) % s, (l - 2) % l, (k - 2) % k)
+    f.append(3 * monomial(pr, 0, 0, 0)[None])
+    g.append(last[None])
     f, g = np.concatenate(f), np.concatenate(g)
+    dots = [orbit_dots(pr, a, b) for a, b in zip(f, g)]
+    assert [u for u, d in enumerate(dots[-1]) if d] == [pr.n - 1]
 
     zero, ortho = annihilator_orthogonality_flags(pr, f, g)
-    expected = [annihilator_orthogonality_equiv(RingElement3D.from_tensor(pr, a),
-                                                RingElement3D.from_tensor(pr, b))
-                for a, b in zip(f, g)]
-    assert list(zip(zero.tolist(), ortho.tolist())) == expected
+    assert zero.tolist() == [not brute_mul_oracle(pr, a, b).any() for a, b in zip(f, g)]
+    assert ortho.tolist() == [not any(d) for d in dots]
     assert zero[:2 * k * l].all() and not zero[2 * k * l:].any()
     assert np.array_equal(zero, ortho)
+    zero, ortho = annihilator_orthogonality_flags(pr, f[:0], g[:0])
+    assert zero.shape == ortho.shape == (0,)
 
 
 def test_shift_orbit_side_does_not_use_the_product(monkeypatch):
@@ -333,21 +351,24 @@ def test_shift_orbit_side_does_not_use_the_product(monkeypatch):
     # fall back on the ring product it is checked against
     pr = ring1()
     fam = build_constacyclic_idempotents(F5, 2, pr.gamma)
-    e0, e1 = (RingElement3D.from_axis_polys(pr, [1, 2], [3, 1], m.coeffs) for m in fam.members)
-    pairs = [(e0, e1), (e0, e0)]
-    expected = [(f * g).is_zero() for f, g in pairs]
-    assert expected == [True, False]
+    e0, e1 = (RingElement3D.from_axis_polys(pr, [1, 2], [3, 1], m.coeffs).coeffs
+              for m in fam.members)
+    f, g = np.stack([e0, e0]), np.stack([e1, e0])
+    zero, ortho = annihilator_orthogonality_flags(pr, f, g)
+    assert zero.tolist() == ortho.tolist() == [True, False]
 
-    def refuse(self, other):
-        raise AssertionError("shift_orbit_orthogonal multiplied in the ring")
+    def vanishing(params, a, b):
+        return np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
 
-    monkeypatch.setattr(RingElement3D, "__mul__", refuse)
-    assert [shift_orbit_orthogonal(f, g) for f, g in pairs] == expected
+    monkeypatch.setattr(ring3d, "ring_products", vanishing)
+    zero, ortho = annihilator_orthogonality_flags(pr, f, g)
+    assert zero.tolist() == [True, True]   # the vanishing product is the one in use
+    assert ortho.tolist() == [True, False]
 
 
 def test_mismatched_params_rejected():
-    a = RingElement3D.one(ring1())
-    b = RingElement3D.one(RingParams(F5, 2, 2, 2, 1, 1, 1))
+    a = RingElement3D.from_tensor(ring1(), monomial(ring1(), 0, 0, 0))
+    b = RingElement3D.from_tensor(RingParams(F5, 2, 2, 2, 1, 1, 1), monomial(ring1(), 0, 0, 0))
     with pytest.raises(FieldMismatchError):
         a * b
 
@@ -361,7 +382,7 @@ def test_ideal_closure_in_all_three_layouts():
     pr = RingParams(F7, 2, 3, 2, 1, 2, 6)
     seed = RingElement3D.from_axis_polys(pr, [1, 1], [2, 0, 1], [3, 1])
     members = [
-        seed.monomial_times(i, j, t)
+        seed * RingElement3D.from_tensor(pr, monomial(pr, i, j, t))
         for i, j, t in itertools.product(range(pr.s), range(pr.l), range(pr.k))
     ]
     basis = np.vstack([m.flatten() for m in members])
