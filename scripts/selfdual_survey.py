@@ -8,6 +8,9 @@ is zero throughout the range.
 Part 2: for one small ring family, enumerate every divisor grid for every
 admissible +-1 sign choice and tabulate how many are self-dual, confirming
 the grid-based verdict against the direct matrix test.
+
+Exits 1 when part 1 finds a self-dual grid or part 2 counts any failure,
+0 otherwise.
 """
 
 import sys
@@ -34,10 +37,11 @@ def main():
     print("== full grid sweep, all +-1 signs, (q,s,l,k) = (5,2,2,2) ==")
     report = sign_grid_sweep_report(FieldSpec(5), 2, 2, 2)
     print(f"  specs: {report['specs']}  self-dual: {report['self_dual']}")
-    print(f"  verdict disagreements: {report['verdict_disagreements']}"
-          f"  orthogonality failures: {report['orthogonality_failures']}"
-          f"  kernel mismatches: {report['kernel_mismatches']}")
+    counters = ("rank_mismatches", "orthogonality_failures", "kernel_mismatches",
+                "verdict_disagreements")
+    print("  " + "  ".join(f"{key.replace('_', ' ')}: {report[key]}" for key in counters))
+    return 1 if total or any(report[key] for key in counters) else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import linalg
 from .codes import (
+    SPEC_LENGTH_LIMIT,
     SWEEP_SPEC_LIMIT,
     BuiltCode,
     CodeSpec,
@@ -41,8 +42,8 @@ from .codes import (
     self_dual_decide,
     sign_grid_sweep_report,
 )
-from .distance import min_distance
-from .gf import FieldSpec
+from .distance import DEFAULT_BUDGET, min_distance
+from .gf import FieldSpec, element_order
 from .idempotents import build_constacyclic_idempotents, build_full_idempotents, identity_report
 from .poly import Poly, factor_binomial, format_poly
 from .ring3d import RingParams, annihilator_orthogonality_flags, ring_products
@@ -186,6 +187,11 @@ def _print_family(fam, var: str):
 def cmd_idempotents(args) -> int:
     field = FieldSpec(args.q)
     gamma = field.canon(args.gamma)
+    # a family of m members has m coefficients each: refuse it before any is built
+    size = element_order(field, gamma) * args.k if args.full else args.k
+    if size > SPEC_LENGTH_LIMIT:
+        raise ValueError(f"idempotent family of {size} members is past the limit of "
+                         f"{SPEC_LENGTH_LIMIT}")
     _print_family(build_constacyclic_idempotents(field, args.k, gamma), "z")
     if args.full:
         _print_family(build_full_idempotents(field, args.k, gamma), "z")
@@ -430,7 +436,7 @@ def _parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--spec", required=True)
     p_dist.add_argument("--out")
     p_dist.add_argument("--max-weight", type=_count, default=None)
-    p_dist.add_argument("--budget", type=_count, default=10**8)
+    p_dist.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
     p_dist.add_argument("--jobs", type=int, default=1, help="ignored: the search is serial")
     p_dist.set_defaults(func=cmd_mindist)
 

@@ -15,8 +15,9 @@ For constants +-1 the dual lives in the same ring and is itself a divisor grid
 (``dual_spec``); self-duality is decided on the grid alone, as the grid being
 a fixed point of ``dual_spec``.  It also provides the exhaustive sweep
 machinery: ``sign_grid_sweep_report`` builds every spec of every +-1 sign ring
-and checks them SWEEP_CHUNK at a time, as zero-padded stacks through
-``linalg.rref_stack`` and ``linalg.null_space_stack``.
+and checks them SWEEP_CHUNK at a time, as zero-padded stacks whose ranks
+``linalg.rank_stack`` gives: H spans ker G exactly when G*H^T = 0 and
+rank H = n - rank G, the dual's dimension.
 """
 
 from __future__ import annotations
@@ -486,19 +487,19 @@ def cyclic_yz_selfdual_scan(field: FieldSpec, s_max: int, l_max: int, k_max: int
 def sign_grid_sweep_report(field: FieldSpec, s: int, l: int, k: int) -> dict:
     """Exhaustive per-grid sweep over all admissible +-1 sign choices.
 
-    For every spec: checks the dimension formula against n minus the rows of
-    the kernel of G, dual orthogonality, row-space equality of the dual matrix
-    with that kernel, and agreement of the grid-based self-dual verdict with
-    the direct matrix test.  Returns aggregate counts.
+    For every spec: checks the dimension formula against rank G, dual
+    orthogonality, that the dual matrix spans the kernel of G, and agreement
+    of the grid-based self-dual verdict with the direct matrix test.  Returns
+    aggregate counts.
 
     Every spec is validated and built, and its verdict decided, one at a
     time; the matrix checks run on each ring's specs SWEEP_CHUNK at a time,
-    as zero-padded (B, n, n) stacks of G and H: one rref_stack of G gives
-    rank G and the padded kernel (null_space_stack), whose nonzero rows are
-    the n - rank G kernel vectors; G*H^T and G*G^T are one batched product
-    each; and H spans the kernel iff the padded reduced forms of H and of the
-    kernel stack are equal, since zero rows change no reduced form.  A sweep
-    of more than SWEEP_SPEC_LIMIT specs is refused before any is made.
+    as zero-padded (B, n, n) stacks of G and H: one rank_stack each gives
+    rank G and rank H, since zero rows change no rank; G*H^T and G*G^T are
+    one batched product each; and H spans ker G iff G*H^T = 0 and
+    rank H = n - rank G, since a subspace of ker G of the kernel's dimension
+    is all of it.  A sweep of more than SWEEP_SPEC_LIMIT specs is refused
+    before any is made.
     """
     p = field.p
     rings = admissible_sign_rings(field, s, l, k)
@@ -537,14 +538,13 @@ def _sweep_chunk(report: dict, ring: RingParams, specs: list[CodeSpec]):
         h[b, :dual.generator_matrix.shape[0]] = dual.generator_matrix
         dims[b] = code.dimension
         verdicts[b] = self_dual_decide(spec)[0]
-    kernel = linalg.null_space_stack(g, p)
-    kernel_rows = kernel.any(axis=2).sum(axis=1)
-    g_t = g.transpose(0, 2, 1)
-    direct = ~(g @ g_t % p).any(axis=(1, 2)) & (2 * dims == n)
-    same_span = (linalg.rref_stack(h, p)[0] == linalg.rref_stack(kernel, p)[0]).all(axis=(1, 2))
+    rank_g = linalg.rank_stack(g, p)
+    rank_h = linalg.rank_stack(h, p)
+    direct = ~(g @ g.transpose(0, 2, 1) % p).any(axis=(1, 2)) & (2 * dims == n)
+    not_orthogonal = (g @ h.transpose(0, 2, 1) % p).any(axis=(1, 2))
     report["specs"] += len(specs)
     report["self_dual"] += int(verdicts.sum())
-    report["rank_mismatches"] += int((kernel_rows != n - dims).sum())
-    report["orthogonality_failures"] += int((g @ h.transpose(0, 2, 1) % p).any(axis=(1, 2)).sum())
-    report["kernel_mismatches"] += int((~same_span).sum())
+    report["rank_mismatches"] += int((rank_g != dims).sum())
+    report["orthogonality_failures"] += int(not_orthogonal.sum())
+    report["kernel_mismatches"] += int((not_orthogonal | (rank_h != n - rank_g)).sum())
     report["verdict_disagreements"] += int((verdicts != direct).sum())

@@ -1,12 +1,11 @@
 """Exact linear algebra over F_p on integer numpy arrays.
 
 Matrices are 2-D int64 arrays of canonical residues; every function takes the
-prime modulus explicitly and never mutates its inputs.  ``rref_stack`` and
-``null_space_stack`` take a 3-D stack (B, rows, cols) and run one column loop
-for all B matrices: zero rows do not change a reduced form, so matrices of
-different heights are zero-padded into one stack, and the padded kernel keeps
-a zero row at every pivot column.  A caller holding one matrix uses ``rref``,
-whose loop is cheaper than a stack of one.
+prime modulus explicitly and never mutates its inputs.  ``rank_stack`` takes
+a 3-D stack (B, rows, cols) and runs one column loop for all B matrices: zero
+rows do not change a rank, so matrices of different heights are zero-padded
+into one stack.  A caller holding one matrix uses ``rref``, whose loop is
+cheaper than a stack of one.
 """
 
 from __future__ import annotations
@@ -63,20 +62,19 @@ def _inverses(p: int) -> np.ndarray:
     return np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
 
 
-def rref_stack(m, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """rref of every matrix of a (B, rows, cols) stack: the reduced forms
-    (B, rows, cols), the ranks (B,) and the pivot columns as a (B, cols) mask.
+def rank_stack(m, p: int) -> np.ndarray:
+    """The rank of every matrix of a (B, rows, cols) stack, as (B,).
 
-    One column loop serves the stack.  Each matrix keeps its own next pivot
-    row; at column c the matrices with a nonzero entry below it take the
-    first such row as pivot, scaled by the inverse table, and the others
-    subtract a zero pivot row.  Entries are reduced lazily, as in rref.
+    One column loop serves the stack, eliminating as rref does.  Each matrix
+    keeps its own next pivot row; at column c the matrices with a nonzero
+    entry below it take the first such row as pivot, scaled by the inverse
+    table, and the others subtract a zero pivot row.  Entries are reduced
+    lazily, as in rref.
     """
     a = np.asarray(m, dtype=np.int64) % p
     count, rows, cols = a.shape
     inverse = _inverses(p)
     r = np.zeros(count, dtype=np.intp)              # next pivot row of each matrix
-    pivot_mask = np.zeros((count, cols), dtype=bool)
     for c in range(cols):
         col = a[:, :, c] % p
         candidates = (col != 0) & (np.arange(rows) >= r[:, None])
@@ -84,7 +82,7 @@ def rref_stack(m, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if not has.any():
             continue
         which = np.flatnonzero(has)
-        pr = candidates[which].argmax(axis=1)       # any nonzero pivot row: the form is unique
+        pr = candidates[which].argmax(axis=1)       # any nonzero pivot row: the rank is the same
         rw = r[which]
         pivot = np.zeros((count, cols - c), dtype=np.int64)
         pivot[which] = a[which, pr, c:] * inverse[col[which, pr]][:, None] % p
@@ -92,9 +90,8 @@ def rref_stack(m, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rest = a[:, :, c:]
         rest -= rest[:, :, :1] % p * pivot[:, None, :]
         a[which, rw, c:] = pivot[which]
-        pivot_mask[which, c] = True
         r[which] += 1
-    return a % p, r, pivot_mask
+    return r
 
 
 def rank(m, p: int) -> int:
@@ -129,23 +126,6 @@ def null_space(m, p: int) -> np.ndarray:
     basis[:, free] = np.eye(len(free), dtype=np.int64)
     basis[:, list(pivots)] = (-reduced[:rk][:, free].T) % p
     return basis
-
-
-def null_space_stack(m, p: int) -> np.ndarray:
-    """Padded right-kernel bases of a (B, rows, cols) stack, as (B, cols, cols).
-
-    Row f of matrix b is e_f - reduced[:, f] placed on the pivot columns: the
-    kernel vector of free column f, as in null_space, and zero when f is a
-    pivot column (the reduced rows are the identity there).  So the nonzero
-    rows are the cols - rank basis vectors, and the stack is (I - E^T) mod p,
-    where E puts each reduced row at its pivot column.
-    """
-    reduced, _, pivot_mask = rref_stack(m, p)
-    _, rows, cols = reduced.shape
-    row_of = np.cumsum(pivot_mask, axis=1) - 1      # the reduced row of each pivot column
-    place = pivot_mask[:, :, None] & (row_of[:, :, None] == np.arange(rows))
-    e = place.astype(np.int64) @ reduced            # (B, cols, cols)
-    return (np.eye(cols, dtype=np.int64) - e.transpose(0, 2, 1)) % p
 
 
 def row_space_equal(a, b, p: int) -> bool:

@@ -58,8 +58,19 @@ def test_factor_command(capsys):
     (["idempotents", "--q", "5", "--k", "0", "--gamma", "1"], "block length must be positive, got 0"),
     (["idempotents", "--q", "5", "--k", "5", "--gamma", "1"],
      "z^5 - 1 has repeated roots over F_5 (characteristic divides 5)"),
+    (["idempotents", "--q", "65521", "--k", "65520", "--gamma", "1"],
+     "idempotent family of 65520 members is past the limit of 4096"),
+    # k is within the limit, but gamma has order 3: the full family has 3k members
+    (["idempotents", "--q", "12289", "--k", "4096", "--gamma", "6048", "--full"],
+     "idempotent family of 12288 members is past the limit of 4096"),
 ])
-def test_invalid_factor_and_idempotents_print_only_the_error(capsys, argv, message):
+def test_invalid_factor_and_idempotents_print_only_the_error(capsys, monkeypatch, argv, message):
+    from ccode3d import idempotents
+
+    def no_family(*args):
+        raise AssertionError("an idempotent family was built")
+
+    monkeypatch.setattr(idempotents, "_geometric_members", no_family)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -366,18 +377,18 @@ def test_eliminations_per_command(capsys, monkeypatch):
     from ccode3d.gf import FieldSpec
 
     calls, stack_calls = [], []
-    rref, rref_stack = linalg.rref, linalg.rref_stack
+    rref, rank_stack = linalg.rref, linalg.rank_stack
 
     def counting_rref(m, p):
         calls.append(p)
         return rref(m, p)
 
-    def counting_rref_stack(m, p):
+    def counting_rank_stack(m, p):
         stack_calls.append(p)
-        return rref_stack(m, p)
+        return rank_stack(m, p)
 
     monkeypatch.setattr(linalg, "rref", counting_rref)
-    monkeypatch.setattr(linalg, "rref_stack", counting_rref_stack)
+    monkeypatch.setattr(linalg, "rank_stack", counting_rank_stack)
     for argv, expected in (
         (["build", "--spec", EXAMPLE1], 0),
         (["dual", "--spec", EXAMPLE1], 0),
@@ -395,14 +406,14 @@ def test_eliminations_per_command(capsys, monkeypatch):
         assert not stack_calls, argv
     capsys.readouterr()
     calls.clear()
-    # the sweep eliminates stacks only: G (for its kernel), H and the kernel,
-    # once per chunk of each sign ring; 100 splits each ring's 256 specs
+    # the sweep eliminates stacks only, for the ranks of G and of H, once per
+    # chunk of each sign ring; 100 splits each ring's 256 specs
     monkeypatch.setattr(codes, "SWEEP_CHUNK", 100)
     code, out = run(capsys, "sweep", "grid", "--q", "5", "--s", "2", "--l", "2", "--k", "2")
     assert code == 0
     chunks = sum(-(-codes.count_divisor_grids(ring) // codes.SWEEP_CHUNK)
                  for ring in codes.admissible_sign_rings(FieldSpec(5), 2, 2, 2))
-    assert len(stack_calls) == 3 * chunks
+    assert len(stack_calls) == 2 * chunks
     assert not calls
 
 
@@ -460,6 +471,16 @@ def test_rank_oracles_stay_live(capsys, monkeypatch, tmp_path):
     assert "FAIL generator_rank_equals_dimension" in out
     assert "FAIL dual_rank_complement" in out
     assert codes.sign_grid_sweep_report(FieldSpec(5), 2, 2, 2)["rank_mismatches"] > 0
+
+
+def test_idempotents_length_limit_is_inclusive(capsys, monkeypatch):
+    # over F_17, gamma = -1 has order 2: the k = 4 family has 4 members, the full one 8
+    monkeypatch.setattr(cli, "SPEC_LENGTH_LIMIT", 4)
+    code, out = run(capsys, "idempotents", "--q", "17", "--k", "4", "--gamma", "-1")
+    assert code == 0 and out.count("e_") == 4
+    assert main(["idempotents", "--q", "17", "--k", "4", "--gamma", "-1", "--full"]) == 2
+    assert main(["idempotents", "--q", "17", "--k", "8", "--gamma", "1"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_console_entry_point():

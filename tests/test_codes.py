@@ -721,6 +721,17 @@ def _corrupt_first_dual_row(build):
     return corrupted
 
 
+def _repeat_first_dual_row(build):
+    # H stays orthogonal to G but loses rank, so it spans less than ker G
+    def repeated(spec):
+        dual = build(spec)
+        h = dual.generator_matrix.copy()
+        if h.shape[0] >= 2:
+            h[1] = h[0]
+        return BuiltCode(dual.ring, h, dual.dimension)
+    return repeated
+
+
 def _flip_verdict(decide):
     def flipped(spec, code=None):
         verdict, certificate = decide(spec, code)
@@ -731,10 +742,11 @@ def _flip_verdict(decide):
 @pytest.mark.parametrize("fault, counters", [
     ((codes, "build_dual", _corrupt_first_dual_row), ("orthogonality_failures", "kernel_mismatches")),
     ((codes, "self_dual_decide", _flip_verdict), ("verdict_disagreements",)),
+    ((codes, "build_dual", _repeat_first_dual_row), ("kernel_mismatches",)),
 ])
 def test_stacked_sweep_counters_stay_live(fault, counters, monkeypatch):
-    # a corrupted H row and a flipped grid verdict each show in the stacked
-    # counters, exactly as in the per-spec reference
+    # a corrupted H row, a repeated H row and a flipped grid verdict each
+    # show in the stacked counters, exactly as in the per-spec reference
     module, name, make = fault
     monkeypatch.setattr(module, name, make(getattr(module, name)))
     monkeypatch.setattr(codes, "SWEEP_CHUNK", 7)

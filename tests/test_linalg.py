@@ -160,33 +160,18 @@ def stacks(draw):
     return m, p
 
 
-def assert_stack_matches_rref(m, p):
-    reduced, ranks, pivot_mask = linalg.rref_stack(m, p)
-    assert reduced.shape == m.shape and ranks.shape == pivot_mask.shape[:1] == m.shape[:1]
+def assert_stack_ranks_match_rank(m, p):
+    ranks = linalg.rank_stack(m, p)
+    assert ranks.shape == m.shape[:1]
     for b in range(m.shape[0]):
-        red, rk, pivots = linalg.rref(m[b], p)
-        assert np.array_equal(reduced[b], red)
-        assert ranks[b] == rk
-        assert tuple(np.flatnonzero(pivot_mask[b])) == pivots
-
-
-def assert_kernel_stack_matches_null_space(m, p):
-    kernel = linalg.null_space_stack(m, p)
-    assert kernel.shape == (m.shape[0], m.shape[2], m.shape[2])
-    for b in range(m.shape[0]):
-        basis = kernel[b][kernel[b].any(axis=1)]
-        assert basis.shape[0] == m.shape[2] - linalg.rank(m[b], p)
-        assert linalg.row_space_equal(basis, linalg.null_space(m[b], p), p)
+        assert ranks[b] == linalg.rank(m[b], p)
+        # rank-nullity, which the sweep's kernel check rests on
+        assert m.shape[2] - ranks[b] == linalg.null_space(m[b], p).shape[0]
 
 
 @given(stacks())
-def test_rref_stack_matches_rref(mp):
-    assert_stack_matches_rref(*mp)
-
-
-@given(stacks())
-def test_null_space_stack_spans_each_kernel(mp):
-    assert_kernel_stack_matches_null_space(*mp)
+def test_rank_stack_matches_rank(mp):
+    assert_stack_ranks_match_rank(*mp)
 
 
 @pytest.mark.parametrize("shape", [(1, 2, 5), (1, 5, 2), (3, 6, 3), (2, 3, 6), (2, 0, 4), (4, 4, 4)])
@@ -196,10 +181,7 @@ def test_stack_kernels_on_fixed_shapes(shape, p):
     if shape[1] > 1:
         m[0, -1] = 2 * m[0, 0]   # a dependent row
     m[-1, :1] = 0                # a zero row (the whole matrix for a stack of one row)
-    assert_stack_matches_rref(m, p)
-    assert_kernel_stack_matches_null_space(m, p)
+    assert_stack_ranks_match_rank(m, p)
     zero = np.zeros(shape, dtype=np.int64)
-    assert_stack_matches_rref(zero, p)
-    assert not linalg.rref_stack(zero, p)[1].any()
-    assert np.array_equal(linalg.null_space_stack(zero, p),
-                          np.broadcast_to(np.eye(shape[2], dtype=np.int64), (shape[0],) + shape[2:] * 2))
+    assert_stack_ranks_match_rank(zero, p)
+    assert not linalg.rank_stack(zero, p).any()
