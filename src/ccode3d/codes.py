@@ -10,14 +10,17 @@ matrix H, an (alpha^-1, beta^-1, gamma^-1)-constacyclic code: both are
 Kronecker blocks, built with no elimination, and H, spanning ker G, is the
 parity check of the closure test.  Every cell is an x-polynomial times the
 fixed tensor e_j(y)*e_t(z); G, H (reversing both axes) and the generators
-(``cell_generators``) read one cached stack of them per ring (``_cell_tensors``).
+(``cell_generators``) read one cached stack of them per ring (``_cell_tensors``),
+and every block of G and H comes from one stacked ``ring3d.kron_words`` call.
 For constants +-1 the dual lives in the same ring and is itself a divisor grid
 (``dual_spec``); self-duality is decided on the grid alone, as the grid being
 a fixed point of ``dual_spec``.  It also provides the exhaustive sweep
-machinery: ``sign_grid_sweep_report`` builds every spec of every +-1 sign ring
-and checks them SWEEP_CHUNK at a time, as zero-padded stacks whose ranks
-``linalg.rank_stack`` gives: H spans ker G exactly when G*H^T = 0 and
-rank H = n - rank G, the dual's dimension.
+machinery: ``sign_grid_sweep_report`` makes no spec.  A grid of a +-1 sign
+ring is a row of indices into the ring's divisor table, and SWEEP_CHUNK
+grids at a time are gathered into zero-padded stacks of G and H by that same
+kron_words call, with the verdict a fixed-point test on the indices; the
+ranks come from ``linalg.rank_stack``, and H spans ker G exactly when
+G*H^T = 0 and rank H = n - rank G, the dual's dimension.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ class SweepTooLargeError(ValueError):
     """A sweep would enumerate more than SWEEP_SPEC_LIMIT specs."""
 
 
-SWEEP_CHUNK = 512            # specs per stacked check in sign_grid_sweep_report
-SWEEP_SPEC_LIMIT = 10**6     # the most specs sign_grid_sweep_report enumerates
+SWEEP_CHUNK = 512            # grids per stacked check in sign_grid_sweep_report
+SWEEP_SPEC_LIMIT = 10**6     # the most grids sign_grid_sweep_report enumerates
 SPEC_LENGTH_LIMIT = 4096     # the longest code a CodeSpec admits: G and H take <= 128 MiB each
 
 
@@ -116,9 +119,7 @@ def validate_spec(spec: CodeSpec) -> CodeSpec:
     """
     ring = spec.ring
     field = ring.field
-    if ring.n > SPEC_LENGTH_LIMIT:
-        raise SpecValidationError(
-            f"code length n = s*l*k = {ring.n} is past the limit of {SPEC_LENGTH_LIMIT}")
+    _check_length(ring.n)
     if len(spec.divisor_grid) != ring.k or any(len(row) != ring.l for row in spec.divisor_grid):
         raise SpecValidationError(
             f"divisor grid must be {ring.k} rows of {ring.l} entries, got "
@@ -137,6 +138,13 @@ def validate_spec(spec: CodeSpec) -> CodeSpec:
                     f"over F_{field.p}: {p!r}"
                 )
     return spec
+
+
+def _check_length(n: int):
+    """Refuse a code length past SPEC_LENGTH_LIMIT (SpecValidationError)."""
+    if n > SPEC_LENGTH_LIMIT:
+        raise SpecValidationError(
+            f"code length n = s*l*k = {n} is past the limit of {SPEC_LENGTH_LIMIT}")
 
 
 @lru_cache(maxsize=None)
@@ -169,19 +177,31 @@ def cell_generators(ring: RingParams, x_grid) -> np.ndarray:
     return x[:, :ring.s, None, None] * _cell_tensors(ring)[:, None] % ring.field.p
 
 
+def _bands(x_blocks, s: int) -> np.ndarray:
+    """The (C, s, s) stack of the rows x^i * f(x), i < count, of every
+    x-block (f, count), each zero-padded to s rows."""
+    bands = np.zeros((len(x_blocks), s, s), dtype=np.int64)
+    for c, (f, count) in enumerate(x_blocks):
+        bands[c, :count] = _shift_rows(f, count, s)
+    return bands
+
+
 def _assemble(ring: RingParams, x_blocks, cells: np.ndarray, dimension: int) -> BuiltCode:
     """The construction path of the code and its dual: x-block c = (f, count)
-    and the (l, k) tensor cells[c] give the kron_words block of the rows
-    x^i * f(x) * cells[c], i < count; no row wraps, so the blocks do not
-    depend on the ring's constants.  No elimination runs, since the rows are
-    independent by construction: the cell tensors (_cell_tensors) and their
-    reversals are independent, X_p is banded and in echelon form, as p is
-    monic, and X_q* is banded with leading coefficient q(0) != 0; so the
-    Kronecker blocks form a direct sum.  verify and the tests keep the rank
-    as an oracle."""
-    blocks = [kron_words(ring, _shift_rows(f, count, ring.s), cells[c])
-              for c, (f, count) in enumerate(x_blocks)]
-    return BuiltCode(ring, np.vstack(blocks), dimension)
+    and the (l, k) tensor cells[c] give the block of the rows
+    x^i * f(x) * cells[c], i < count.  All k*l blocks come from one
+    kron_words call, as the stack of the band rows, padding dropped, each
+    with its own cell (the sweep keeps the padding, _sweep_stacks); no row
+    wraps, so the blocks do not depend on the ring's constants.  No
+    elimination runs, since the rows are independent by construction: the
+    cell tensors (_cell_tensors) and their reversals are independent, X_p is
+    banded and in echelon form, as p is monic, and X_q* is banded with
+    leading coefficient q(0) != 0; so the Kronecker blocks form a direct
+    sum.  verify and the tests keep the rank as an oracle."""
+    counts = np.array([count for _, count in x_blocks])
+    rows = _bands(x_blocks, ring.s)[np.arange(ring.s) < counts[:, None]]
+    words = kron_words(ring, rows[:, None], cells[np.repeat(np.arange(len(counts)), counts)])
+    return BuiltCode(ring, words.reshape(len(rows), ring.n), dimension)
 
 
 def build_code(spec: CodeSpec) -> BuiltCode:
@@ -401,13 +421,20 @@ def count_divisor_grids(ring: RingParams) -> int:
     return len(binomial_divisors(ring.field, ring.s, ring.alpha)) ** (ring.k * ring.l)
 
 
-def enumerate_divisor_grids(ring: RingParams):
-    """Every divisor-grid spec over the ring, in lexicographic grid order."""
-    divisors = binomial_divisors(ring.field, ring.s, ring.alpha)
-    cells = ring.k * ring.l
-    for combo in itertools.product(divisors, repeat=cells):
-        grid = tuple(tuple(combo[t * ring.l + j] for j in range(ring.l)) for t in range(ring.k))
-        yield CodeSpec(ring, grid)
+def _monic_indices(divisors: tuple[Poly, ...], polys) -> np.ndarray:
+    """The index in divisors of monic(f) for every f of polys, or -1 where
+    monic(f) is not one of them."""
+    index = {d: i for i, d in enumerate(divisors)}
+    return np.array([index.get(f.monic(), -1) for f in polys], dtype=np.intp)
+
+
+@lru_cache(maxsize=None)
+def _self_reciprocal_count(field: FieldSpec, s: int, alpha: int) -> int:
+    """The number of monic divisors d of x^s - alpha with monic(q*) = d;
+    cached, as the no-selfdual scan asks once per record."""
+    divisors = binomial_divisors(field, s, alpha)
+    q_stars = [_reversed_complement(field, s, alpha, d) for d in divisors]
+    return int((_monic_indices(divisors, q_stars) == np.arange(len(divisors))).sum())
 
 
 def admissible_sign_rings(field: FieldSpec, s: int, l: int, k: int) -> list[RingParams]:
@@ -441,8 +468,7 @@ def self_dual_grid_count(ring: RingParams) -> int:
     """
     _require_unit_constants(ring, "self-dual grid count")
     divisors = binomial_divisors(ring.field, ring.s, ring.alpha)
-    [q_stars] = _reversed_complements(ring, [divisors])
-    fixed = sum(1 for d, q_star in zip(divisors, q_stars) if q_star.monic() == d)
+    fixed = _self_reciprocal_count(ring.field, ring.s, ring.alpha)
     self_paired = sum(1 for t in range(ring.k) for j in range(ring.l)
                       if partner_cell(ring, t, j) == (t, j))
     paired_orbits = (ring.k * ring.l - self_paired) // 2
@@ -487,20 +513,22 @@ def cyclic_yz_selfdual_scan(field: FieldSpec, s_max: int, l_max: int, k_max: int
 def sign_grid_sweep_report(field: FieldSpec, s: int, l: int, k: int) -> dict:
     """Exhaustive per-grid sweep over all admissible +-1 sign choices.
 
-    For every spec: checks the dimension formula against rank G, dual
+    For every divisor grid: checks the dimension formula against rank G, dual
     orthogonality, that the dual matrix spans the kernel of G, and agreement
     of the grid-based self-dual verdict with the direct matrix test.  Returns
     aggregate counts.
 
-    Every spec is validated and built, and its verdict decided, one at a
-    time; the matrix checks run on each ring's specs SWEEP_CHUNK at a time,
-    as zero-padded (B, n, n) stacks of G and H: one rank_stack each gives
-    rank G and rank H, since zero rows change no rank; G*H^T and G*G^T are
-    one batched product each; and H spans ker G iff G*H^T = 0 and
-    rank H = n - rank G, since a subspace of ker G of the kernel's dimension
-    is all of it.  A sweep of more than SWEEP_SPEC_LIMIT specs is refused
-    before any is made.
+    No spec is made: each ring's grids are index rows into its divisor
+    table, SWEEP_CHUNK at a time (_sweep_stacks), whose G and H are
+    zero-padded (B, n, n) stacks and whose verdict is the fixed-point test
+    on the indices.  One rank_stack each gives rank G and rank H, since zero
+    rows change no rank; G*H^T and G*G^T are one batched product each; and
+    H spans ker G iff G*H^T = 0 and rank H = n - rank G, since a subspace of
+    ker G of the kernel's dimension is all of it.  A length past
+    SPEC_LENGTH_LIMIT is refused before any factoring, and a sweep of more
+    than SWEEP_SPEC_LIMIT grids before any is built.
     """
+    _check_length(s * l * k)
     p = field.p
     rings = admissible_sign_rings(field, s, l, k)
     total = sum(count_divisor_grids(ring) for ring in rings)
@@ -518,33 +546,48 @@ def sign_grid_sweep_report(field: FieldSpec, s: int, l: int, k: int) -> dict:
     }
     for ring in rings:
         report["rings"].append({"alpha": ring.alpha, "beta": ring.beta, "gamma": ring.gamma})
-        specs = enumerate_divisor_grids(ring)
-        while chunk := list(itertools.islice(specs, SWEEP_CHUNK)):
-            _sweep_chunk(report, ring, chunk)
+        for _, g, h, dims, verdicts in _sweep_stacks(ring):
+            rank_g = linalg.rank_stack(g, p)
+            rank_h = linalg.rank_stack(h, p)
+            direct = ~(g @ g.transpose(0, 2, 1) % p).any(axis=(1, 2)) & (2 * dims == ring.n)
+            not_orthogonal = (g @ h.transpose(0, 2, 1) % p).any(axis=(1, 2))
+            report["specs"] += len(g)
+            report["self_dual"] += int(verdicts.sum())
+            report["rank_mismatches"] += int((rank_g != dims).sum())
+            report["orthogonality_failures"] += int(not_orthogonal.sum())
+            report["kernel_mismatches"] += int((not_orthogonal | (rank_h != ring.n - rank_g)).sum())
+            report["verdict_disagreements"] += int((verdicts != direct).sum())
     return report
 
 
-def _sweep_chunk(report: dict, ring: RingParams, specs: list[CodeSpec]):
-    """Add one chunk of a ring's specs to the sweep report (sign_grid_sweep_report)."""
-    p, n = ring.field.p, ring.n
-    g = np.zeros((len(specs), n, n), dtype=np.int64)
-    h = np.zeros_like(g)
-    dims = np.zeros(len(specs), dtype=np.int64)
-    verdicts = np.zeros(len(specs), dtype=bool)
-    for b, spec in enumerate(specs):
-        code = build_code(spec)
-        dual = build_dual(spec)
-        g[b, :code.generator_matrix.shape[0]] = code.generator_matrix
-        h[b, :dual.generator_matrix.shape[0]] = dual.generator_matrix
-        dims[b] = code.dimension
-        verdicts[b] = self_dual_decide(spec)[0]
-    rank_g = linalg.rank_stack(g, p)
-    rank_h = linalg.rank_stack(h, p)
-    direct = ~(g @ g.transpose(0, 2, 1) % p).any(axis=(1, 2)) & (2 * dims == n)
-    not_orthogonal = (g @ h.transpose(0, 2, 1) % p).any(axis=(1, 2))
-    report["specs"] += len(specs)
-    report["self_dual"] += int(verdicts.sum())
-    report["rank_mismatches"] += int((rank_g != dims).sum())
-    report["orthogonality_failures"] += int(not_orthogonal.sum())
-    report["kernel_mismatches"] += int((not_orthogonal | (rank_h != n - rank_g)).sum())
-    report["verdict_disagreements"] += int((verdicts != direct).sum())
+def _sweep_stacks(ring: RingParams):
+    """Every divisor grid of a +-1 sign ring, SWEEP_CHUNK at a time, in the
+    order of itertools.product over binomial_divisors (the first cell most
+    significant): for each chunk of B grids yields (grids, G, H, dims,
+    verdicts).  grids is the (B, k*l) array of divisor indices in (t, j)
+    order.  G and H are (B, n, n) stacks from one kron_words call each on
+    the ring's x-bands (x^i * p for i < s - deg p, x^i * q* for i < deg p,
+    zero-padded to s rows) gathered by index, against the cell stack and its
+    double reversal: cell c's rows sit at c*s.., and the padding rows are
+    zero, so they change no rank and no product.  dims is n minus the
+    degree sum, and the verdict is the grid being a fixed point of the dual
+    map: 2*dim = n and every partner cell holds monic(q*) of its cell."""
+    field, s, n = ring.field, ring.s, ring.n
+    divisors = binomial_divisors(field, s, ring.alpha)
+    [q_stars] = _reversed_complements(ring, [divisors])
+    code_bands = _bands([(d, s - d.degree) for d in divisors], s)
+    dual_bands = _bands([(q, d.degree) for d, q in zip(divisors, q_stars)], s)
+    degrees = np.array([d.degree for d in divisors])
+    q_monic = _monic_indices(divisors, q_stars)
+    partner = np.array([t2 * ring.l + j2 for t2, j2 in
+                        (partner_cell(ring, t, j) for t in range(ring.k) for j in range(ring.l))])
+    cells = _cell_tensors(ring)
+    radix = len(divisors) ** np.arange(len(partner) - 1, -1, -1)
+    total = len(divisors) ** len(partner)
+    for start in range(0, total, SWEEP_CHUNK):
+        grids = np.arange(start, min(start + SWEEP_CHUNK, total))[:, None] // radix % len(divisors)
+        g = kron_words(ring, code_bands[grids], cells).reshape(len(grids), n, n)
+        h = kron_words(ring, dual_bands[grids], cells[:, ::-1, ::-1]).reshape(len(grids), n, n)
+        dims = n - degrees[grids].sum(axis=1)
+        verdicts = (2 * dims == n) & (grids[:, partner] == q_monic[grids]).all(axis=1)
+        yield grids, g, h, dims, verdicts

@@ -8,9 +8,10 @@ x^i y^j z^t.  The canonical codeword layout concatenates the z-slices:
 so a flattened word reads (z^0 block | z^1 block | ... | z^(k-1) block), each
 block listing the y^j runs of x-coefficients, low powers first.  This module
 is the only place that knows the layout.  Two batched operations act on whole
-stacks of flattened words: ``kron_words`` lays a stack of x-rows f_i against
-one fixed (l, k) tensor w, such as e_j(y)*e_t(z), as kron(w^T, X), reducing
-nothing, and ``shift_words`` applies one axis shift to every word at once.
+stacks of flattened words: ``kron_words`` lays a stack of x-rows against a
+stack of (l, k) tensors w_c, such as the cells e_j(y)*e_t(z), as the blocks
+kron(w_c^T, X_c), reducing nothing, and ``shift_words`` applies one axis
+shift to every word at once.
 
 R is the tensor product of the three univariate rings F_q[u]/(u^m - c), so
 the ring product factors axis by axis: ``ring_products`` contracts two
@@ -148,13 +149,17 @@ def unflatten(params: RingParams, vec) -> RingElement3D:
     return RingElement3D.from_tensor(params, _to_tensors(params, arr))
 
 
-def kron_words(params: RingParams, x_rows: np.ndarray, yz: np.ndarray) -> np.ndarray:
-    """Flattened words f_i(x)*w(y, z) for the rows f_i of an (r, s) array of
-    x-residues and one (l, k) tensor w of residues: in the z-major layout the
-    rows of kron(w^T, x_rows), formed by broadcasting because np.kron is
-    several times slower on small blocks.  Only the products are reduced."""
-    zy = yz.T.reshape(1, -1, 1)
-    return (zy * x_rows[:, None, :]).reshape(len(x_rows), params.n) % params.field.p
+def kron_words(params: RingParams, x_rows: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Flattened words f(x)*w_c(y, z) for a stack of x-rows laid against a
+    stack of (l, k) residue tensors w_c: x_rows is (..., C, r, s), cells is
+    (C, l, k), and row i of cell c in the (..., C, r, n) result is, in the
+    z-major layout, row i of kron(w_c^T, X_c).  Formed by one broadcast,
+    since np.kron is several times slower on small blocks; the leading axes
+    batch, so one call builds every block of a code, or of a stack of codes.
+    Only the products are reduced."""
+    zy = np.swapaxes(cells, -1, -2).reshape(len(cells), 1, params.k * params.l, 1)
+    words = zy * x_rows[..., None, :]                               # (..., C, r, k*l, s)
+    return words.reshape(*x_rows.shape[:-1], params.n) % params.field.p
 
 
 def shift_words(params: RingParams, words, axis: str) -> np.ndarray:

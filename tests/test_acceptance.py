@@ -23,7 +23,6 @@ from ccode3d.codes import (
     count_divisor_grids,
     cyclic_yz_selfdual_scan,
     direct_self_dual_check,
-    enumerate_divisor_grids,
     self_dual_decide,
     self_dual_feasible,
     self_dual_grid_count,
@@ -38,7 +37,7 @@ from ccode3d.idempotents import (
 from ccode3d.poly import Poly
 from ccode3d.ring3d import RingParams, annihilator_orthogonality_flags
 
-from conftest import SEED
+from conftest import SEED, enumerate_divisor_grids
 
 F5 = FieldSpec(5)
 F7 = FieldSpec(7)

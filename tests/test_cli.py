@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 from ccode3d import cli, ring3d
 from ccode3d.cli import canonical_json, load_spec, main, spec_from_dict, spec_to_dict
 
+from conftest import per_spec_sweep_report
+
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
 EXAMPLE1 = str(SPECS / "example1.json")
@@ -325,6 +327,20 @@ def test_sweep_grid_refuses_past_the_spec_limit(capsys, tmp_path):
     assert "has 1125899973951488 specs over 8 sign rings" in err and f"limit of {SWEEP_SPEC_LIMIT}" in err
 
 
+def test_sweep_grid_refuses_an_oversized_ring(capsys, tmp_path):
+    # n = 4099 is refused before x^4099 - 1 is factored
+    from ccode3d.codes import SPEC_LENGTH_LIMIT
+
+    out_file = tmp_path / "report.json"
+    start = time.perf_counter()
+    code = main(["sweep", "grid", "--q", "13", "--s", "4099", "--l", "1", "--k", "1",
+                 "--out", str(out_file)])
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and not out_file.exists()
+    assert f"n = s*l*k = 4099 is past the limit of {SPEC_LENGTH_LIMIT}" in err
+
+
 def test_build_refuses_an_oversized_spec(capsys, tmp_path):
     # n = 10^6 is refused before x^s - 1 is divided or any matrix allocated
     from ccode3d.codes import SPEC_LENGTH_LIMIT
@@ -365,9 +381,10 @@ def test_each_spec_validated_once(capsys, monkeypatch):
     monkeypatch.setattr(codes, "validate_spec", counting_validate)
     assert main(["selfdual", "--spec", EXAMPLE1]) == 0
     assert len(calls) == 1
-    calls.clear()
-    report = codes.sign_grid_sweep_report(FieldSpec(5), 2, 2, 2)
-    assert report["specs"] > 0 and len(calls) == report["specs"]
+    # the sweep makes no spec: its grids are indices into each ring's divisors
+    reference = per_spec_sweep_report(FieldSpec(5), 2, 2, 2)
+    monkeypatch.setattr(codes, "CodeSpec", None)
+    assert codes.sign_grid_sweep_report(FieldSpec(5), 2, 2, 2) == reference
 
 
 def test_eliminations_per_command(capsys, monkeypatch):

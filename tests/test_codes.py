@@ -24,7 +24,6 @@ from ccode3d.codes import (
     cyclic_yz_selfdual_scan,
     direct_self_dual_check,
     dual_spec,
-    enumerate_divisor_grids,
     partner_cell,
     quasi_twisted_closure,
     self_dual_decide,
@@ -36,6 +35,8 @@ from ccode3d.codes import (
 from ccode3d.cli import load_spec
 from ccode3d.poly import Poly
 from ccode3d.ring3d import RingElement3D, RingParams, unflatten
+
+from conftest import enumerate_divisor_grids, per_spec_sweep_report
 
 F5 = FieldSpec(5)
 F7 = FieldSpec(7)
@@ -640,8 +641,9 @@ def test_selfdual_scan_factors_each_binomial_once(monkeypatch):
     monkeypatch.setattr(codes, "factor_binomial", counting_factor)
     with monkeypatch.context() as m:
         m.setattr(codes, "binomial_divisors", binomial_divisors.__wrapped__)
+        m.setattr(codes, "_self_reciprocal_count", codes._self_reciprocal_count.__wrapped__)
         uncached = cyclic_yz_selfdual_scan(F7, 5, 3, 3)
-    assert len(calls) == 2 * len(uncached)   # grid count and self-dual count
+    assert len(calls) == 3 * len(uncached)   # grid count, self-dual count, self-reciprocal count
     calls.clear()
     binomial_divisors.cache_clear()
     try:
@@ -666,41 +668,6 @@ def test_binomial_divisors_count():
 SWEEP_TUPLES = [(F5, 2, 2, 2), (F7, 2, 2, 2)]
 
 
-def per_spec_sweep_report(field, s, l, k) -> dict:
-    """The sweep report spec by spec, each check on one matrix: the oracle
-    of the stacked checks.  It calls build_code, build_dual and
-    self_dual_decide through the codes module, so a fault installed there
-    reaches both."""
-    p = field.p
-    report = {
-        "q": p, "s": s, "l": l, "k": k,
-        "specs": 0, "self_dual": 0,
-        "rank_mismatches": 0, "orthogonality_failures": 0,
-        "kernel_mismatches": 0, "verdict_disagreements": 0,
-        "rings": [],
-    }
-    for ring in admissible_sign_rings(field, s, l, k):
-        report["rings"].append({"alpha": ring.alpha, "beta": ring.beta, "gamma": ring.gamma})
-        for spec in enumerate_divisor_grids(ring):
-            report["specs"] += 1
-            code = codes.build_code(spec)
-            dual = codes.build_dual(spec)
-            kernel = linalg.null_space(code.generator_matrix, p)
-            if kernel.shape[0] != ring.n - code.dimension:
-                report["rank_mismatches"] += 1
-            if linalg.matmul(code.generator_matrix, dual.generator_matrix.T, p).any():
-                report["orthogonality_failures"] += 1
-            if not linalg.row_space_equal(dual.generator_matrix, kernel, p):
-                report["kernel_mismatches"] += 1
-            verdict, _ = codes.self_dual_decide(spec)
-            gg = linalg.matmul(code.generator_matrix, code.generator_matrix.T, p)
-            if verdict != (not gg.any() and 2 * code.dimension == ring.n):
-                report["verdict_disagreements"] += 1
-            if verdict:
-                report["self_dual"] += 1
-    return report
-
-
 @pytest.mark.parametrize("tup", SWEEP_TUPLES)
 def test_stacked_sweep_report_equals_per_spec_reference(tup, monkeypatch):
     # a chunk of 7 puts chunk boundaries inside every ring
@@ -711,44 +678,72 @@ def test_stacked_sweep_report_equals_per_spec_reference(tup, monkeypatch):
                                 "kernel_mismatches", "verdict_disagreements"))
 
 
-def _corrupt_first_dual_row(build):
-    def corrupted(spec):
-        dual = build(spec)
-        h = dual.generator_matrix.copy()
-        if h.shape[0]:
-            h[0, 0] = (h[0, 0] + 1) % spec.ring.field.p
-        return BuiltCode(dual.ring, h, dual.dimension)
-    return corrupted
+@pytest.mark.parametrize("tup", SWEEP_TUPLES)
+def test_sweep_stacks_equal_one_spec_builds(tup, monkeypatch):
+    # grid by grid, in enumeration order across chunk boundaries: the
+    # stacked G and H with their padding rows dropped are build_code's and
+    # build_dual's matrices exactly, the padding rows are zero, and the
+    # dimension and the verdict are the one-spec ones
+    monkeypatch.setattr(codes, "SWEEP_CHUNK", 7)
+    for ring in admissible_sign_rings(*tup):
+        s, n, cells = ring.s, ring.n, ring.k * ring.l
+        divisors = binomial_divisors(ring.field, s, ring.alpha)
+        specs = enumerate_divisor_grids(ring)
+        for grids, g, h, dims, verdicts in codes._sweep_stacks(ring):
+            assert 0 < len(grids) <= 7 and g.shape == h.shape == (len(grids), n, n)
+            for b, spec in zip(range(len(grids)), specs):
+                grid = [p for row in spec.divisor_grid for p in row]
+                assert [divisors[i] for i in grids[b]] == grid
+                degrees = np.array([p.degree for p in grid])
+                for stack, built, count in ((g, build_code(spec), s - degrees),
+                                            (h, build_dual(spec), degrees)):
+                    words = stack[b].reshape(cells, s, n)
+                    band = np.arange(s) < count[:, None]
+                    assert words[band].dtype == built.generator_matrix.dtype
+                    assert np.array_equal(words[band], built.generator_matrix)
+                    assert not words[~band].any()
+                assert dims[b] == build_code(spec).dimension
+                assert verdicts[b] == self_dual_decide(spec)[0]
+        assert next(specs, None) is None
 
 
-def _repeat_first_dual_row(build):
-    # H stays orthogonal to G but loses rank, so it spans less than ker G
-    def repeated(spec):
-        dual = build(spec)
-        h = dual.generator_matrix.copy()
-        if h.shape[0] >= 2:
-            h[1] = h[0]
-        return BuiltCode(dual.ring, h, dual.dimension)
+def _raise_constant_term(reversed_complement):
+    # q* + 1 (q*(0) = 1, so the degree stays): H leaves ker G, and the grid
+    # test looks for a divisor that is no longer monic(q*)
+    def raised(field, s, alpha, p):
+        q_star = reversed_complement(field, s, alpha, p)
+        return None if q_star is None else q_star + Poly.one(field)
+    return raised
+
+
+def _pair_each_cell_with_itself(partner_cell):
+    def itself(ring, t, j):
+        partner_cell(ring, t, j)   # keeps the constants check
+        return t, j
+    return itself
+
+
+def _repeat_first_band_row(shift_rows):
+    # G and H stay orthogonal but lose rank, so H spans less than ker G
+    def repeated(f, count, s):
+        rows = shift_rows(f, count, s)
+        if count >= 2:
+            rows[1] = rows[0]
+        return rows
     return repeated
 
 
-def _flip_verdict(decide):
-    def flipped(spec, code=None):
-        verdict, certificate = decide(spec, code)
-        return not verdict, certificate
-    return flipped
-
-
 @pytest.mark.parametrize("fault, counters", [
-    ((codes, "build_dual", _corrupt_first_dual_row), ("orthogonality_failures", "kernel_mismatches")),
-    ((codes, "self_dual_decide", _flip_verdict), ("verdict_disagreements",)),
-    ((codes, "build_dual", _repeat_first_dual_row), ("kernel_mismatches",)),
+    (("_reversed_complement", _raise_constant_term), ("orthogonality_failures", "kernel_mismatches")),
+    (("partner_cell", _pair_each_cell_with_itself), ("verdict_disagreements",)),
+    (("_shift_rows", _repeat_first_band_row), ("rank_mismatches", "kernel_mismatches")),
 ])
 def test_stacked_sweep_counters_stay_live(fault, counters, monkeypatch):
-    # a corrupted H row, a repeated H row and a flipped grid verdict each
-    # show in the stacked counters, exactly as in the per-spec reference
-    module, name, make = fault
-    monkeypatch.setattr(module, name, make(getattr(module, name)))
+    # a wrong q*, a wrong cell pairing and a repeated band row, each in a
+    # function that the sweep and the per-spec reference both call, show in
+    # the stacked counters exactly as in the reference
+    name, make = fault
+    monkeypatch.setattr(codes, name, make(getattr(codes, name)))
     monkeypatch.setattr(codes, "SWEEP_CHUNK", 7)
     report = sign_grid_sweep_report(F5, 2, 2, 1)
     assert report == per_spec_sweep_report(F5, 2, 2, 1)

@@ -263,12 +263,18 @@ def test_shift_words_matches_element_shift(pe):
 
 @given(params_and_elements(count=3))
 def test_kron_words_matches_axis_products(pe):
+    # a (2, 2, k, s) stack of x-rows against two cells g_c(y)*h_c(z)
     pr, a, b, c = pe
-    x_rows = a.coeffs[:, 0, :].T          # k rows of s x-coefficients
-    gy, hz = b.coeffs[0, :, 0], c.coeffs[0, 0, :]
-    expected = np.vstack([RingElement3D.from_axis_polys(pr, row, gy, hz).flatten()
-                          for row in x_rows])
-    assert np.array_equal(kron_words(pr, x_rows, np.outer(gy, hz) % pr.field.p), expected)
+    p = pr.field.p
+    axis_polys = [(b.coeffs[0, :, 0], c.coeffs[0, 0, :]), (c.coeffs[-1, :, 0], b.coeffs[0, -1, :])]
+    cells = np.stack([np.outer(gy, hz) % p for gy, hz in axis_polys])
+    x_rows = np.stack([np.stack([a.coeffs[:, (u + v) % pr.l, :].T for v in range(2)])
+                       for u in range(2)])          # k rows of s x-coefficients per cell
+    expected = np.array([[[RingElement3D.from_axis_polys(pr, row, gy, hz).flatten()
+                           for row in x_rows[u, v]]
+                          for v, (gy, hz) in enumerate(axis_polys)] for u in range(2)])
+    assert np.array_equal(kron_words(pr, x_rows, cells), expected.reshape(2, 2, pr.k, pr.n))
+    assert np.array_equal(kron_words(pr, x_rows[0, :1], cells[:1]), expected[0, :1])
 
 
 @given(params_and_elements())
