@@ -3,7 +3,9 @@
 Reads a JSON spec file describing a code (field, block lengths, constants,
 divisor grid), runs constructions and verifications, and writes a JSON result
 file.  Exit codes: 0 success / verdict true, 1 verdict false or failed
-verification, 2 invalid spec or usage, 3 search budget exhausted.
+verification, 2 invalid spec or usage, 3 search budget exhausted.  A
+result's matrices (G, H and the cell generators) stay numpy arrays until
+canonical_json writes them, by shape, as the stdlib's indented JSON would.
 
 Spec file schema (all residues canonical, coefficient arrays ascending):
 
@@ -19,7 +21,6 @@ import functools
 import json
 import os
 import random
-import re
 import sys
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from .codes import (
     build_code,
     build_dual,
     cell_generators,
+    check_scan_length,
     code_idempotents,
     cyclic_yz_selfdual_scan,
     direct_self_dual_check,
@@ -56,63 +58,34 @@ EXIT_BUDGET = 3
 SEED_ENV = "CCODE_SEED"
 PAIR_CHUNK = 16   # random pairs per batched product in verify
 
-_COMPACT = json.JSONEncoder(separators=(", ", ": "))   # the C encoder; indent would disable it
 _INDENTED = json.JSONEncoder(indent=2, sort_keys=True)
-_INT_LIST_CHARS = re.compile(r"[\[\]0-9, -]*")
 
 
-def _indented_int_lists(value, level: int) -> str | None:
-    """json.dumps(value, indent=2) as nested at indent level `level`, when
-    value is a list whose leaves are all ints at one depth and which holds
-    no empty list; None otherwise.
-
-    The C encoder writes the compact text, which is then re-indented with
-    str.replace at each boundary "]"*r + ", " + "["*r, deepest first.  The
-    text holds only brackets, digits, "-", "," and " " iff every leaf is an
-    int; the leaves are all at the depth of the leading "[" run iff every
-    separator closes as many lists as it opens, which the three counts per r
-    check: a separator with a closes and b opens is counted by the first
-    for r <= a, the third for r <= b, the second for r <= min(a, b).
-    """
-    leaf = value
-    while isinstance(leaf, (list, tuple)) and leaf:
-        leaf = leaf[0]
-    if leaf is value or type(leaf) is not int:   # not a list, an empty list, or a non-int leaf
-        return None
-    text = _COMPACT.encode(value)
-    if "[]" in text or not _INT_LIST_CHARS.fullmatch(text):
-        return None
-    depth = len(text) - len(text.lstrip("["))
-    for r in range(1, depth + 1):
-        closes, opens = "]" * r + ", ", ", " + "[" * r
-        if not text.count(closes) == text.count(closes + "[" * r) == text.count(opens):
-            return None
-    pad = ["\n" + "  " * (level + d) for d in range(depth + 1)]
-    text = text[depth:-depth]
-    for r in range(depth - 1, -1, -1):
-        text = text.replace("]" * r + ", " + "[" * r,
-                            "".join(pad[depth - i] + "]" for i in range(1, r + 1)) + ","
-                            + "".join(pad[depth - i] + "[" for i in range(r, 0, -1)) + pad[depth])
-    return ("[" + "".join(pad[d] + "[" for d in range(1, depth)) + pad[depth] + text
-            + "".join(pad[d - 1] + "]" for d in range(depth, 0, -1)))
+def _indented_ints(rows: list, depth: int, level: int) -> str:
+    """json.dumps(rows, indent=2) as nested at indent level `level`, for the
+    tolist() of an int array with `depth` axes."""
+    if not rows:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    items = map(str, rows) if depth == 1 else (_indented_ints(row, depth - 1, level + 1) for row in rows)
+    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
 
 
 def canonical_json(obj) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True) + "\n", byte for byte.
+    """json.dumps(obj, indent=2, sort_keys=True) + "\n", byte for byte, with
+    each numpy int array written as its tolist().
 
-    A top-level dict with str keys that holds int matrices (G, H,
-    generators) is written value by value, so that the matrices take the C
-    encoder through _indented_int_lists; every other value, and every other
-    object, takes the stdlib's indenting encoder in one call.
+    A top-level dict that holds arrays (G, H, generators) is written key by
+    key: each array by _indented_ints, from its rows; every other value, and
+    every other object, takes the stdlib's indenting encoder.
     """
-    if isinstance(obj, dict) and all(type(key) is str for key in obj):
-        fast = {key: _indented_int_lists(value, 1) for key, value in obj.items()}
-        if any(fast.values()):
-            items = (f"  {json.dumps(key)}: "
-                     + (fast[key] or _INDENTED.encode(value).replace("\n", "\n  "))
-                     for key, value in sorted(obj.items()))
-            return "{\n" + ",\n".join(items) + "\n}\n"
-    return (_indented_int_lists(obj, 0) or _INDENTED.encode(obj)) + "\n"
+    if isinstance(obj, dict) and any(isinstance(value, np.ndarray) for value in obj.values()):
+        items = (f"  {json.dumps(key)}: "
+                 + (_indented_ints(value.tolist(), value.ndim, 1) if isinstance(value, np.ndarray)
+                    else _INDENTED.encode(value).replace("\n", "\n  "))
+                 for key, value in sorted(obj.items()))
+        return "{\n" + ",\n".join(items) + "\n}\n"
+    return _INDENTED.encode(obj) + "\n"
 
 
 def spec_to_dict(spec: CodeSpec) -> dict:
@@ -167,8 +140,8 @@ def _base_result(spec: CodeSpec, code: BuiltCode) -> dict:
         "spec": spec_to_dict(spec),
         "n": code.n,
         "dimension": code.dimension,
-        "generators": cell_generators(spec.ring, spec.divisor_grid).tolist(),
-        "G": code.generator_matrix.tolist(),
+        "generators": cell_generators(spec.ring, spec.divisor_grid),
+        "G": code.generator_matrix,
     }
 
 
@@ -210,21 +183,14 @@ def cmd_factor(args) -> int:
 
 
 def cmd_build(args) -> int:
+    """build, and dual, which adds the dual's H and dimension."""
     spec = load_spec(args.spec)
     code, dual = build_code(spec), build_dual(spec)
     result = _base_result(spec, code)
     result["verdicts"] = {"quasi_twisted": quasi_twisted_closure(code, dual.generator_matrix)}
-    _emit(result, args.out)
-    return EXIT_OK
-
-
-def cmd_dual(args) -> int:
-    spec = load_spec(args.spec)
-    code, dual = build_code(spec), build_dual(spec)
-    result = _base_result(spec, code)
-    result["verdicts"] = {"quasi_twisted": quasi_twisted_closure(code, dual.generator_matrix)}
-    result["H"] = dual.generator_matrix.tolist()
-    result["dual_dimension"] = dual.dimension
+    if args.command == "dual":
+        result["H"] = dual.generator_matrix
+        result["dual_dimension"] = dual.dimension
     _emit(result, args.out)
     return EXIT_OK
 
@@ -326,7 +292,7 @@ def cmd_verify(args) -> int:
 def _cas_script(spec: CodeSpec, code: BuiltCode, dual: BuiltCode) -> str:
     ring = spec.ring
     rows, cols = code.generator_matrix.shape
-    flat = ", ".join(str(int(v)) for v in code.generator_matrix.reshape(-1))
+    flat = ", ".join(map(str, code.generator_matrix.reshape(-1).tolist()))
     lines = [
         "// generator matrix and standard queries; Magma-compatible syntax",
         f"K := GF({ring.field.p});",
@@ -337,7 +303,7 @@ def _cas_script(spec: CodeSpec, code: BuiltCode, dual: BuiltCode) -> str:
     ]
     if dual.generator_matrix.shape[0] > 0:
         hrows = dual.generator_matrix.shape[0]
-        hflat = ", ".join(str(int(v)) for v in dual.generator_matrix.reshape(-1))
+        hflat = ", ".join(map(str, dual.generator_matrix.reshape(-1).tolist()))
         lines += [
             f"H := Matrix(K, {hrows}, {cols}, [{hflat}]);",
             "D := LinearCode(H);",
@@ -348,9 +314,9 @@ def _cas_script(spec: CodeSpec, code: BuiltCode, dual: BuiltCode) -> str:
 
 def _csv_grids(code: BuiltCode, dual: BuiltCode) -> str:
     lines = ["# G"]
-    lines += [",".join(str(int(v)) for v in row) for row in code.generator_matrix]
+    lines += [",".join(map(str, row)) for row in code.generator_matrix.tolist()]
     lines.append("# H")
-    lines += [",".join(str(int(v)) for v in row) for row in dual.generator_matrix]
+    lines += [",".join(map(str, row)) for row in dual.generator_matrix.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -378,9 +344,11 @@ def cmd_sweep_grid(args) -> int:
 
 
 def cmd_sweep_no_selfdual(args) -> int:
-    records = []
-    for q in args.q:
-        records.extend(cyclic_yz_selfdual_scan(FieldSpec(q), args.s, args.l, args.k))
+    fields = [FieldSpec(q) for q in args.q]
+    for field in fields:   # every q is checked before any is factored
+        check_scan_length(field, args.s, args.l, args.k)
+    records = [record for field in fields
+               for record in cyclic_yz_selfdual_scan(field, args.s, args.l, args.k)]
     found = sum(r["selfdual_grid_count"] for r in records)
     _emit({"records": records, "tuples": len(records), "selfdual_grids_found": found}, args.out)
     return EXIT_OK if found == 0 else EXIT_FALSE
@@ -420,7 +388,7 @@ def _parser() -> argparse.ArgumentParser:
 
     for name, func, extra in (
         ("build", cmd_build, "build the code and emit its generator matrix"),
-        ("dual", cmd_dual, "also build the dual code matrix H (any constants)"),
+        ("dual", cmd_build, "also build the dual code matrix H (any constants)"),
         ("selfdual", cmd_selfdual, "decide self-duality; exit 0 = yes, 1 = no"),
         ("verify", cmd_verify, "run the invariant suite; exit 0 iff all pass"),
     ):

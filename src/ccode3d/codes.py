@@ -475,28 +475,43 @@ def self_dual_grid_count(ring: RingParams) -> int:
     return fixed ** self_paired * len(divisors) ** paired_orbits
 
 
+def _scan_lengths(field: FieldSpec, m_max: int) -> list[int]:
+    """The y- or z-block lengths m <= m_max that the root hypothesis admits
+    over beta = gamma = 1: the divisors of q - 1."""
+    return [m for m in range(1, min(m_max, field.p - 1) + 1) if (field.p - 1) % m == 0]
+
+
+def check_scan_length(field: FieldSpec, s_max: int, l_max: int, k_max: int):
+    """Refuse a cyclic_yz_selfdual_scan whose longest record, the largest
+    s <= s_max prime to q times the largest admissible l and k, has
+    n = s*l*k past SPEC_LENGTH_LIMIT (SpecValidationError), before any
+    factoring."""
+    s = s_max if s_max % field.p else s_max - 1
+    ls, ks = _scan_lengths(field, l_max), _scan_lengths(field, k_max)
+    if s > 0 and ls and ks:
+        _check_length(s * ls[-1] * ks[-1])
+
+
 def cyclic_yz_selfdual_scan(field: FieldSpec, s_max: int, l_max: int, k_max: int) -> list[dict]:
     """Exact self-duality existence scan over beta = gamma = 1 rings.
 
     Covers alpha in {1, -1}, s <= s_max with gcd(s, q) = 1 (s odd when
     alpha = -1), and all l, k admitted by the root hypothesis (divisors of
     q - 1).  Each record carries the exact count of self-dual grids and the
-    feasibility screen's verdict.
+    feasibility screen's verdict.  A record past SPEC_LENGTH_LIMIT is
+    refused before any is made (check_scan_length).
     """
+    check_scan_length(field, s_max, l_max, k_max)
+    ls, ks = _scan_lengths(field, l_max), _scan_lengths(field, k_max)
     records = []
-    admissible_lengths = [m for m in range(1, max(l_max, k_max) + 1) if (field.p - 1) % m == 0]
     for alpha in (1, field.p - 1):
         for s in range(1, s_max + 1):
             if math.gcd(s, field.p) != 1:
                 continue
             if alpha == field.p - 1 and s % 2 == 0:
                 continue
-            for l in admissible_lengths:
-                if l > l_max:
-                    continue
-                for k in admissible_lengths:
-                    if k > k_max:
-                        continue
+            for l in ls:
+                for k in ks:
                     ring = RingParams(field, s, l, k, alpha, 1, 1)
                     feasible, reason = self_dual_feasible(field, s, l, k, alpha)
                     records.append({

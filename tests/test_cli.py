@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ccode3d import cli, ring3d
 from ccode3d.cli import canonical_json, load_spec, main, spec_from_dict, spec_to_dict
@@ -273,6 +274,35 @@ def test_canonical_json_int_matrices():
         assert canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+_INT_ARRAYS = hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=4),
+                        elements=st.integers(-10**6, 10**9))
+
+
+@settings(max_examples=200)
+@given(st.dictionaries(st.text(max_size=5), st.one_of(_INT_ARRAYS, _JSON_VALUES), max_size=6))
+def test_canonical_json_writes_arrays_as_their_lists(obj):
+    # int arrays of 1-4 axes, zero-length axes and negative entries included,
+    # beside other values: the bytes of the stdlib encoding of their tolist()
+    lists = {key: value.tolist() if isinstance(value, np.ndarray) else value
+             for key, value in obj.items()}
+    assert canonical_json(obj) == json.dumps(lists, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("command, cell, empty", [
+    ("dual", [1], "H"),            # the whole space: H has no rows
+    ("build", [4, 0, 1], "G"),     # x^2 - 1 in every cell: the zero code
+])
+def test_empty_matrices_match_stdlib_json(capsys, tmp_path, command, cell, empty):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"q": 5, "s": 2, "l": 2, "k": 2, "alpha": 1, "beta": 4, "gamma": 4,
+                                "p": [[cell, cell], [cell, cell]]}))
+    code, out = run(capsys, command, "--spec", str(spec))
+    assert code == 0
+    result = json.loads(out)
+    assert result[empty] == []
+    assert out == json.dumps(result, indent=2, sort_keys=True) + "\n"
+
+
 def test_export_cas_script(capsys):
     code, out = run(capsys, "export", "--spec", EXAMPLE1, "--format", "cas-script")
     assert code == 0
@@ -339,6 +369,28 @@ def test_sweep_grid_refuses_an_oversized_ring(capsys, tmp_path):
     out, err = capsys.readouterr()
     assert code == 2 and out == "" and not out_file.exists()
     assert f"n = s*l*k = 4099 is past the limit of {SPEC_LENGTH_LIMIT}" in err
+
+
+@pytest.mark.parametrize("qs, s, lk, n", [
+    (["13"], "4099", "1", 4099),          # x^4099 - 1 is not factored
+    (["5", "13"], "40", "12", 5760),      # nor is any binomial over F_5 before F_13 is checked
+])
+def test_sweep_no_selfdual_refuses_an_oversized_ring(capsys, monkeypatch, tmp_path, qs, s, lk, n):
+    from ccode3d import codes
+    from ccode3d.codes import SPEC_LENGTH_LIMIT
+
+    def no_factoring(*args):
+        raise AssertionError("a binomial was factored before every q was checked")
+
+    monkeypatch.setattr(codes, "binomial_divisors", no_factoring)
+    out_file = tmp_path / "report.json"
+    start = time.perf_counter()
+    code = main(["sweep", "no-selfdual", "--q", *qs, "--s", s, "--l", lk, "--k", lk,
+                 "--out", str(out_file)])
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and not out_file.exists()
+    assert f"n = s*l*k = {n} is past the limit of {SPEC_LENGTH_LIMIT}" in err
 
 
 def test_build_refuses_an_oversized_spec(capsys, tmp_path):
