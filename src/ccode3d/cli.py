@@ -240,19 +240,20 @@ def _verify_checks(spec: CodeSpec, pairs: int, seed: int):
 
     code = build_code(spec)
     dual = build_dual(spec)
-    kernel = linalg.null_space(code.generator_matrix, p)   # the one elimination of G
-    yield "generator_rank_equals_dimension", (
-        code.generator_matrix.shape[0] == code.dimension == ring.n - kernel.shape[0])
+    g, h = code.generator_matrix, dual.generator_matrix
+    rank_g, rank_h = linalg.rank(g, p), linalg.rank(h, p)   # the only eliminations
+    yield "generator_rank_equals_dimension", g.shape[0] == code.dimension == rank_g
     # tested against H, which dual_equals_kernel below ties to the kernel
-    closure = quasi_twisted_closure(code, dual.generator_matrix)
+    closure = quasi_twisted_closure(code, h)
     for axis in ("x", "y", "z"):
         yield f"quasi_twisted_closure_{axis}", closure[axis]
 
-    gh = linalg.matmul(code.generator_matrix, dual.generator_matrix.T, p)
-    yield "dual_orthogonality", not gh.any()
-    yield "dual_rank_complement", (kernel.shape[0] == dual.generator_matrix.shape[0]
+    orthogonal = not linalg.matmul(g, h.T, p).any()
+    yield "dual_orthogonality", orthogonal
+    yield "dual_rank_complement", (ring.n - rank_g == h.shape[0]
                                    == dual.dimension == ring.n - code.dimension)
-    yield "dual_equals_kernel", linalg.row_space_equal(dual.generator_matrix, kernel, p)
+    # a subspace of ker G with the kernel's dimension is all of it
+    yield "dual_equals_kernel", orthogonal and rank_h == ring.n - rank_g
     if dual.ring == ring:   # self-duality needs alpha = alpha^-1, beta = beta^-1, gamma = gamma^-1
         verdict, _ = self_dual_decide(spec)
         yield "self_dual_criteria_agree", verdict == direct_self_dual_check(code)

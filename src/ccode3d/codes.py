@@ -18,9 +18,9 @@ a fixed point of ``dual_spec``.  It also provides the exhaustive sweep
 machinery: ``sign_grid_sweep_report`` makes no spec.  A grid of a +-1 sign
 ring is a row of indices into the ring's divisor table, and SWEEP_CHUNK
 grids at a time are gathered into zero-padded stacks of G and H by that same
-kron_words call, with the verdict a fixed-point test on the indices; the
-ranks come from ``linalg.rank_stack``, and H spans ker G exactly when
-G*H^T = 0 and rank H = n - rank G, the dual's dimension.
+kron_words call, with the verdict a fixed-point test on the indices; one
+``linalg.rank_stack`` call ranks G and H, and H spans ker G exactly when
+G*H^T = 0 and rank H = n - rank G, the dual's dimension (as in ``verify``).
 """
 
 from __future__ import annotations
@@ -392,12 +392,18 @@ def self_dual_feasible(field: FieldSpec, s: int, l: int, k: int,
 # --- divisor lattice and exhaustive sweeps -------------------------------
 
 @lru_cache(maxsize=None)
+def _binomial_factors(field: FieldSpec, s: int, alpha: int) -> tuple[tuple[Poly, int], ...]:
+    """factor_binomial, cached: the divisor count and the divisors share one factoring."""
+    return tuple(factor_binomial(field, s, alpha))
+
+
+@lru_cache(maxsize=None)
 def binomial_divisors(field: FieldSpec, s: int, alpha: int) -> tuple[Poly, ...]:
     """All monic divisors of x^s - alpha, sorted by (degree, coefficients).
 
     Cached: the sweeps ask for the same binomial once per ring and record,
     and the result is a tuple of frozen polynomials, safe to share."""
-    factored = factor_binomial(field, s, alpha)
+    factored = _binomial_factors(field, s, alpha)
     divisors = []
     for exps in itertools.product(*[range(m + 1) for _, m in factored]):
         d = Poly.one(field)
@@ -418,7 +424,9 @@ def _reversed_complement(field: FieldSpec, s: int, alpha: int, p: Poly) -> Poly 
 
 
 def count_divisor_grids(ring: RingParams) -> int:
-    return len(binomial_divisors(ring.field, ring.s, ring.alpha)) ** (ring.k * ring.l)
+    """prod(m_i + 1)^(k*l) over the factor multiplicities m_i of x^s - alpha: no divisor is built."""
+    divisors = math.prod(m + 1 for _, m in _binomial_factors(ring.field, ring.s, ring.alpha))
+    return divisors ** (ring.k * ring.l)
 
 
 def _monic_indices(divisors: tuple[Poly, ...], polys) -> np.ndarray:
@@ -482,14 +490,14 @@ def _scan_lengths(field: FieldSpec, m_max: int) -> list[int]:
 
 
 def check_scan_length(field: FieldSpec, s_max: int, l_max: int, k_max: int):
-    """Refuse a cyclic_yz_selfdual_scan whose longest record, the largest
-    s <= s_max prime to q times the largest admissible l and k, has
-    n = s*l*k past SPEC_LENGTH_LIMIT (SpecValidationError), before any
-    factoring."""
-    s = s_max if s_max % field.p else s_max - 1
-    ls, ks = _scan_lengths(field, l_max), _scan_lengths(field, k_max)
-    if s > 0 and ls and ks:
-        _check_length(s * ls[-1] * ks[-1])
+    """Refuse a cyclic_yz_selfdual_scan with a bound below 1, or whose
+    longest record, the largest s <= s_max prime to q times the largest
+    admissible l and k, has n = s*l*k past SPEC_LENGTH_LIMIT
+    (SpecValidationError), before any factoring."""
+    if min(s_max, l_max, k_max) < 1:
+        raise SpecValidationError(f"scan bounds s, l, k must be positive, got {s_max}, {l_max}, {k_max}")
+    s = s_max if s_max % field.p else s_max - 1   # s_max - 1 >= q - 1 >= 1
+    _check_length(s * _scan_lengths(field, l_max)[-1] * _scan_lengths(field, k_max)[-1])
 
 
 def cyclic_yz_selfdual_scan(field: FieldSpec, s_max: int, l_max: int, k_max: int) -> list[dict]:
@@ -536,12 +544,12 @@ def sign_grid_sweep_report(field: FieldSpec, s: int, l: int, k: int) -> dict:
     No spec is made: each ring's grids are index rows into its divisor
     table, SWEEP_CHUNK at a time (_sweep_stacks), whose G and H are
     zero-padded (B, n, n) stacks and whose verdict is the fixed-point test
-    on the indices.  One rank_stack each gives rank G and rank H, since zero
-    rows change no rank; G*H^T and G*G^T are one batched product each; and
-    H spans ker G iff G*H^T = 0 and rank H = n - rank G, since a subspace of
-    ker G of the kernel's dimension is all of it.  A length past
+    on the indices.  One rank_stack call on G and H stacked gives both ranks,
+    since zero rows change no rank; G*H^T and G*G^T are one batched product
+    each; and H spans ker G iff G*H^T = 0 and rank H = n - rank G, since a
+    subspace of ker G of the kernel's dimension is all of it.  A length past
     SPEC_LENGTH_LIMIT is refused before any factoring, and a sweep of more
-    than SWEEP_SPEC_LIMIT grids before any is built.
+    than SWEEP_SPEC_LIMIT grids before any divisor is built.
     """
     _check_length(s * l * k)
     p = field.p
@@ -562,8 +570,7 @@ def sign_grid_sweep_report(field: FieldSpec, s: int, l: int, k: int) -> dict:
     for ring in rings:
         report["rings"].append({"alpha": ring.alpha, "beta": ring.beta, "gamma": ring.gamma})
         for _, g, h, dims, verdicts in _sweep_stacks(ring):
-            rank_g = linalg.rank_stack(g, p)
-            rank_h = linalg.rank_stack(h, p)
+            rank_g, rank_h = np.split(linalg.rank_stack(np.concatenate([g, h]), p), 2)
             direct = ~(g @ g.transpose(0, 2, 1) % p).any(axis=(1, 2)) & (2 * dims == ring.n)
             not_orthogonal = (g @ h.transpose(0, 2, 1) % p).any(axis=(1, 2))
             report["specs"] += len(g)

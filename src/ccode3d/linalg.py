@@ -5,7 +5,7 @@ prime modulus explicitly and never mutates its inputs.  ``rank_stack`` takes
 a 3-D stack (B, rows, cols) and runs one column loop for all B matrices: zero
 rows do not change a rank, so matrices of different heights are zero-padded
 into one stack.  A caller holding one matrix uses ``rref``, whose loop is
-cheaper than a stack of one.
+cheaper than a stack of one.  Rows H inside ker m span it iff rank H = cols - rank m.
 """
 
 from __future__ import annotations
@@ -126,12 +126,3 @@ def null_space(m, p: int) -> np.ndarray:
     basis[:, free] = np.eye(len(free), dtype=np.int64)
     basis[:, list(pivots)] = (-reduced[:rk][:, free].T) % p
     return basis
-
-
-def row_space_equal(a, b, p: int) -> bool:
-    """Compare row spaces via their canonical reduced echelon forms."""
-    ra, rka, _ = rref(a, p)
-    rb, rkb, _ = rref(b, p)
-    if rka != rkb or ra.shape[1] != rb.shape[1]:
-        return False
-    return np.array_equal(ra[:rka], rb[:rkb])

@@ -301,6 +301,35 @@ def test_empty_matrices_match_stdlib_json(capsys, tmp_path, command, cell, empty
     result = json.loads(out)
     assert result[empty] == []
     assert out == json.dumps(result, indent=2, sort_keys=True) + "\n"
+    # an empty G or H has rank 0, and the other one is all of F_q^n
+    code, out = run(capsys, "verify", "--spec", str(spec), "--pairs", "2")
+    assert code == 0 and "FAIL" not in out
+
+
+@pytest.mark.parametrize("fault, failing", [
+    ("repeat", ["dual_equals_kernel"]),                      # H inside ker G, one rank short
+    ("skew", ["dual_orthogonality", "dual_equals_kernel"]),  # one row of H off ker G
+])
+def test_verify_dual_checks_catch_a_faulty_h(capsys, monkeypatch, fault, failing):
+    import dataclasses
+
+    build_dual = cli.build_dual
+
+    def faulty_build_dual(spec):
+        dual = build_dual(spec)
+        h = dual.generator_matrix.copy()
+        if fault == "repeat":
+            h[1] = h[0]
+        else:   # a column where G is nonzero: G*(h_0 + e_c) = G*e_c != 0
+            c = np.flatnonzero(cli.build_code(spec).generator_matrix.any(axis=0))[0]
+            h[0, c] = (h[0, c] + 1) % spec.ring.field.p
+        return dataclasses.replace(dual, generator_matrix=h)
+
+    monkeypatch.setattr(cli, "build_dual", faulty_build_dual)
+    code, out = run(capsys, "verify", "--spec", EXAMPLE1, "--pairs", "2")
+    assert code == 1
+    for name in ("dual_orthogonality", "dual_equals_kernel"):
+        assert f"{'FAIL' if name in failing else 'PASS'} {name}" in out.splitlines()
 
 
 def test_export_cas_script(capsys):
@@ -357,6 +386,25 @@ def test_sweep_grid_refuses_past_the_spec_limit(capsys, tmp_path):
     assert "has 1125899973951488 specs over 8 sign rings" in err and f"limit of {SWEEP_SPEC_LIMIT}" in err
 
 
+@pytest.mark.parametrize("q, s", [("97", "32"), ("193", "64")])
+def test_sweep_grid_is_sized_before_any_divisor_is_built(capsys, monkeypatch, tmp_path, q, s):
+    # x^s - 1 splits into s linear factors: 2^s divisors, counted from the
+    # factor multiplicities and refused, where building them would not end
+    from ccode3d import codes
+    from ccode3d.codes import SWEEP_SPEC_LIMIT
+
+    def no_divisors(*args):
+        raise AssertionError("the divisors were built before the sweep was sized")
+
+    monkeypatch.setattr(codes, "binomial_divisors", no_divisors)
+    out_file = tmp_path / "report.json"
+    code = main(["sweep", "grid", "--q", q, "--s", s, "--l", "1", "--k", "1",
+                 "--out", str(out_file)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and not out_file.exists()
+    assert f"past the limit of {SWEEP_SPEC_LIMIT}" in err
+
+
 def test_sweep_grid_refuses_an_oversized_ring(capsys, tmp_path):
     # n = 4099 is refused before x^4099 - 1 is factored
     from ccode3d.codes import SPEC_LENGTH_LIMIT
@@ -391,6 +439,14 @@ def test_sweep_no_selfdual_refuses_an_oversized_ring(capsys, monkeypatch, tmp_pa
     out, err = capsys.readouterr()
     assert code == 2 and out == "" and not out_file.exists()
     assert f"n = s*l*k = {n} is past the limit of {SPEC_LENGTH_LIMIT}" in err
+
+
+@pytest.mark.parametrize("s, l, k", [("0", "1", "1"), ("3", "-2", "2"), ("3", "2", "0")])
+def test_sweep_no_selfdual_refuses_bounds_below_one(capsys, s, l, k):
+    code = main(["sweep", "no-selfdual", "--q", "5", "--s", s, "--l", l, "--k", k])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: scan bounds s, l, k must be positive, got {s}, {l}, {k}\n"
 
 
 def test_build_refuses_an_oversized_spec(capsys, tmp_path):
@@ -465,9 +521,9 @@ def test_eliminations_per_command(capsys, monkeypatch):
         (["selfdual", "--spec", EXAMPLE1], 0),
         (["mindist", "--spec", EXAMPLE1], 0),     # the dual's matrix is the parity check
         (["mindist", "--spec", EXAMPLE3], 0),     # for non-unit constants too
-        # one kernel of G for the rank and dual checks, and rref of H and of the kernel
-        (["verify", "--spec", EXAMPLE1, "--pairs", "2"], 3),
-        (["verify", "--spec", EXAMPLE3, "--pairs", "2"], 3),
+        # the ranks of G and of H: H spans ker G iff G*H^T = 0 and rank H = n - rank G
+        (["verify", "--spec", EXAMPLE1, "--pairs", "2"], 2),
+        (["verify", "--spec", EXAMPLE3, "--pairs", "2"], 2),
     ):
         calls.clear()
         assert main(argv) == 0
@@ -475,14 +531,14 @@ def test_eliminations_per_command(capsys, monkeypatch):
         assert not stack_calls, argv
     capsys.readouterr()
     calls.clear()
-    # the sweep eliminates stacks only, for the ranks of G and of H, once per
+    # the sweep eliminates stacks only, G and H stacked together, once per
     # chunk of each sign ring; 100 splits each ring's 256 specs
     monkeypatch.setattr(codes, "SWEEP_CHUNK", 100)
     code, out = run(capsys, "sweep", "grid", "--q", "5", "--s", "2", "--l", "2", "--k", "2")
     assert code == 0
     chunks = sum(-(-codes.count_divisor_grids(ring) // codes.SWEEP_CHUNK)
                  for ring in codes.admissible_sign_rings(FieldSpec(5), 2, 2, 2))
-    assert len(stack_calls) == 2 * chunks
+    assert len(stack_calls) == chunks
     assert not calls
 
 

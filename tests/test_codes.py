@@ -36,7 +36,7 @@ from ccode3d.cli import load_spec
 from ccode3d.poly import Poly
 from ccode3d.ring3d import RingElement3D, RingParams, unflatten
 
-from conftest import enumerate_divisor_grids, per_spec_sweep_report
+from conftest import enumerate_divisor_grids, per_spec_sweep_report, row_space_equal
 
 F5 = FieldSpec(5)
 F7 = FieldSpec(7)
@@ -136,7 +136,7 @@ def test_example1_generator_matrix_matches_published_rows():
     code = build_code(example1_spec())
     assert code.dimension == 4 and code.n == 8
     assert np.array_equal(code.generator_matrix, PAPER_G3)
-    assert linalg.row_space_equal(code.generator_matrix, PAPER_G3, 5)
+    assert row_space_equal(code.generator_matrix, PAPER_G3, 5)
 
 
 def test_example1_dual_matches_published_rows():
@@ -193,8 +193,8 @@ def test_example2_published_displays_use_swapped_column_labels():
     for z_star in ([-1, -3, -2], [-2, 2, -2], [3, 1, -2]):
         h_rows.append(product_row(7, 2, 2, 3, [1, 1], [-3, -3], z_star))
         h_rows.append(product_row(7, 2, 2, 3, [1, -1], [3, -3], z_star))
-    assert linalg.row_space_equal(code.generator_matrix, np.array(g_rows) % 7, 7)
-    assert linalg.row_space_equal(dual.generator_matrix, np.array(h_rows) % 7, 7)
+    assert row_space_equal(code.generator_matrix, np.array(g_rows) % 7, 7)
+    assert row_space_equal(dual.generator_matrix, np.array(h_rows) % 7, 7)
     # both gridings give the same parameters and verdict
     verdict, cert = self_dual_decide(spec, code)
     assert not verdict and code.dimension == 6
@@ -341,7 +341,7 @@ def test_dual_of_non_unit_constants_spans_kernel(rng):
         g, h = code.generator_matrix, dual.generator_matrix
         assert not linalg.matmul(g, h.T, p).any()
         assert linalg.rank(h, p) == dual.dimension == ring.n - code.dimension
-        assert linalg.row_space_equal(h, linalg.null_space(g, p), p)
+        assert row_space_equal(h, linalg.null_space(g, p), p)
         assert quasi_twisted_closure(dual, g) == {"x": True, "y": True, "z": True}
     code = build_code(example3_spec())
     with pytest.raises(UnsupportedConstantsError, match="alpha = alpha\\^-1"):
@@ -417,7 +417,7 @@ def test_repeated_root_x_axis_supported():
     dual = build_dual(spec)
     assert dual.dimension == 2 == linalg.rank(dual.generator_matrix, 5)
     assert not linalg.matmul(code.generator_matrix, dual.generator_matrix.T, 5).any()
-    assert linalg.row_space_equal(
+    assert row_space_equal(
         dual.generator_matrix, linalg.null_space(code.generator_matrix, 5), 5)
 
 
@@ -524,7 +524,7 @@ def test_dual_spec_round_trip():
         # and the dual-as-code generates the same row space as the dual matrix
         dual = build_dual(spec)
         via_spec = build_code(ds)
-        assert linalg.row_space_equal(
+        assert row_space_equal(
             dual.generator_matrix, via_spec.generator_matrix, spec.ring.field.p)
 
 
@@ -639,17 +639,20 @@ def test_selfdual_scan_factors_each_binomial_once(monkeypatch):
         return factor(field, s, alpha)
 
     monkeypatch.setattr(codes, "factor_binomial", counting_factor)
+    caches = (codes._binomial_factors, binomial_divisors, codes._self_reciprocal_count)
     with monkeypatch.context() as m:
-        m.setattr(codes, "binomial_divisors", binomial_divisors.__wrapped__)
-        m.setattr(codes, "_self_reciprocal_count", codes._self_reciprocal_count.__wrapped__)
+        for cached in caches:
+            m.setattr(codes, cached.__name__, cached.__wrapped__)
         uncached = cyclic_yz_selfdual_scan(F7, 5, 3, 3)
     assert len(calls) == 3 * len(uncached)   # grid count, self-dual count, self-reciprocal count
     calls.clear()
-    binomial_divisors.cache_clear()
+    for cached in caches:
+        cached.cache_clear()
     try:
         records = cyclic_yz_selfdual_scan(F7, 5, 3, 3)
     finally:
-        binomial_divisors.cache_clear()
+        for cached in caches:
+            cached.cache_clear()
     assert records == uncached
     distinct = {(rec["s"], rec["alpha"]) for rec in records}
     assert len(records) > len(distinct)
@@ -666,6 +669,16 @@ def test_binomial_divisors_count():
 # the sweep's grid tuples: each runs all admissible +-1 sign rings, the
 # all-ones ring and the mixed-sign ones
 SWEEP_TUPLES = [(F5, 2, 2, 2), (F7, 2, 2, 2)]
+
+
+def test_count_divisor_grids_matches_the_divisors():
+    # from the factor multiplicities: repeated roots where q divides s
+    rings = [ring for tup in SWEEP_TUPLES for ring in admissible_sign_rings(*tup)]
+    rings += [RingParams(F5, s, l, k, alpha, 1, 1)
+              for s, l, k, alpha in ((5, 1, 1, 1), (10, 1, 1, 4), (6, 2, 2, 1), (4, 4, 1, 4))]
+    for ring in rings:
+        divisors = binomial_divisors(ring.field, ring.s, ring.alpha)
+        assert count_divisor_grids(ring) == len(divisors) ** (ring.k * ring.l)
 
 
 @pytest.mark.parametrize("tup", SWEEP_TUPLES)

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from ccode3d import linalg
 
+from conftest import row_space_equal
+
 
 @st.composite
 def matrices(draw):
@@ -128,9 +130,40 @@ def test_rank_nullity_and_orthogonality(mp):
 def test_row_space_equal():
     a = np.array([[1, 1, 0], [0, 0, 1]])
     b = np.array([[2, 2, 3], [0, 0, 4], [1, 1, 1]])
-    assert linalg.row_space_equal(a, b, 5)
+    assert row_space_equal(a, b, 5)
     c = np.array([[1, 0, 0]])
-    assert not linalg.row_space_equal(a, c, 5)
+    assert not row_space_equal(a, c, 5)
+
+
+@st.composite
+def dual_candidates(draw):
+    """(G, H, p) with H the kernel basis of G, random combinations of it
+    (rank-deficient when they repeat or vanish), or either with one entry
+    moved, which can take a row off ker G."""
+    p = draw(st.sampled_from([5, 7]))
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(1, 6))
+    g = np.array(draw(st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols)),
+                 dtype=np.int64).reshape(rows, cols)
+    h = linalg.null_space(g, p)
+    if draw(st.booleans()):
+        count = draw(st.integers(0, h.shape[0] + 1))
+        mix = draw(st.lists(st.integers(0, p - 1), min_size=count * h.shape[0],
+                            max_size=count * h.shape[0]))
+        h = np.array(mix, dtype=np.int64).reshape(count, h.shape[0]) @ h % p
+    if len(h) and draw(st.booleans()):
+        h[draw(st.integers(0, len(h) - 1)), draw(st.integers(0, cols - 1))] += 1
+        h %= p
+    return g, h, p
+
+
+@given(dual_candidates())
+def test_rank_complement_rule_matches_the_kernel_oracle(ghp):
+    # H spans ker G iff G*H^T = 0 and rank H = cols - rank G: the rule of
+    # verify and the sweep, against reduced-form equality with the kernel
+    g, h, p = ghp
+    orthogonal = not linalg.matmul(g, h.T, p).any()
+    rule = orthogonal and linalg.rank(h, p) == g.shape[1] - linalg.rank(g, p)
+    assert rule == row_space_equal(h, linalg.null_space(g, p), p)
 
 
 def test_empty_matrix_conventions():
