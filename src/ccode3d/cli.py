@@ -346,7 +346,7 @@ def cmd_sweep_grid(args) -> int:
 
 def cmd_sweep_no_selfdual(args) -> int:
     fields = [FieldSpec(q) for q in args.q]
-    for field in fields:   # every q is checked before any is factored
+    for field in fields:   # every q is checked before any record is counted
         check_scan_length(field, args.s, args.l, args.k)
     records = [record for field in fields
                for record in cyclic_yz_selfdual_scan(field, args.s, args.l, args.k)]

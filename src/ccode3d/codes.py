@@ -33,13 +33,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .gf import FieldSpec
+from .gf import FieldSpec, element_order
 from .idempotents import (
     IdempotentFamily,
     build_constacyclic_idempotents,
     reciprocal_index,
 )
-from .poly import Poly, factor_binomial
+from .poly import Poly, constacyclic_exponent_cosets, factor_binomial
 from .ring3d import AXES, RingParams, kron_words, shift_words
 
 
@@ -392,18 +392,12 @@ def self_dual_feasible(field: FieldSpec, s: int, l: int, k: int,
 # --- divisor lattice and exhaustive sweeps -------------------------------
 
 @lru_cache(maxsize=None)
-def _binomial_factors(field: FieldSpec, s: int, alpha: int) -> tuple[tuple[Poly, int], ...]:
-    """factor_binomial, cached: the divisor count and the divisors share one factoring."""
-    return tuple(factor_binomial(field, s, alpha))
-
-
-@lru_cache(maxsize=None)
 def binomial_divisors(field: FieldSpec, s: int, alpha: int) -> tuple[Poly, ...]:
     """All monic divisors of x^s - alpha, sorted by (degree, coefficients).
 
-    Cached: the sweeps ask for the same binomial once per ring and record,
-    and the result is a tuple of frozen polynomials, safe to share."""
-    factored = _binomial_factors(field, s, alpha)
+    Cached: the grid sweep asks for the same binomial once per ring, and
+    the result is a tuple of frozen polynomials, safe to share."""
+    factored = factor_binomial(field, s, alpha)
     divisors = []
     for exps in itertools.product(*[range(m + 1) for _, m in factored]):
         d = Poly.one(field)
@@ -423,26 +417,30 @@ def _reversed_complement(field: FieldSpec, s: int, alpha: int, p: Poly) -> Poly 
     return q.reciprocal() if r.is_zero() else None
 
 
-def count_divisor_grids(ring: RingParams) -> int:
-    """prod(m_i + 1)^(k*l) over the factor multiplicities m_i of x^s - alpha: no divisor is built."""
-    divisors = math.prod(m + 1 for _, m in _binomial_factors(ring.field, ring.s, ring.alpha))
-    return divisors ** (ring.k * ring.l)
-
-
-def _monic_indices(divisors: tuple[Poly, ...], polys) -> np.ndarray:
-    """The index in divisors of monic(f) for every f of polys, or -1 where
-    monic(f) is not one of them."""
-    index = {d: i for i, d in enumerate(divisors)}
-    return np.array([index.get(f.monic(), -1) for f in polys], dtype=np.intp)
-
-
 @lru_cache(maxsize=None)
-def _self_reciprocal_count(field: FieldSpec, s: int, alpha: int) -> int:
-    """The number of monic divisors d of x^s - alpha with monic(q*) = d;
-    cached, as the no-selfdual scan asks once per record."""
-    divisors = binomial_divisors(field, s, alpha)
-    q_stars = [_reversed_complement(field, s, alpha, d) for d in divisors]
-    return int((_monic_indices(divisors, q_stars) == np.arange(len(divisors))).sum())
+def _divisor_counts(field: FieldSpec, s: int, alpha: int) -> tuple[int, int]:
+    """(#monic divisors d of x^s - alpha, #those with monic(q*) = d), from
+    q-cyclotomic cosets, with nothing factored.  With s = s'*p^v, p not
+    dividing s', x^s - alpha = (x^s' - alpha)^(p^v) over F_p, and the factors
+    of x^s' - alpha match the cosets of its root exponents
+    (constacyclic_exponent_cosets): (p^v + 1)^#cosets divisors.  Reversal maps
+    coset C to -C, so d = monic(q*) asks the powers of C and -C in d to sum
+    to p^v: impossible if C = -C (p^v is odd) or -C is no coset (alpha != +-1),
+    and one free power per pair {C, -C} otherwise."""
+    power = 1
+    while s % field.p == 0:
+        s, power = s // field.p, power * field.p
+    r = element_order(field, alpha)
+    cosets = {frozenset(c) for c in constacyclic_exponent_cosets(s, r, field.p)}
+    negated = [frozenset(-e % (r * s) for e in c) for c in cosets]
+    paired = all(neg != c and neg in cosets for c, neg in zip(cosets, negated))
+    return (power + 1) ** len(cosets), (power + 1) ** (len(cosets) // 2) if paired else 0
+
+
+def count_divisor_grids(ring: RingParams) -> int:
+    """The number of divisor grids over the ring, (#divisors)^(k*l), with the
+    divisors counted from cosets (_divisor_counts): none is built or factored."""
+    return _divisor_counts(ring.field, ring.s, ring.alpha)[0] ** (ring.k * ring.l)
 
 
 def admissible_sign_rings(field: FieldSpec, s: int, l: int, k: int) -> list[RingParams]:
@@ -471,16 +469,15 @@ def self_dual_grid_count(ring: RingParams) -> int:
     itself when alpha is +-1.  The degree condition sum(a) = n/2 is implied:
     paired cells have degrees a and s - a.  Counts therefore multiply over
     orbits: a free choice per paired orbit, one of the `fixed` divisors equal
-    to their own monic q* per self-paired cell.  Cross-validated against
-    grid enumeration in tests.
+    to their own monic q* per self-paired cell, both counted from cosets
+    (_divisor_counts).  Cross-validated against grid enumeration in tests.
     """
     _require_unit_constants(ring, "self-dual grid count")
-    divisors = binomial_divisors(ring.field, ring.s, ring.alpha)
-    fixed = _self_reciprocal_count(ring.field, ring.s, ring.alpha)
+    divisors, fixed = _divisor_counts(ring.field, ring.s, ring.alpha)
     self_paired = sum(1 for t in range(ring.k) for j in range(ring.l)
                       if partner_cell(ring, t, j) == (t, j))
     paired_orbits = (ring.k * ring.l - self_paired) // 2
-    return fixed ** self_paired * len(divisors) ** paired_orbits
+    return fixed ** self_paired * divisors ** paired_orbits
 
 
 def _scan_lengths(field: FieldSpec, m_max: int) -> list[int]:
@@ -493,7 +490,7 @@ def check_scan_length(field: FieldSpec, s_max: int, l_max: int, k_max: int):
     """Refuse a cyclic_yz_selfdual_scan with a bound below 1, or whose
     longest record, the largest s <= s_max prime to q times the largest
     admissible l and k, has n = s*l*k past SPEC_LENGTH_LIMIT
-    (SpecValidationError), before any factoring."""
+    (SpecValidationError), before any record is counted."""
     if min(s_max, l_max, k_max) < 1:
         raise SpecValidationError(f"scan bounds s, l, k must be positive, got {s_max}, {l_max}, {k_max}")
     s = s_max if s_max % field.p else s_max - 1   # s_max - 1 >= q - 1 >= 1
@@ -505,9 +502,9 @@ def cyclic_yz_selfdual_scan(field: FieldSpec, s_max: int, l_max: int, k_max: int
 
     Covers alpha in {1, -1}, s <= s_max with gcd(s, q) = 1 (s odd when
     alpha = -1), and all l, k admitted by the root hypothesis (divisors of
-    q - 1).  Each record carries the exact count of self-dual grids and the
-    feasibility screen's verdict.  A record past SPEC_LENGTH_LIMIT is
-    refused before any is made (check_scan_length).
+    q - 1).  Each record carries the exact count of self-dual grids, from
+    cosets, and the feasibility screen's verdict.  A record past
+    SPEC_LENGTH_LIMIT is refused before any is made (check_scan_length).
     """
     check_scan_length(field, s_max, l_max, k_max)
     ls, ks = _scan_lengths(field, l_max), _scan_lengths(field, k_max)
@@ -548,8 +545,8 @@ def sign_grid_sweep_report(field: FieldSpec, s: int, l: int, k: int) -> dict:
     since zero rows change no rank; G*H^T and G*G^T are one batched product
     each; and H spans ker G iff G*H^T = 0 and rank H = n - rank G, since a
     subspace of ker G of the kernel's dimension is all of it.  A length past
-    SPEC_LENGTH_LIMIT is refused before any factoring, and a sweep of more
-    than SWEEP_SPEC_LIMIT grids before any divisor is built.
+    SPEC_LENGTH_LIMIT is refused before any work, and a sweep of more than
+    SWEEP_SPEC_LIMIT grids (counted from cosets) before any factoring.
     """
     _check_length(s * l * k)
     p = field.p
@@ -600,7 +597,8 @@ def _sweep_stacks(ring: RingParams):
     code_bands = _bands([(d, s - d.degree) for d in divisors], s)
     dual_bands = _bands([(q, d.degree) for d, q in zip(divisors, q_stars)], s)
     degrees = np.array([d.degree for d in divisors])
-    q_monic = _monic_indices(divisors, q_stars)
+    index = {d: i for i, d in enumerate(divisors)}
+    q_monic = np.array([index.get(q.monic(), -1) for q in q_stars])   # -1: monic(q*) is no divisor
     partner = np.array([t2 * ring.l + j2 for t2, j2 in
                         (partner_cell(ring, t, j) for t in range(ring.k) for j in range(ring.l))])
     cells = _cell_tensors(ring)

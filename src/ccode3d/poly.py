@@ -213,12 +213,8 @@ def factor_binomial(field: FieldSpec, s: int, alpha: int) -> list[tuple[Poly, in
             if remaining.degree < 2 * degree:
                 break
         degree += 1
-    merged: dict[tuple[int, ...], int] = {}
-    for f, m in factors:
-        merged[f.coeffs] = merged.get(f.coeffs, 0) + m
-    out = [(Poly(field, c), m) for c, m in merged.items()]
-    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return out
+    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return factors
 
 
 def cyclotomic_cosets(modulus: int, q: int, residues=None) -> list[list[int]]:
@@ -255,6 +251,8 @@ def constacyclic_exponent_cosets(k: int, r: int, q: int) -> list[list[int]]:
     """q-cyclotomic cosets inside {1 + r*t : t < k} modulo r*k.
 
     These exponents pick out the roots of z**k - gamma among the r*k-th roots
-    of unity; when q = 1 (mod r*k) every coset is a singleton.
+    of unity (r the order of gamma); when q = 1 (mod r*k) every coset is a
+    singleton.  For gcd(k, q) = 1 the cosets match the monic irreducible
+    factors of z**k - gamma over F_q (codes._divisor_counts counts with them).
     """
     return cyclotomic_cosets(r * k, q, residues=[1 + r * t for t in range(k)])

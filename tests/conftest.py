@@ -35,6 +35,21 @@ def row_space_equal(a, b, p: int) -> bool:
     return np.array_equal(ra[:rka], rb[:rkb])
 
 
+def monic_indices(divisors, polys) -> np.ndarray:
+    """The index in divisors of monic(f) for every f of polys, or -1 where
+    monic(f) is not one of them."""
+    index = {d: i for i, d in enumerate(divisors)}
+    return np.array([index.get(f.monic(), -1) for f in polys], dtype=np.intp)
+
+
+def self_reciprocal_count(field, s: int, alpha: int) -> int:
+    """The number of monic divisors d of x^s - alpha with monic(q*) = d,
+    by a walk over the divisor table: the oracle of the coset count."""
+    divisors = codes.binomial_divisors(field, s, alpha)
+    q_stars = [codes._reversed_complement(field, s, alpha, d) for d in divisors]
+    return int((monic_indices(divisors, q_stars) == np.arange(len(divisors))).sum())
+
+
 def enumerate_divisor_grids(ring):
     """Every divisor-grid spec over the ring, in lexicographic grid order:
     itertools.product over binomial_divisors, the first cell most significant."""

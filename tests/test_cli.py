@@ -389,7 +389,7 @@ def test_sweep_grid_refuses_past_the_spec_limit(capsys, tmp_path):
 @pytest.mark.parametrize("q, s", [("97", "32"), ("193", "64")])
 def test_sweep_grid_is_sized_before_any_divisor_is_built(capsys, monkeypatch, tmp_path, q, s):
     # x^s - 1 splits into s linear factors: 2^s divisors, counted from the
-    # factor multiplicities and refused, where building them would not end
+    # cyclotomic cosets and refused, where building them would not end
     from ccode3d import codes
     from ccode3d.codes import SWEEP_SPEC_LIMIT
 
@@ -420,17 +420,17 @@ def test_sweep_grid_refuses_an_oversized_ring(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("qs, s, lk, n", [
-    (["13"], "4099", "1", 4099),          # x^4099 - 1 is not factored
-    (["5", "13"], "40", "12", 5760),      # nor is any binomial over F_5 before F_13 is checked
+    (["13"], "4099", "1", 4099),          # no divisor of x^4099 - 1 is counted
+    (["5", "13"], "40", "12", 5760),      # nor any over F_5 before F_13 is checked
 ])
 def test_sweep_no_selfdual_refuses_an_oversized_ring(capsys, monkeypatch, tmp_path, qs, s, lk, n):
     from ccode3d import codes
     from ccode3d.codes import SPEC_LENGTH_LIMIT
 
-    def no_factoring(*args):
-        raise AssertionError("a binomial was factored before every q was checked")
+    def no_counting(*args):
+        raise AssertionError("a binomial's divisors were counted before every q was checked")
 
-    monkeypatch.setattr(codes, "binomial_divisors", no_factoring)
+    monkeypatch.setattr(codes, "_divisor_counts", no_counting)
     out_file = tmp_path / "report.json"
     start = time.perf_counter()
     code = main(["sweep", "no-selfdual", "--q", *qs, "--s", s, "--l", lk, "--k", lk,

@@ -33,10 +33,15 @@ from ccode3d.codes import (
     validate_spec,
 )
 from ccode3d.cli import load_spec
-from ccode3d.poly import Poly
+from ccode3d.poly import Poly, factor_binomial
 from ccode3d.ring3d import RingElement3D, RingParams, unflatten
 
-from conftest import enumerate_divisor_grids, per_spec_sweep_report, row_space_equal
+from conftest import (
+    enumerate_divisor_grids,
+    per_spec_sweep_report,
+    row_space_equal,
+    self_reciprocal_count,
+)
 
 F5 = FieldSpec(5)
 F7 = FieldSpec(7)
@@ -559,7 +564,16 @@ def test_odd_length_never_self_dual():
 
 def test_self_dual_count_matches_enumeration():
     # orbit-factorized count against brute enumeration plus the grid decision
-    for ring in admissible_sign_rings(F5, 2, 2, 2) + admissible_sign_rings(F7, 2, 2, 2):
+    rings = admissible_sign_rings(F5, 2, 2, 2) + admissible_sign_rings(F7, 2, 2, 2)
+    # repeated factors: x^10 + 1 = ((x - 2)(x - 3))^5 over F_5 has 36 divisors,
+    # 6 of them self-reciprocal; (x - alpha)^3 over F_3 has none
+    repeated = [ring for ring in admissible_sign_rings(F5, 10, 1, 2) if ring.alpha == 4]
+    assert codes._divisor_counts(F5, 10, 4) == (36, 6)
+    assert [count_divisor_grids(ring) for ring in repeated] == [1296] * 4
+    f3 = FieldSpec(3)
+    f3_rings = admissible_sign_rings(f3, 3, 2, 2)
+    assert f3_rings and all(codes._divisor_counts(f3, 3, ring.alpha) == (4, 0) for ring in f3_rings)
+    for ring in rings + repeated + f3_rings:
         found = sum(
             1 for spec in enumerate_divisor_grids(ring)
             if self_dual_decide(spec)[0]
@@ -628,35 +642,26 @@ def test_selfdual_scan_beta_gamma_one_small():
             assert found == 0
 
 
-def test_selfdual_scan_factors_each_binomial_once(monkeypatch):
-    from ccode3d import codes
+def test_selfdual_scan_and_grid_count_factor_nothing(monkeypatch):
+    # the scan's counts and the grid sweep's sizing read the coset counts
+    # alone: with factoring and the divisor table made to raise, the records
+    # equal an unpatched run, q = 97, s <= 32 (2^32 divisors) among them
+    scans = [(F7, 5, 3, 3), (FieldSpec(97), 32, 1, 1)]
+    rings = [ring for tup in SWEEP_TUPLES + [(F5, 10, 1, 2)] for ring in admissible_sign_rings(*tup)]
 
-    calls = []
-    factor = codes.factor_binomial
+    def no_factoring(*args):
+        raise AssertionError("a binomial was factored or its divisors built")
 
-    def counting_factor(field, s, alpha):
-        calls.append((s, alpha))
-        return factor(field, s, alpha)
-
-    monkeypatch.setattr(codes, "factor_binomial", counting_factor)
-    caches = (codes._binomial_factors, binomial_divisors, codes._self_reciprocal_count)
+    codes._divisor_counts.cache_clear()
     with monkeypatch.context() as m:
-        for cached in caches:
-            m.setattr(codes, cached.__name__, cached.__wrapped__)
-        uncached = cyclic_yz_selfdual_scan(F7, 5, 3, 3)
-    assert len(calls) == 3 * len(uncached)   # grid count, self-dual count, self-reciprocal count
-    calls.clear()
-    for cached in caches:
-        cached.cache_clear()
-    try:
-        records = cyclic_yz_selfdual_scan(F7, 5, 3, 3)
-    finally:
-        for cached in caches:
-            cached.cache_clear()
-    assert records == uncached
-    distinct = {(rec["s"], rec["alpha"]) for rec in records}
-    assert len(records) > len(distinct)
-    assert sorted(calls) == sorted(distinct)
+        m.setattr(codes, "factor_binomial", no_factoring)
+        m.setattr(codes, "binomial_divisors", no_factoring)
+        patched = [cyclic_yz_selfdual_scan(*scan) for scan in scans]
+        grid_counts = [count_divisor_grids(ring) for ring in rings]
+    codes._divisor_counts.cache_clear()
+    assert patched == [cyclic_yz_selfdual_scan(*scan) for scan in scans]
+    assert grid_counts == [count_divisor_grids(ring) for ring in rings]
+    assert any(rec["grid_count"] == 2 ** 32 for rec in patched[1])
 
 
 def test_binomial_divisors_count():
@@ -671,8 +676,26 @@ def test_binomial_divisors_count():
 SWEEP_TUPLES = [(F5, 2, 2, 2), (F7, 2, 2, 2)]
 
 
+@pytest.mark.parametrize("q, s_max", [(3, 12), (5, 12), (7, 9), (11, 6), (13, 6)])
+def test_divisor_counts_match_factoring_and_the_divisor_table(q, s_max):
+    # every alpha, p | s included (q = 3: s = 3, 6, 9, 12; q = 5: s = 5, 10):
+    # the divisor count against prod(m + 1) over the factor multiplicities,
+    # the self-reciprocal count against the divisor-table walk for alpha = +-1;
+    # for other alpha, d and monic(q*) divide x^s - alpha and x^s - alpha^-1,
+    # which are coprime, so no divisor qualifies
+    field = FieldSpec(q)
+    for s in range(1, s_max + 1):
+        for alpha in range(1, q):
+            divisors, fixed = codes._divisor_counts(field, s, alpha)
+            assert divisors == math.prod(m + 1 for _, m in factor_binomial(field, s, alpha))
+            if alpha in (1, q - 1):
+                assert fixed == self_reciprocal_count(field, s, alpha)
+            else:
+                assert fixed == 0
+
+
 def test_count_divisor_grids_matches_the_divisors():
-    # from the factor multiplicities: repeated roots where q divides s
+    # the coset count against the divisor table: repeated roots where q divides s
     rings = [ring for tup in SWEEP_TUPLES for ring in admissible_sign_rings(*tup)]
     rings += [RingParams(F5, s, l, k, alpha, 1, 1)
               for s, l, k, alpha in ((5, 1, 1, 1), (10, 1, 1, 4), (6, 2, 2, 1), (4, 4, 1, 4))]
