@@ -45,7 +45,7 @@ from .codes import (
     sign_grid_sweep_report,
 )
 from .distance import DEFAULT_BUDGET, min_distance
-from .gf import FieldSpec, element_order
+from .gf import FieldSpec, InputError, element_order
 from .idempotents import build_constacyclic_idempotents, build_full_idempotents, identity_report
 from .poly import Poly, factor_binomial, format_poly
 from .ring3d import RingParams, annihilator_orthogonality_flags, ring_products
@@ -124,7 +124,11 @@ def spec_from_dict(data: dict) -> CodeSpec:
 
 def load_spec(path: str) -> CodeSpec:
     with open(path, encoding="utf-8") as fh:
-        return spec_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:   # not UTF-8, not JSON, or an integer past int's digit limit
+            raise InputError(str(exc)) from exc
+    return spec_from_dict(data)
 
 
 def _emit(result: dict, out: str | None):
@@ -163,7 +167,7 @@ def cmd_idempotents(args) -> int:
     # a family of m members has m coefficients each: refuse it before any is built
     size = element_order(field, gamma) * args.k if args.full else args.k
     if size > SPEC_LENGTH_LIMIT:
-        raise ValueError(f"idempotent family of {size} members is past the limit of "
+        raise InputError(f"idempotent family of {size} members is past the limit of "
                          f"{SPEC_LENGTH_LIMIT}")
     _print_family(build_constacyclic_idempotents(field, args.k, gamma), "z")
     if args.full:
@@ -205,7 +209,7 @@ def cmd_selfdual(args) -> int:
     _emit(result, args.out)
     if not verdict and certificate["first_failure"] is not None:
         t, j = certificate["first_failure"]
-        cell = next(c for c in certificate["cells"] if c["cell"] == [t, j])
+        cell = certificate["cells"][t * spec.ring.l + j]
         p_str = format_poly(Poly.from_coeffs(spec.ring.field, cell["p"]), signed=True)
         q_str = format_poly(Poly.from_coeffs(spec.ring.field, cell["partner_q_reciprocal"]), signed=True)
         print(f"not self-dual: cell (t={t}, j={j}) has p = {p_str} but the "
@@ -242,7 +246,7 @@ def _verify_checks(spec: CodeSpec, pairs: int, seed: int):
     dual = build_dual(spec)
     g, h = code.generator_matrix, dual.generator_matrix
     rank_g, rank_h = linalg.rank(g, p), linalg.rank(h, p)   # the only eliminations
-    yield "generator_rank_equals_dimension", g.shape[0] == code.dimension == rank_g
+    yield "generator_rank_equals_dimension", ring.n - spec.degree_sum() == g.shape[0] == rank_g
     # tested against H, which dual_equals_kernel below ties to the kernel
     closure = quasi_twisted_closure(code, h)
     for axis in ("x", "y", "z"):
@@ -250,8 +254,7 @@ def _verify_checks(spec: CodeSpec, pairs: int, seed: int):
 
     orthogonal = not linalg.matmul(g, h.T, p).any()
     yield "dual_orthogonality", orthogonal
-    yield "dual_rank_complement", (ring.n - rank_g == h.shape[0]
-                                   == dual.dimension == ring.n - code.dimension)
+    yield "dual_rank_complement", ring.n - rank_g == h.shape[0] == spec.degree_sum()
     # a subspace of ker G with the kernel's dimension is all of it
     yield "dual_equals_kernel", orthogonal and rank_h == ring.n - rank_g
     if dual.ring == ring:   # self-duality needs alpha = alpha^-1, beta = beta^-1, gamma = gamma^-1
@@ -278,7 +281,10 @@ def _verify_checks(spec: CodeSpec, pairs: int, seed: int):
 
 def cmd_verify(args) -> int:
     spec = load_spec(args.spec)
-    seed = int(os.environ.get(SEED_ENV, "20260810"))
+    try:
+        seed = int(os.environ.get(SEED_ENV, "20260810"))
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     results = {}
     ok_all = True
     for name, ok in _verify_checks(spec, args.pairs, seed):
@@ -443,7 +449,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:   # the spec, constants and JSON errors are ValueErrors
+    except (InputError, OSError) as exc:   # load_spec raises its JSON errors as InputError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -12,15 +12,17 @@ parity check of the closure test.  Every cell is an x-polynomial times the
 fixed tensor e_j(y)*e_t(z); G, H (reversing both axes) and the generators
 (``cell_generators``) read one cached stack of them per ring (``_cell_tensors``),
 and every block of G and H comes from one stacked ``ring3d.kron_words`` call.
-For constants +-1 the dual lives in the same ring and is itself a divisor grid
-(``dual_spec``); self-duality is decided on the grid alone, as the grid being
-a fixed point of ``dual_spec``.  It also provides the exhaustive sweep
-machinery: ``sign_grid_sweep_report`` makes no spec.  A grid of a +-1 sign
-ring is a row of indices into the ring's divisor table, and SWEEP_CHUNK
-grids at a time are gathered into zero-padded stacks of G and H by that same
-kron_words call, with the verdict a fixed-point test on the indices; one
-``linalg.rank_stack`` call ranks G and H, and H spans ker G exactly when
-G*H^T = 0 and rank H = n - rank G, the dual's dimension (as in ``verify``).
+For constants +-1 the dual lives in the same ring and is itself a divisor
+grid: cell (t, j) holds monic(q*) of the cell that ``cell_partners``, the
+involution of inverse roots, pairs with it; self-duality is decided on the
+grid alone, as the grid being a fixed point of that map.  It also provides
+the exhaustive sweep machinery: ``sign_grid_sweep_report`` makes no spec.  A
+grid of a +-1 sign ring is a row of indices into the ring's divisor table,
+and SWEEP_CHUNK grids at a time are gathered into zero-padded stacks of G
+and H by that same kron_words call, with the verdict a fixed-point test on
+the indices; one ``linalg.rank_stack`` call ranks G and H, and H spans
+ker G exactly when G*H^T = 0 and rank H = n - rank G, the dual's dimension
+(as in ``verify``).
 """
 
 from __future__ import annotations
@@ -33,21 +35,17 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .gf import FieldSpec, element_order
-from .idempotents import (
-    IdempotentFamily,
-    build_constacyclic_idempotents,
-    reciprocal_index,
-)
+from .gf import FieldSpec, InputError, element_order
+from .idempotents import IdempotentFamily, build_constacyclic_idempotents
 from .poly import Poly, constacyclic_exponent_cosets, factor_binomial
 from .ring3d import AXES, RingParams, kron_words, shift_words
 
 
-class SpecValidationError(ValueError):
+class SpecValidationError(InputError):
     """A code spec violates one of the construction hypotheses."""
 
 
-class SweepTooLargeError(ValueError):
+class SweepTooLargeError(InputError):
     """A sweep would enumerate more than SWEEP_SPEC_LIMIT specs."""
 
 
@@ -56,7 +54,7 @@ SWEEP_SPEC_LIMIT = 10**6     # the most grids sign_grid_sweep_report enumerates
 SPEC_LENGTH_LIMIT = 4096     # the longest code a CodeSpec admits: G and H take <= 128 MiB each
 
 
-class UnsupportedConstantsError(ValueError):
+class UnsupportedConstantsError(InputError):
     """Operation needs alpha = alpha^-1, beta = beta^-1, gamma = gamma^-1.
 
     The dual is an ideal of the ring with inverted constants (build_dual
@@ -90,11 +88,14 @@ class BuiltCode:
 
     ring: RingParams
     generator_matrix: np.ndarray
-    dimension: int
 
     @property
     def n(self) -> int:
         return self.ring.n
+
+    @property
+    def dimension(self) -> int:
+        return self.generator_matrix.shape[0]
 
 
 def code_idempotents(ring: RingParams) -> tuple[IdempotentFamily, IdempotentFamily]:
@@ -186,7 +187,7 @@ def _bands(x_blocks, s: int) -> np.ndarray:
     return bands
 
 
-def _assemble(ring: RingParams, x_blocks, cells: np.ndarray, dimension: int) -> BuiltCode:
+def _assemble(ring: RingParams, x_blocks, cells: np.ndarray) -> BuiltCode:
     """The construction path of the code and its dual: x-block c = (f, count)
     and the (l, k) tensor cells[c] give the block of the rows
     x^i * f(x) * cells[c], i < count.  All k*l blocks come from one
@@ -201,7 +202,7 @@ def _assemble(ring: RingParams, x_blocks, cells: np.ndarray, dimension: int) -> 
     counts = np.array([count for _, count in x_blocks])
     rows = _bands(x_blocks, ring.s)[np.arange(ring.s) < counts[:, None]]
     words = kron_words(ring, rows[:, None], cells[np.repeat(np.arange(len(counts)), counts)])
-    return BuiltCode(ring, words.reshape(len(rows), ring.n), dimension)
+    return BuiltCode(ring, words.reshape(len(rows), ring.n))
 
 
 def build_code(spec: CodeSpec) -> BuiltCode:
@@ -216,7 +217,7 @@ def build_code(spec: CodeSpec) -> BuiltCode:
     """
     ring = spec.ring
     x_blocks = [(p, ring.s - p.degree) for row in spec.divisor_grid for p in row]
-    return _assemble(ring, x_blocks, _cell_tensors(ring), ring.n - spec.degree_sum())
+    return _assemble(ring, x_blocks, _cell_tensors(ring))
 
 
 def _require_unit_constants(ring: RingParams, what: str):
@@ -246,42 +247,21 @@ def build_dual(spec: CodeSpec) -> BuiltCode:
     x_blocks = [(_reversed_complement(ring.field, ring.s, ring.alpha, p), p.degree)
                 for row in spec.divisor_grid for p in row]
     cells = _cell_tensors(ring)[:, ::-1, ::-1]   # e_j*(y)*e_t*(z), a view of the code's stack
-    return _assemble(ring.inverse_constants(), x_blocks, cells, spec.degree_sum())
+    return _assemble(ring.inverse_constants(), x_blocks, cells)
 
 
-def _reversed_complements(ring: RingParams, rows) -> list[list[Poly]]:
-    """q*, not made monic, for every divisor p of the rows: the x-parts of the dual's generators."""
-    return [[_reversed_complement(ring.field, ring.s, ring.alpha, p) for p in row] for row in rows]
-
-
-def partner_cell(ring: RingParams, t: int, j: int) -> tuple[int, int]:
-    """The cell whose divisor constrains (t, j) in the self-duality test.
-
-    The reversal of the t-th z-idempotent is proportional to the idempotent
-    at the reciprocal index (and likewise along y), so cell (t, j) of the
-    dual pairs with this cell of the original grid.  The map is an involution.
-    """
+@lru_cache(maxsize=None)
+def cell_partners(ring: RingParams) -> np.ndarray:
+    """The involution of the flattened cells t*l + j that the self-duality
+    test pairs, read-only and made once per ring.  The reversal of the t-th
+    z-idempotent is proportional to the member at the inverse root (and
+    likewise along y), so cell (t, j) of the dual lies on the cell of the
+    grid that the two families' reversal() indices name."""
     _require_unit_constants(ring, "cell pairing")
-    t2 = reciprocal_index(ring.k, t, constant_is_one=(ring.gamma == 1))
-    j2 = reciprocal_index(ring.l, j, constant_is_one=(ring.beta == 1))
-    return t2, j2
-
-
-def dual_spec(spec: CodeSpec) -> CodeSpec:
-    """The dual code expressed as a divisor-grid spec over the same ring.
-
-    Cell (t', j') of the dual grid, with (t', j') the partner of (t, j),
-    holds the monic associate of reciprocal((x^s - alpha) / p[t][j]).
-    """
-    ring = spec.ring
-    _require_unit_constants(ring, "dual spec")
-    q_stars = _reversed_complements(ring, spec.divisor_grid)
-    grid = [[None] * ring.l for _ in range(ring.k)]
-    for t in range(ring.k):
-        for j in range(ring.l):
-            t2, j2 = partner_cell(ring, t, j)
-            grid[t2][j2] = q_stars[t][j]
-    return CodeSpec(ring, tuple(tuple(row) for row in grid))
+    z, y = (np.array(fam.reversal()) for fam in code_idempotents(ring))
+    partners = (z[:, None] * ring.l + y).reshape(-1)
+    partners.setflags(write=False)
+    return partners
 
 
 def quasi_twisted_closure(code: BuiltCode, parity: np.ndarray) -> dict[str, bool]:
@@ -311,38 +291,33 @@ def self_dual_decide(spec: CodeSpec, code: BuiltCode | None = None) -> tuple[boo
     """Decide self-duality from the divisor grid alone.
 
     Two conditions: (i) the divisor degrees sum to half the length, and
-    (ii) the grid is a fixed point of dual_spec: for every cell, with q the
-    complementary divisor (p*q = x^s - alpha) and * coefficient reversal,
-    the partner cell holds monic(q*).  This is the pair of divisibilities
-    "partner p | q*" and "partner q* | p": they force equal degrees, and the
-    reversal of x^s - alpha is a unit multiple of it for alpha = +-1.  The
-    certificate records every cell comparison; given the spec's built code,
-    the verdict is recomputed from its generator matrix (the certificate's
-    direct_check) and a mismatch raises.
+    (ii) the grid is a fixed point of the dual map: for every cell, with q
+    the complementary divisor (p*q = x^s - alpha) and * coefficient
+    reversal, its partner (cell_partners) holds monic(q*).  This is the
+    pair of divisibilities "partner p | q*" and "partner q* | p": they force
+    equal degrees, and the reversal of x^s - alpha is a unit multiple of it
+    for alpha = +-1.  The certificate records every cell comparison; given
+    the spec's built code, the verdict is recomputed from its generator
+    matrix (the certificate's direct_check) and a mismatch raises.
     """
     ring = spec.ring
     _require_unit_constants(ring, "self-duality test")
     total = spec.degree_sum()
     dim_ok = ring.n == 2 * total
-    q_stars = _reversed_complements(ring, spec.divisor_grid)
+    grid = [p for row in spec.divisor_grid for p in row]
+    q_stars = [_reversed_complement(ring.field, ring.s, ring.alpha, p) for p in grid]
     cells = []
-    first_failure = None
-    for t in range(ring.k):
-        for j in range(ring.l):
-            t2, j2 = partner_cell(ring, t, j)
-            partner_p = spec.divisor_grid[t2][j2]
-            ok = partner_p == q_stars[t][j].monic()
-            cells.append({
-                "cell": [t, j],
-                "partner": [t2, j2],
-                "p": list(spec.divisor_grid[t][j].coeffs),
-                "q_reciprocal": list(q_stars[t][j].coeffs),
-                "partner_p": list(partner_p.coeffs),
-                "partner_q_reciprocal": list(q_stars[t2][j2].coeffs),
-                "ok": ok,
-            })
-            if not ok and first_failure is None:
-                first_failure = [t, j]
+    for c, partner in enumerate(cell_partners(ring).tolist()):
+        cells.append({
+            "cell": list(divmod(c, ring.l)),
+            "partner": list(divmod(partner, ring.l)),
+            "p": list(grid[c].coeffs),
+            "q_reciprocal": list(q_stars[c].coeffs),
+            "partner_p": list(grid[partner].coeffs),
+            "partner_q_reciprocal": list(q_stars[partner].coeffs),
+            "ok": grid[partner] == q_stars[c].monic(),
+        })
+    first_failure = next((cell["cell"] for cell in cells if not cell["ok"]), None)
     verdict = dim_ok and first_failure is None
     certificate = {
         "length": ring.n,
@@ -474,8 +449,7 @@ def self_dual_grid_count(ring: RingParams) -> int:
     """
     _require_unit_constants(ring, "self-dual grid count")
     divisors, fixed = _divisor_counts(ring.field, ring.s, ring.alpha)
-    self_paired = sum(1 for t in range(ring.k) for j in range(ring.l)
-                      if partner_cell(ring, t, j) == (t, j))
+    self_paired = int((cell_partners(ring) == np.arange(ring.k * ring.l)).sum())
     paired_orbits = (ring.k * ring.l - self_paired) // 2
     return fixed ** self_paired * divisors ** paired_orbits
 
@@ -593,14 +567,13 @@ def _sweep_stacks(ring: RingParams):
     map: 2*dim = n and every partner cell holds monic(q*) of its cell."""
     field, s, n = ring.field, ring.s, ring.n
     divisors = binomial_divisors(field, s, ring.alpha)
-    [q_stars] = _reversed_complements(ring, [divisors])
+    q_stars = [_reversed_complement(field, s, ring.alpha, d) for d in divisors]
     code_bands = _bands([(d, s - d.degree) for d in divisors], s)
     dual_bands = _bands([(q, d.degree) for d, q in zip(divisors, q_stars)], s)
     degrees = np.array([d.degree for d in divisors])
     index = {d: i for i, d in enumerate(divisors)}
     q_monic = np.array([index.get(q.monic(), -1) for q in q_stars])   # -1: monic(q*) is no divisor
-    partner = np.array([t2 * ring.l + j2 for t2, j2 in
-                        (partner_cell(ring, t, j) for t in range(ring.k) for j in range(ring.l))])
+    partner = cell_partners(ring)
     cells = _cell_tensors(ring)
     radix = len(divisors) ** np.arange(len(partner) - 1, -1, -1)
     total = len(divisors) ** len(partner)

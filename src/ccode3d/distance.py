@@ -38,12 +38,13 @@ import numpy as np
 
 from . import linalg
 from .codes import BuiltCode, quasi_twisted_closure
+from .gf import InputError
 
 DEFAULT_BUDGET = 10**8
 BRUTE_FORCE_LIMIT = 10**7
 
 
-class SearchBudgetError(ValueError):
+class SearchBudgetError(InputError):
     """The requested enumeration exceeds the allowed candidate count."""
 
 
@@ -150,7 +151,7 @@ def min_distance(code: BuiltCode, max_weight: int | None = None,
     the kernel of the generator matrix is used.
     """
     if code.dimension < 1:
-        raise ValueError("a zero-dimensional code has no nonzero codeword")
+        raise InputError("a zero-dimensional code has no nonzero codeword")
     ring = code.ring
     p = ring.field.p
     n = code.n

@@ -16,7 +16,11 @@ class FieldMismatchError(ValueError):
     """Two operands belong to different fields."""
 
 
-class MissingRootOfUnityError(ValueError):
+class InputError(ValueError):
+    """Invalid input to a construction: the CLI reports it and exits 2."""
+
+
+class MissingRootOfUnityError(InputError):
     """F_p lacks a root of unity required by a construction.
 
     Carries ``r`` (order of the constant), ``k`` (block length) and ``p``.
@@ -69,9 +73,9 @@ class FieldSpec:
 
     def __post_init__(self):
         if not isinstance(self.p, int) or not (2 < self.p < 2**16):
-            raise ValueError(f"field modulus must satisfy 2 < p < 2**16, got {self.p!r}")
+            raise InputError(f"field modulus must satisfy 2 < p < 2**16, got {self.p!r}")
         if not is_prime(self.p):
-            raise ValueError(f"field modulus {self.p} is not prime")
+            raise InputError(f"field modulus {self.p} is not prime")
 
     # --- int-level helpers (canonical residues in, canonical residues out) ---
 
@@ -101,7 +105,7 @@ def element_order(field: FieldSpec, a: int) -> int:
     p = field.p
     a %= p
     if a == 0:
-        raise ValueError("0 has no multiplicative order")
+        raise InputError("0 has no multiplicative order")
     order = p - 1
     for f in _prime_factors(p - 1):
         while order % f == 0 and pow(a, order // f, p) == 1:
@@ -116,11 +120,11 @@ def find_root(field: FieldSpec, k: int, gamma: int) -> int:
     valid residue is returned so constructions are reproducible.
     """
     if k < 1:
-        raise ValueError(f"block length must be positive, got {k}")
+        raise InputError(f"block length must be positive, got {k}")
     p = field.p
     gamma %= p
     if gamma == 0:
-        raise ValueError("constant must be nonzero")
+        raise InputError("constant must be nonzero")
     r = element_order(field, gamma)
     if (p - 1) % (r * k) != 0:
         raise MissingRootOfUnityError(r, k, p)

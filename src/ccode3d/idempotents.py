@@ -4,7 +4,10 @@ cyclotomic quotient F_q[z]/(z^(rk) - 1), where r is the order of gamma.
 The same constructors serve the y-block: call them with (l, beta) to get the
 idempotents of F_q[y]/(y^l - beta).  Construction requires an element omega
 of order r*k with omega**k == gamma, hence q = 1 (mod r*k); under that
-hypothesis both moduli split into distinct linear factors.
+hypothesis both moduli split into distinct linear factors.  A family is its
+roots: member t is 1 at roots[t] and 0 at the other roots, the modulus is
+z^m - roots[0]^m, and the coefficient reversal of member t is proportional
+to the member at the inverse root (``IdempotentFamily.reversal``).
 """
 
 from __future__ import annotations
@@ -12,25 +15,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf import FieldSpec, element_order, find_root
+from .gf import FieldSpec, InputError, element_order, find_root
 from .poly import Poly
 
-FULL_CYCLE = "full-cycle"          # modulus z^(rk) - 1, rk members
-CONSTACYCLIC = "constacyclic"      # modulus z^k - gamma, k members
 
-
-class RepeatedRootsError(ValueError):
+class RepeatedRootsError(InputError):
     """The modulus has repeated roots (characteristic divides r*k)."""
 
 
 @dataclass(frozen=True)
 class IdempotentFamily:
-    kind: str
+    """The idempotents of F_q[z]/(z^m - c) for a split modulus with the m
+    distinct roots ``roots``: members[t] is 1 at roots[t], 0 at the rest."""
+
     field: FieldSpec
-    k: int
-    r: int
-    constant: int            # gamma, canonical residue
-    omega: int               # fixed root: omega**k == gamma, order r*k
+    roots: tuple[int, ...]
     members: tuple[Poly, ...]
 
     @property
@@ -38,22 +37,26 @@ class IdempotentFamily:
         return len(self.members)
 
     def modulus(self) -> Poly:
-        if self.kind == FULL_CYCLE:
-            return Poly.binomial(self.field, self.r * self.k, 1)
-        return Poly.binomial(self.field, self.k, self.constant)
+        return Poly.binomial(self.field, self.size, self.field.pow(self.roots[0], self.size))
 
     def eigenvalue(self, t: int) -> int:
         """The root at which members[t] evaluates to 1."""
         if not 0 <= t < self.size:
             raise IndexError(f"index {t} out of range for family of size {self.size}")
-        exp = t if self.kind == FULL_CYCLE else 1 + t * self.r
-        return self.field.pow(self.omega, exp)
+        return self.roots[t]
+
+    def reversal(self) -> tuple[int, ...]:
+        """For each member e_rho, the index of e_(1/rho), to which its reversal
+        z^(m-1) * e_rho(1/z) is proportional.  Needs the roots closed under
+        inversion (c = c^-1, or the full family), else raises KeyError."""
+        index = {rho: t for t, rho in enumerate(self.roots)}
+        return tuple(index[self.field.inv(rho)] for rho in self.roots)
 
 
 def _root_data(field: FieldSpec, k: int, gamma: int) -> tuple[int, int]:
     """(r, omega): the order of gamma and the fixed root find_root gives."""
     if k < 1:   # before the repeated-roots test, which k = 0 would pass as r*k = 0
-        raise ValueError(f"block length must be positive, got {k}")
+        raise InputError(f"block length must be positive, got {k}")
     r = element_order(field, gamma)
     if (r * k) % field.p == 0:
         raise RepeatedRootsError(
@@ -63,7 +66,7 @@ def _root_data(field: FieldSpec, k: int, gamma: int) -> tuple[int, int]:
     return r, find_root(field, k, gamma)
 
 
-def _geometric_members(field: FieldSpec, roots: list[int]) -> tuple[Poly, ...]:
+def _geometric_members(field: FieldSpec, roots: tuple[int, ...]) -> tuple[Poly, ...]:
     """The idempotent m^-1 * sum_{i<m} (z/rho)^i for each root rho, where the
     m roots are those of a split modulus z^m - c.
 
@@ -90,9 +93,8 @@ def build_full_idempotents(field: FieldSpec, k: int, gamma: int) -> IdempotentFa
     evaluates to 1 at omega^t and to 0 at every other rk-th root of unity.
     """
     r, omega = _root_data(field, k, gamma)
-    roots = [field.pow(omega, t) for t in range(r * k)]
-    return IdempotentFamily(FULL_CYCLE, field, k, r, field.canon(gamma), omega,
-                            _geometric_members(field, roots))
+    roots = tuple(field.pow(omega, t) for t in range(r * k))
+    return IdempotentFamily(field, roots, _geometric_members(field, roots))
 
 
 @lru_cache(maxsize=None)
@@ -104,24 +106,8 @@ def build_constacyclic_idempotents(field: FieldSpec, k: int, gamma: int) -> Idem
     and 0 at the other roots of z^k - gamma (its Lagrange interpolant).
     """
     r, omega = _root_data(field, k, gamma)
-    roots = [field.pow(omega, 1 + t * r) for t in range(k)]
-    return IdempotentFamily(CONSTACYCLIC, field, k, r, field.canon(gamma), omega,
-                            _geometric_members(field, roots))
-
-
-def reciprocal_index(k: int, t: int, *, constant_is_one: bool) -> int:
-    """Index of the idempotent proportional to the coefficient reversal of
-    member t, for constant +1 or -1.
-
-    For constant 1 the map is (k-2-t) mod k: index k-1 (the idempotent at the
-    root 1) is self-paired, the rest pair across it.  For constant -1 the map
-    is k-1-t.
-    """
-    if not 0 <= t < k:
-        raise IndexError(f"index {t} out of range for family of size {k}")
-    if constant_is_one:
-        return (k - 2 - t) % k
-    return k - 1 - t
+    roots = tuple(field.pow(omega, 1 + t * r) for t in range(k))
+    return IdempotentFamily(field, roots, _geometric_members(field, roots))
 
 
 def identity_report(fam: IdempotentFamily) -> dict[str, bool]:

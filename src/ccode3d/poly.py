@@ -11,7 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .gf import FieldMismatchError, FieldSpec
+from .gf import FieldMismatchError, FieldSpec, InputError
 
 
 @dataclass(frozen=True)
@@ -190,9 +190,9 @@ def factor_binomial(field: FieldSpec, s: int, alpha: int) -> list[tuple[Poly, in
     """
     alpha = field.canon(alpha)
     if s < 1:
-        raise ValueError(f"exponent must be positive, got {s}")
+        raise InputError(f"exponent must be positive, got {s}")
     if alpha == 0:
-        raise ValueError("constant must be nonzero")
+        raise InputError("constant must be nonzero")
     remaining = Poly.binomial(field, s, alpha)
     factors: list[tuple[Poly, int]] = []
     degree = 1

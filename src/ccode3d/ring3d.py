@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import FieldMismatchError, FieldSpec
+from .gf import FieldMismatchError, FieldSpec, InputError
 
 AXES = ("x", "y", "z")
 _UNIT_STEPS = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}
@@ -54,11 +54,11 @@ class RingParams:
 
     def __post_init__(self):
         if min(self.s, self.l, self.k) < 1:
-            raise ValueError("block lengths s, l, k must all be >= 1")
+            raise InputError("block lengths s, l, k must all be >= 1")
         for name in ("alpha", "beta", "gamma"):
             v = self.field.canon(getattr(self, name))
             if v == 0:
-                raise ValueError(f"{name} must be nonzero")
+                raise InputError(f"{name} must be nonzero")
             object.__setattr__(self, name, v)
 
     @property

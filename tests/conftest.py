@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from ccode3d import codes, linalg
+from ccode3d.poly import Poly
 
 settings.register_profile(
     "repro",
@@ -33,6 +34,42 @@ def row_space_equal(a, b, p: int) -> bool:
     if rka != rkb or ra.shape[1] != rb.shape[1]:
         return False
     return np.array_equal(ra[:rka], rb[:rkb])
+
+
+def reciprocal_index(k: int, t: int, *, constant_is_one: bool) -> int:
+    """The closed-form pairing: the index of the idempotent proportional to
+    the coefficient reversal of member t, for constant +1 or -1.
+
+    For constant 1 the map is (k-2-t) mod k: index k-1 (the idempotent at the
+    root 1) is self-paired, the rest pair across it.  For constant -1 the map
+    is k-1-t.  The oracle of IdempotentFamily.reversal and codes.cell_partners.
+    """
+    if not 0 <= t < k:
+        raise IndexError(f"index {t} out of range for family of size {k}")
+    if constant_is_one:
+        return (k - 2 - t) % k
+    return k - 1 - t
+
+
+def reciprocal_cell(ring, t: int, j: int) -> tuple[int, int]:
+    """The closed-form partner of cell (t, j) over a +-1 sign ring."""
+    return (reciprocal_index(ring.k, t, constant_is_one=(ring.gamma == 1)),
+            reciprocal_index(ring.l, j, constant_is_one=(ring.beta == 1)))
+
+
+def dual_spec(spec):
+    """The dual code as a divisor-grid spec over the same +-1 sign ring: the
+    cell paired with (t, j) by reciprocal_cell, not by codes.cell_partners,
+    holds the monic associate of reciprocal((x^s - alpha) / p[t][j])."""
+    ring = spec.ring
+    assert {ring.alpha, ring.beta, ring.gamma} <= {1, ring.field.p - 1}
+    binom = Poly.binomial(ring.field, ring.s, ring.alpha)
+    grid = [[None] * ring.l for _ in range(ring.k)]
+    for t, row in enumerate(spec.divisor_grid):
+        for j, p in enumerate(row):
+            t2, j2 = reciprocal_cell(ring, t, j)
+            grid[t2][j2] = (binom // p).reciprocal()
+    return codes.CodeSpec(ring, tuple(tuple(row) for row in grid))
 
 
 def monic_indices(divisors, polys) -> np.ndarray:

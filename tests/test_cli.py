@@ -129,6 +129,39 @@ def test_invalid_spec_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("content", [
+    b'{"q": 5, "s": 2,',                      # not JSON
+    b'{"q": 5, "s": \xff}',                   # not UTF-8
+    b'{"q": 5, "s": ' + b"1" * 5000 + b"}",   # an integer past int's digit limit
+])
+def test_unreadable_spec_file_exit_2(capsys, tmp_path, content):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(content)
+    assert main(["build", "--spec", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_non_integer_seed_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("CCODE_SEED", "abc")
+    assert main(["verify", "--spec", EXAMPLE1]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid literal for int() with base 10: 'abc'\n"
+
+
+def test_internal_value_error_is_not_invalid_input(monkeypatch):
+    # only input errors exit 2: a fault inside the construction propagates
+    from ccode3d import codes
+
+    def faulty(*args):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(codes, "kron_words", faulty)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["build", "--spec", EXAMPLE1])
+
+
 EXAMPLE1_DICT = {
     "q": 5, "s": 2, "l": 2, "k": 2, "alpha": 1, "beta": 4, "gamma": 4,
     "p": [[[4, 1], [1, 1]], [[4, 1], [1, 1]]],

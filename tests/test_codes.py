@@ -19,12 +19,11 @@ from ccode3d.codes import (
     build_code,
     build_dual,
     cell_generators,
+    cell_partners,
     code_idempotents,
     count_divisor_grids,
     cyclic_yz_selfdual_scan,
     direct_self_dual_check,
-    dual_spec,
-    partner_cell,
     quasi_twisted_closure,
     self_dual_decide,
     self_dual_feasible,
@@ -37,8 +36,10 @@ from ccode3d.poly import Poly, factor_binomial
 from ccode3d.ring3d import RingElement3D, RingParams, unflatten
 
 from conftest import (
+    dual_spec,
     enumerate_divisor_grids,
     per_spec_sweep_report,
+    reciprocal_cell,
     row_space_equal,
     self_reciprocal_count,
 )
@@ -319,7 +320,7 @@ def test_closure_matches_per_row_oracle(rng):
         # must still agree with the per-row oracle axis by axis
         if code.dimension > 1:
             g = code.generator_matrix[rng.sample(range(code.dimension), code.dimension // 2)]
-            part = BuiltCode(spec.ring, g, g.shape[0])
+            part = BuiltCode(spec.ring, g)
             assert quasi_twisted_closure(part, linalg.null_space(g, p)) == per_row_closure(part)
 
 
@@ -328,7 +329,7 @@ def test_closure_rejects_non_ideal_code():
     # (x * x = 1) and under y (y = 1), but z * 1 = z leaves the span
     ring = RingParams(F5, 2, 1, 2, 1, 1, -1)
     g = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.int64)
-    code = BuiltCode(ring, g, 2)
+    code = BuiltCode(ring, g)
     assert quasi_twisted_closure(code, linalg.null_space(g, 5)) == {"x": True, "y": True, "z": False}
     assert per_row_closure(code) == {"x": True, "y": True, "z": False}
 
@@ -533,12 +534,30 @@ def test_dual_spec_round_trip():
             dual.generator_matrix, via_spec.generator_matrix, spec.ring.field.p)
 
 
-def test_partner_cell_is_involution():
+def test_cell_partners_is_involution():
+    # the inverse-root pairing is the closed form, an involution, and its
+    # fixed points are the self-paired cells that self_dual_grid_count counts
     for ring in admissible_sign_rings(F5, 2, 2, 2) + admissible_sign_rings(F7, 2, 2, 3):
-        for t in range(ring.k):
-            for j in range(ring.l):
-                t2, j2 = partner_cell(ring, t, j)
-                assert partner_cell(ring, t2, j2) == (t, j)
+        partners = cell_partners(ring)
+        cells = np.arange(ring.k * ring.l)
+        assert not partners.flags.writeable
+        assert np.array_equal(partners[partners], cells)
+        closed_form = [reciprocal_cell(ring, t, j) for t in range(ring.k) for j in range(ring.l)]
+        assert partners.tolist() == [t2 * ring.l + j2 for t2, j2 in closed_form]
+        fixed = sum(pair == divmod(c, ring.l) for c, pair in enumerate(closed_form))
+        assert int((partners == cells).sum()) == fixed
+        divisors, self_reciprocal = codes._divisor_counts(ring.field, ring.s, ring.alpha)
+        assert self_dual_grid_count(ring) == (
+            self_reciprocal ** fixed * divisors ** ((len(cells) - fixed) // 2))
+
+
+def test_cell_partners_refuses_non_unit_constants():
+    ring = example3_spec().ring
+    with pytest.raises(UnsupportedConstantsError) as err:
+        cell_partners(ring)
+    assert str(err.value) == (
+        "cell pairing needs alpha = alpha^-1, beta = beta^-1, gamma = gamma^-1 "
+        f"(constants 1 or -1); got ({ring.alpha}, {ring.beta}, {ring.gamma}) over F_7")
 
 
 def test_self_dual_feasible_examples():
@@ -586,7 +605,7 @@ def divisibility_oracle(spec, t, j) -> bool:
     partner's divisor divides q*, and the partner's q* divides p."""
     ring = spec.ring
     binom = Poly.binomial(ring.field, ring.s, ring.alpha)
-    t2, j2 = partner_cell(ring, t, j)
+    t2, j2 = reciprocal_cell(ring, t, j)
     p_cell, partner_p = spec.divisor_grid[t][j], spec.divisor_grid[t2][j2]
     q_star = (binom // p_cell).reciprocal()
     partner_q_star = (binom // partner_p).reciprocal()
@@ -752,10 +771,10 @@ def _raise_constant_term(reversed_complement):
     return raised
 
 
-def _pair_each_cell_with_itself(partner_cell):
-    def itself(ring, t, j):
-        partner_cell(ring, t, j)   # keeps the constants check
-        return t, j
+def _pair_each_cell_with_itself(cell_partners):
+    def itself(ring):
+        cell_partners(ring)   # keeps the constants check
+        return np.arange(ring.k * ring.l)
     return itself
 
 
@@ -771,7 +790,7 @@ def _repeat_first_band_row(shift_rows):
 
 @pytest.mark.parametrize("fault, counters", [
     (("_reversed_complement", _raise_constant_term), ("orthogonality_failures", "kernel_mismatches")),
-    (("partner_cell", _pair_each_cell_with_itself), ("verdict_disagreements",)),
+    (("cell_partners", _pair_each_cell_with_itself), ("verdict_disagreements",)),
     (("_shift_rows", _repeat_first_band_row), ("rank_mismatches", "kernel_mismatches")),
 ])
 def test_stacked_sweep_counters_stay_live(fault, counters, monkeypatch):

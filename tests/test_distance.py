@@ -99,7 +99,7 @@ def test_injected_repetition_style_code():
     from ccode3d.codes import BuiltCode
     ring = RingParams(F5, 3, 1, 1, 1, 1, 1)
     G = np.ones((1, 3), dtype=np.int64)
-    code = BuiltCode(ring, G, 1)
+    code = BuiltCode(ring, G)
     assert min_distance_bruteforce(code) == 3
     res = min_distance(code)
     assert res.d == 3 and res.weight_checked == 2
@@ -130,7 +130,7 @@ def test_jobs_partitioning_matches_serial():
     from ccode3d.codes import BuiltCode
     ring = RingParams(F5, 5, 1, 1, 1, 1, 1)
     G = np.array([[0, 1, 1, 0, 0], [0, 0, 0, 1, 1]], dtype=np.int64)
-    code = BuiltCode(ring, G, 2)
+    code = BuiltCode(ring, G)
     assert min_distance(code).witness == (0, 1, 1, 0, 0)
 
 
@@ -211,7 +211,7 @@ def reference_cases(rng: random.Random, per_ring: int = 4):
             yield code, build_dual(spec).generator_matrix
             rows = sorted(rng.sample(range(code.dimension), rng.randint(1, code.dimension)))
             g = code.generator_matrix[rows]
-            yield BuiltCode(ring, g, len(rows)), linalg.null_space(g, p)
+            yield BuiltCode(ring, g), linalg.null_space(g, p)
 
 
 REFERENCE_BUDGET = 3 * 10**5   # keeps the reference's pattern arrays small

@@ -1,13 +1,10 @@
 import pytest
 
 from ccode3d.gf import FieldSpec, element_order, find_root
-from ccode3d.idempotents import (
-    build_constacyclic_idempotents,
-    build_full_idempotents,
-    identity_report,
-    reciprocal_index,
-)
+from ccode3d.idempotents import build_constacyclic_idempotents, build_full_idempotents, identity_report
 from ccode3d.poly import Poly
+
+from conftest import reciprocal_index
 
 F5 = FieldSpec(5)
 F7 = FieldSpec(7)
@@ -55,7 +52,7 @@ def test_full_family_golden_values():
     assert [list(m.coeffs) for m in fam2.members] == [[3, 3], [3, 2]]
     # evaluation pattern at the fixed root: 1 on own index, 0 elsewhere
     fam3 = build_full_idempotents(F5, 2, -1)
-    assert fam3.omega == 2
+    assert fam3.roots == (1, 2, 4, 3)   # the powers of omega = 2, of order 4
     for t, m in enumerate(fam3.members):
         for u in range(fam3.size):
             assert m.evaluate(pow(2, u, 5)) == (1 if t == u else 0)
@@ -70,6 +67,9 @@ def test_families_match_interpolation_oracle():
         full = build_full_idempotents(field, k, gamma)
         full_points = [field.pow(omega, t) for t in range(r * k)]
         assert list(full.members) == lagrange_family_oracle(field, full_points)
+        # the moduli, z^m - roots[0]^m, are the two binomials
+        assert con.modulus() == Poly.binomial(field, k, gamma % field.p)
+        assert full.modulus() == Poly.binomial(field, r * k, 1)
 
 
 def test_reciprocal_index_examples():
@@ -78,6 +78,23 @@ def test_reciprocal_index_examples():
     assert reciprocal_index(3, 0, constant_is_one=True) == 1
     with pytest.raises(IndexError):
         reciprocal_index(3, 3, constant_is_one=True)
+
+
+def test_reversal_matches_closed_form():
+    # the index of the inverse root is the closed-form reciprocal index
+    for field, k, gamma, _ in valid_triples():
+        if gamma in (1, field.p - 1):
+            fam = build_constacyclic_idempotents(field, k, gamma)
+            assert fam.reversal() == tuple(
+                reciprocal_index(k, t, constant_is_one=(gamma == 1)) for t in range(k))
+
+
+def test_full_family_reversal_inverts_roots():
+    for field, k, gamma, _ in valid_triples():
+        fam = build_full_idempotents(field, k, gamma)
+        rev = fam.reversal()
+        assert [rev[u] for u in rev] == list(range(fam.size))
+        assert all(field.mul(fam.roots[t], fam.roots[u]) == 1 for t, u in enumerate(rev))
 
 
 def test_identity_report_all_green():
