@@ -3,7 +3,7 @@
 from .gf import FieldSpec, element_order, find_root
 from .poly import Poly, cyclotomic_cosets, factor_binomial
 from .idempotents import IdempotentFamily, build_constacyclic_idempotents, build_full_idempotents
-from .ring3d import RingElement3D, RingParams, annihilator_orthogonality_flags, unflatten
+from .ring3d import RingElement3D, RingParams, unflatten
 from .codes import (
     BuiltCode,
     CodeSpec,

@@ -5,7 +5,10 @@ divisor grid), runs constructions and verifications, and writes a JSON result
 file.  Exit codes: 0 success / verdict true, 1 verdict false or failed
 verification, 2 invalid spec or usage, 3 search budget exhausted.  A
 result's matrices (G, H and the cell generators) stay numpy arrays until
-canonical_json writes them, by shape, as the stdlib's indented JSON would.
+canonical_json writes them, by shape, as the stdlib's indented JSON would,
+each entry's digits taken from a cached table.  verify forms no full ring
+product: its complement check multiplies axis by axis, and its random-pair
+bridge takes the products through the CRT split.
 
 Spec file schema (all residues canonical, coefficient arrays ascending):
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import random
 import sys
@@ -36,6 +40,7 @@ from .codes import (
     build_code,
     build_dual,
     cell_generators,
+    cell_product_zero_flags,
     check_scan_length,
     code_idempotents,
     cyclic_yz_selfdual_scan,
@@ -48,7 +53,7 @@ from .distance import DEFAULT_BUDGET, min_distance
 from .gf import FieldSpec, InputError, element_order
 from .idempotents import build_constacyclic_idempotents, build_full_idempotents, identity_report
 from .poly import Poly, factor_binomial, format_poly
-from .ring3d import RingParams, annihilator_orthogonality_flags, ring_products
+from .ring3d import RingParams, shift_orbit_orthogonal_flags, split_product_zero_flags
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -61,14 +66,59 @@ PAIR_CHUNK = 16   # random pairs per batched product in verify
 _INDENTED = json.JSONEncoder(indent=2, sort_keys=True)
 
 
-def _indented_ints(rows: list, depth: int, level: int) -> str:
-    """json.dumps(rows, indent=2) as nested at indent level `level`, for the
-    tolist() of an int array with `depth` axes."""
-    if not rows:
-        return "[]"
-    pad = "\n" + "  " * (level + 1)
-    items = map(str, rows) if depth == 1 else (_indented_ints(row, depth - 1, level + 1) for row in rows)
-    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+TOKEN_LIMIT = 1 << 16   # entries below this are written from a cached table of their digits
+
+
+@functools.lru_cache(maxsize=None)
+def _int_tokens(size: int) -> np.ndarray:
+    """The object array of str(0), ..., str(size - 1)."""
+    return np.array([str(i) for i in range(size)], dtype=object)
+
+
+def _array_json(value: np.ndarray, level: int) -> str:
+    """json.dumps(value.tolist(), indent=2) as nested at indent level
+    `level`, for an int array, written in one pass over its flat entries.
+
+    Each entry's token comes from the cached table of _int_tokens, or from
+    str when it is negative or at least TOKEN_LIMIT.  The innermost rows are
+    joined with ",\n" and their indent; between two rows, r trailing axes
+    roll over, and the separator closes r lists, writes the comma and opens
+    r lists.  tolist() stops at the first empty axis, so the lists there
+    are written as the token "[]", and an array whose first axis is empty
+    as "[]".
+    """
+    shape = value.shape
+    if 0 in shape:
+        shape = shape[:shape.index(0)]
+        if not shape:
+            return "[]"
+        tokens = ["[]"] * math.prod(shape)
+    else:
+        flat = value.reshape(-1)
+        low, high = int(flat.min()), int(flat.max())
+        if low < 0 or high >= TOKEN_LIMIT:
+            tokens = list(map(str, flat.tolist()))
+        else:
+            tokens = _int_tokens(1 << high.bit_length())[flat].tolist()
+    depth, width = len(shape), shape[-1]
+    pad = ["\n" + "  " * (level + a) for a in range(depth + 1)]   # pad[a + 1]: items at depth a
+
+    def separator(r):   # between two entries where the r innermost lists end
+        return ("".join(pad[a] + "]" for a in range(depth - 1, depth - 1 - r, -1))
+                + "," + pad[depth - r] + "".join("[" + pad[a + 1] for a in range(depth - r, depth)))
+
+    row_sep = separator(0)
+    rows = [row_sep.join(tokens[i:i + width]) for i in range(0, len(tokens), width)]
+    # the rows that end a list of each outer axis: row i + 1 starts a new list of axis a
+    ends = np.zeros(len(rows) - 1, dtype=np.intp)
+    for a in range(1, depth - 1):
+        ends += (np.arange(1, len(rows)) % math.prod(shape[a:-1]) == 0)
+    seps = [separator(1 + r) for r in range(depth)]
+    parts = [None] * (2 * len(rows) - 1)
+    parts[::2] = rows
+    parts[1::2] = [seps[r] for r in ends.tolist()]
+    return ("".join("[" + pad[a + 1] for a in range(depth)) + "".join(parts)
+            + "".join(pad[a] + "]" for a in range(depth - 1, -1, -1)))
 
 
 def canonical_json(obj) -> str:
@@ -76,12 +126,12 @@ def canonical_json(obj) -> str:
     each numpy int array written as its tolist().
 
     A top-level dict that holds arrays (G, H, generators) is written key by
-    key: each array by _indented_ints, from its rows; every other value, and
-    every other object, takes the stdlib's indenting encoder.
+    key: each array by _array_json, from its flat entries; every other
+    value, and every other object, takes the stdlib's indenting encoder.
     """
     if isinstance(obj, dict) and any(isinstance(value, np.ndarray) for value in obj.values()):
         items = (f"  {json.dumps(key)}: "
-                 + (_indented_ints(value.tolist(), value.ndim, 1) if isinstance(value, np.ndarray)
+                 + (_array_json(value, 1) if isinstance(value, np.ndarray)
                     else _INDENTED.encode(value).replace("\n", "\n  "))
                  for key, value in sorted(obj.items()))
         return "{\n" + ",\n".join(items) + "\n}\n"
@@ -261,11 +311,11 @@ def _verify_checks(spec: CodeSpec, pairs: int, seed: int):
         verdict, _ = self_dual_decide(spec)
         yield "self_dual_criteria_agree", verdict == direct_self_dual_check(code)
     binom = Poly.binomial(ring.field, ring.s, ring.alpha)
-    generators = cell_generators(ring, spec.divisor_grid)
-    complements = cell_generators(ring, [[binom // d for d in row] for row in spec.divisor_grid])
-    yield "complement_generators_annihilate", not any(   # one complement at a time bounds memory
-        ring_products(ring, c, generators).any() for c in complements)
+    complements = [[binom // d for d in row] for row in spec.divisor_grid]
+    yield ("complement_generators_annihilate",
+           bool(cell_product_zero_flags(ring, complements, spec.divisor_grid).all()))
 
+    z_roots, y_roots = (fam.roots for fam in code_idempotents(ring))
     rng = random.Random(seed)
     agree = True
     for start in range(0, pairs, PAIR_CHUNK):   # chunks of pairs bound the product's memory
@@ -274,8 +324,8 @@ def _verify_checks(spec: CodeSpec, pairs: int, seed: int):
         # numpy.random would add 6 MB of RSS
         words = np.frombuffer(rng.randbytes(8 * ring.n * count), dtype=np.uint32)
         f, g = np.swapaxes((words % p).reshape(count, 2, *ring.shape()), 0, 1)
-        zero_flags, ortho_flags = annihilator_orthogonality_flags(ring, f, g)
-        agree &= bool((zero_flags == ortho_flags).all())
+        zero_flags = split_product_zero_flags(ring, y_roots, z_roots, f, g)
+        agree &= bool((zero_flags == shift_orbit_orthogonal_flags(ring, f, g)).all())
     yield "product_zero_matches_shift_orthogonality", agree
 
 

@@ -12,6 +12,9 @@ parity check of the closure test.  Every cell is an x-polynomial times the
 fixed tensor e_j(y)*e_t(z); G, H (reversing both axes) and the generators
 (``cell_generators``) read one cached stack of them per ring (``_cell_tensors``),
 and every block of G and H comes from one stacked ``ring3d.kron_words`` call.
+Two such pure tensors multiply axis by axis, so ``cell_product_zero_flags``
+decides which products of two grids' generators vanish from the x-products
+and the products of the idempotents, with no full ring product.
 For constants +-1 the dual lives in the same ring and is itself a divisor
 grid: cell (t, j) holds monic(q*) of the cell that ``cell_partners``, the
 involution of inverse roots, pairs with it; self-duality is decided on the
@@ -35,10 +38,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .gf import FieldSpec, InputError, element_order
+from .gf import FieldSpec, InputError
 from .idempotents import IdempotentFamily, build_constacyclic_idempotents
-from .poly import Poly, constacyclic_exponent_cosets, factor_binomial
-from .ring3d import AXES, RingParams, kron_words, shift_words
+from .poly import Poly, binomial_cosets, factor_binomial
+from .ring3d import AXES, RingParams, axis_products, kron_words, shift_words
 
 
 class SpecValidationError(InputError):
@@ -148,13 +151,20 @@ def _check_length(n: int):
             f"code length n = s*l*k = {n} is past the limit of {SPEC_LENGTH_LIMIT}")
 
 
+def _family_members(ring: RingParams) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, k) and (l, l) coefficient rows of the z- and y-idempotents.
+    Every member has full degree m - 1 (the geometric sum has no zero
+    coefficient)."""
+    return tuple(np.array([e.coeffs for e in fam.members], dtype=np.int64)
+                 for fam in code_idempotents(ring))
+
+
 @lru_cache(maxsize=None)
 def _cell_tensors(ring: RingParams) -> np.ndarray:
     """The read-only (k*l, l, k) stack of the cell tensors e_j(y)*e_t(z), in
-    (t, j) order, made once per ring.  Every member has full degree m - 1
-    (the geometric sum has no zero coefficient), so reversing both trailing
-    axes gives e_j*(y)*e_t*(z), the dual's cells."""
-    z, y = (np.array([e.coeffs for e in fam.members], dtype=np.int64) for fam in code_idempotents(ring))
+    (t, j) order, made once per ring.  Every member has full degree, so
+    reversing both trailing axes gives e_j*(y)*e_t*(z), the dual's cells."""
+    z, y = _family_members(ring)
     cells = np.einsum("jb,tc->tjbc", y, z).reshape(-1, ring.l, ring.k) % ring.field.p
     cells.setflags(write=False)
     return cells
@@ -168,14 +178,45 @@ def _shift_rows(f: Poly, count: int, s: int) -> np.ndarray:
     return rows
 
 
+def _folded_x_rows(ring: RingParams, x_grid) -> np.ndarray:
+    """The (k*l, s) residues of a k x l grid of polynomials of degree <= s in
+    (t, j) order, with x^s folded onto alpha."""
+    x = np.vstack([_shift_rows(f, 1, ring.s + 1) for row in x_grid for f in row])
+    x[:, 0] += ring.alpha * x[:, ring.s]
+    return x[:, :ring.s] % ring.field.p
+
+
 def cell_generators(ring: RingParams, x_grid) -> np.ndarray:
     """The products f_tj(x)*e_j(y)*e_t(z) for a k x l grid of polynomials of
     degree <= s (x^s folds onto alpha), as the (k*l, s, l, k) stack of
     coefficient tensors in (t, j) order.  On the divisor grid these are the
     code's ring generators; no matrix is built from them (_assemble)."""
-    x = np.vstack([_shift_rows(f, 1, ring.s + 1) for row in x_grid for f in row])
-    x[:, 0] += ring.alpha * x[:, ring.s]   # < p + p^2: every product below stays < 2^63
-    return x[:, :ring.s, None, None] * _cell_tensors(ring)[:, None] % ring.field.p
+    x = _folded_x_rows(ring, x_grid)
+    return x[:, :, None, None] * _cell_tensors(ring)[:, None] % ring.field.p
+
+
+def cell_product_zero_flags(ring: RingParams, left_grid, right_grid) -> np.ndarray:
+    """The (k*l, k*l) boolean matrix whose entry (c, g) says that the product
+    of the cell generators (cell_generators) of left_grid's cell c and
+    right_grid's cell g is zero, cells in (t, j) order.
+
+    Both are pure tensors f(x)*e_j(y)*e_t(z), and R is the tensor product of
+    the three axis rings, so their product is the pure tensor of the three
+    per-axis products, and it is zero iff one of them is: the flag is
+    x[c, g] | y[j_c, j_g] | z[t_c, t_g], from ring3d.axis_products on the
+    folded x-rows and on the members of the two idempotent families.  No
+    full ring product is formed."""
+    p = ring.field.p
+
+    def zero_products(m, constant, a, b):   # all products of the rows of a and b
+        return ~axis_products(m, constant, p, a[:, None], b[None]).any(axis=-1)
+
+    x = zero_products(ring.s, ring.alpha, _folded_x_rows(ring, left_grid),
+                      _folded_x_rows(ring, right_grid))
+    z, y = (zero_products(m, constant, members, members)
+            for m, constant, members in zip((ring.k, ring.l), (ring.gamma, ring.beta),
+                                            _family_members(ring)))
+    return x | (z[:, None, :, None] | y[None, :, None, :]).reshape(x.shape)
 
 
 def _bands(x_blocks, s: int) -> np.ndarray:
@@ -398,16 +439,13 @@ def _divisor_counts(field: FieldSpec, s: int, alpha: int) -> tuple[int, int]:
     q-cyclotomic cosets, with nothing factored.  With s = s'*p^v, p not
     dividing s', x^s - alpha = (x^s' - alpha)^(p^v) over F_p, and the factors
     of x^s' - alpha match the cosets of its root exponents
-    (constacyclic_exponent_cosets): (p^v + 1)^#cosets divisors.  Reversal maps
+    (poly.binomial_cosets): (p^v + 1)^#cosets divisors.  Reversal maps
     coset C to -C, so d = monic(q*) asks the powers of C and -C in d to sum
     to p^v: impossible if C = -C (p^v is odd) or -C is no coset (alpha != +-1),
     and one free power per pair {C, -C} otherwise."""
-    power = 1
-    while s % field.p == 0:
-        s, power = s // field.p, power * field.p
-    r = element_order(field, alpha)
-    cosets = {frozenset(c) for c in constacyclic_exponent_cosets(s, r, field.p)}
-    negated = [frozenset(-e % (r * s) for e in c) for c in cosets]
+    power, modulus, cosets = binomial_cosets(field, s, alpha)
+    cosets = {frozenset(c) for c in cosets}
+    negated = [frozenset(-e % modulus for e in c) for c in cosets]
     paired = all(neg != c and neg in cosets for c, neg in zip(cosets, negated))
     return (power + 1) ** len(cosets), (power + 1) ** (len(cosets) // 2) if paired else 0
 

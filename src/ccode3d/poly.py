@@ -11,7 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .gf import FieldMismatchError, FieldSpec, InputError
+from .gf import FieldMismatchError, FieldSpec, InputError, element_order
 
 
 @dataclass(frozen=True)
@@ -181,18 +181,62 @@ def _monic_candidates(field: FieldSpec, degree: int):
         yield Poly(field, tuple(tail) + (1,))
 
 
+FACTOR_TRIAL_LIMIT = 10**5   # the most monic candidates factor_binomial may try
+
+
+def binomial_cosets(field: FieldSpec, s: int, alpha: int) -> tuple[int, int, list[list[int]]]:
+    """(p^v, r*s', cosets) for x**s - alpha over F_p, with nothing factored.
+
+    With s = s'*p^v and p not dividing s', x**s - alpha = (x**s' - alpha)**(p^v),
+    and the irreducible factors of x**s' - alpha match the cosets
+    constacyclic_exponent_cosets(s', r, p) of its root exponents modulo r*s',
+    r the order of alpha: a factor's degree is its coset's size.
+    """
+    power = 1
+    while s % field.p == 0:
+        s, power = s // field.p, power * field.p
+    r = element_order(field, alpha)
+    return power, r * s, constacyclic_exponent_cosets(s, r, field.p)
+
+
+def trial_candidates(field: FieldSpec, s: int, alpha: int) -> int:
+    """The number of monic candidates that factor_binomial's degree loop
+    tries on x**s - alpha, counted from cosets (binomial_cosets) with
+    nothing divided.
+
+    The loop enters degree d while d <= D_d // 2, D_d being the total degree
+    of the factors of degree >= d, and tries the q^d candidates of each
+    degree it enters: this count.  The last degree entered may stop early,
+    once what is left is irreducible, so the count bounds the loop's work
+    from above.
+    """
+    power, _, cosets = binomial_cosets(field, s, alpha)
+    count, d = 0, 1
+    while d <= power * sum(len(c) for c in cosets if len(c) >= d) // 2:
+        count += field.p ** d
+        d += 1
+    return count
+
+
 def factor_binomial(field: FieldSpec, s: int, alpha: int) -> list[tuple[Poly, int]]:
     """Monic irreducible factors of x**s - alpha, with multiplicities.
 
-    Bounded trial division in degree order: exact and deterministic at the
-    block lengths this package targets.  Output is sorted by (degree,
-    ascending coefficient tuple) and multiplies back to x**s - alpha.
+    Trial division in degree order: exact and deterministic at the block
+    lengths this package targets.  Before any division it counts the
+    candidates it will try (trial_candidates) and refuses a binomial past
+    FACTOR_TRIAL_LIMIT of them with InputError.  Output is sorted by
+    (degree, ascending coefficient tuple) and multiplies back to x**s - alpha.
     """
     alpha = field.canon(alpha)
     if s < 1:
         raise InputError(f"exponent must be positive, got {s}")
     if alpha == 0:
         raise InputError("constant must be nonzero")
+    count = trial_candidates(field, s, alpha)
+    if count > FACTOR_TRIAL_LIMIT:
+        raise InputError(
+            f"factoring x^{s} - {alpha} over F_{field.p} by trial division would try "
+            f"{count} monic candidates, past the limit of {FACTOR_TRIAL_LIMIT}")
     remaining = Poly.binomial(field, s, alpha)
     factors: list[tuple[Poly, int]] = []
     degree = 1

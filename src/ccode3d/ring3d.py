@@ -14,18 +14,23 @@ kron(w_c^T, X_c), reducing nothing, and ``shift_words`` applies one axis
 shift to every word at once.
 
 R is the tensor product of the three univariate rings F_q[u]/(u^m - c), so
-the ring product factors axis by axis: ``ring_products`` contracts two
-stacks of operands against one cached multiplication table per axis,
-T[i, i', d] = c^((i+i')//m) where d = (i+i') mod m and 0 elsewhere, with no
-loop over monomials.  The stacks' leading axes broadcast as in np.matmul, so
-one call gives the pairwise products of two (P, s, l, k) stacks, or all
-products of an (A, 1, s, l, k) and a (1, B, s, l, k) stack.  Every product
-in the package goes through it: verify's complement check and the product
-side of ``annihilator_orthogonality_flags``, the bridge between ring
-annihilators and Euclidean duality tested on a whole stack of pairs at once.
+the ring product factors axis by axis.  ``axis_products`` multiplies two
+broadcasting stacks in one such ring, as one batched matmul against the
+twisted circulant of one operand; every product that verify makes goes
+through it.  Its complement check multiplies pure tensors f(x)*e_j(y)*e_t(z)
+one axis at a time (codes.cell_product_zero_flags).  Its random-pair bridge
+between ring annihilators and Euclidean duality has two independent sides:
+``split_product_zero_flags`` takes the products through the CRT split, with
+y and z evaluated at the roots of their split moduli and the k*l components
+multiplied along x, and ``shift_orbit_orthogonal_flags`` walks the shift
+orbit and never multiplies.
 
-RingElement3D wraps a single tensor with its ring.  Nothing else in the
-package uses it; the tests use it as an oracle, and ccbench traces it.
+``ring_products`` contracts two stacks of full tensors against one cached
+multiplication table per axis, T[i, i', d] = c^((i+i')//m) where
+d = (i+i') mod m and 0 elsewhere, and needs no split modulus.
+RingElement3D wraps a single tensor with its ring and multiplies with it.
+Nothing else in the package uses either; the tests use them as the oracle
+of the products above, and ccbench traces RingElement3D.
 """
 
 from __future__ import annotations
@@ -228,24 +233,80 @@ def ring_products(params: RingParams, a, b) -> np.ndarray:
     return w
 
 
-def annihilator_orthogonality_flags(params: RingParams, f, g) -> tuple[np.ndarray, np.ndarray]:
-    """The bridge between ring annihilators and Euclidean duality, over two
-    (P, s, l, k) stacks of canonical tensors: the boolean arrays
-    (f[u]*g[u] == 0, shift-orbit orthogonality of f[u] and g[u]) for every u.
-    The bridge says that the two flags agree on every pair.
+def axis_products(m: int, constant: int, p: int, a, b) -> np.ndarray:
+    """The products a * b in F_p[u]/(u^m - constant) of two stacks of
+    canonical coefficient vectors, (..., m) each, whose leading axes
+    broadcast as in np.matmul.
 
-    The products come from one ring_products call.  The orbit side never
-    multiplies: it dots f's word with x^i y^j z^t times g's reversed word,
-    read in the ring with the inverse constants, one monomial at a time for
-    all pairs still orthogonal.  A pair drops out at its first nonzero dot
-    product, and the walk stops when no pair is left; its first step,
-    (0, 0, 0), is the plain dot product f . reverse(g).  Each dot sums n
-    products of residues, below 2^63 for p < 2^16 and n < 2^31.
+    (a*b)[d] = sum_i' b[i'] * C[i', d] for the twisted circulant of a,
+    C[i', d] = a[(d - i') mod m] times constant where d < i' (the terms that
+    wrap), gathered once and reduced mod p; the sum is one batched matmul.
+    Overflow bound: each output sums m products of two residues, below
+    m * p^2 < 2^63 for p < 2^16 and m < 2^31.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    d = np.arange(m)
+    lag = d[None, :] - d[:, None]                                  # (i', d): d - i'
+    circulant = a[..., lag % m] * np.where(lag < 0, constant % p, 1) % p
+    out = (b[..., None, :] @ circulant)[..., 0, :]
+    out %= p
+    return out
+
+
+@lru_cache(maxsize=None)
+def _root_powers(m: int, constant: int, p: int, roots: tuple[int, ...]) -> np.ndarray:
+    """The read-only Vandermonde matrix V[r, i] = roots[r]^i, made once per
+    family; raises ValueError unless roots are the m distinct roots of
+    u^m - constant over F_p, the condition under which evaluating at them
+    is the CRT split of F_p[u]/(u^m - constant)."""
+    if len({rho % p for rho in roots}) != m or any(pow(rho, m, p) != constant % p for rho in roots):
+        raise ValueError(f"{list(roots)} are not the {m} distinct roots of u^{m} - {constant} "
+                         f"over F_{p}")
+    powers = np.array([[pow(rho, i, p) for i in range(m)] for rho in roots], dtype=np.int64)
+    powers.setflags(write=False)
+    return powers
+
+
+def split_product_zero_flags(params: RingParams, y_roots, z_roots, f, g) -> np.ndarray:
+    """For two (P, s, l, k) stacks of canonical tensors, the boolean (P,)
+    array f[u]*g[u] == 0, taken through the CRT split.
+
+    y_roots and z_roots must be the l and k distinct roots of y^l - beta and
+    z^k - gamma (ValueError otherwise).  Evaluating y and z at them maps R
+    isomorphically onto the k*l copies of F_p[x]/(x^s - alpha), so a product
+    is zero iff all k*l components of the two evaluated tensors multiply to
+    zero along x (axis_products).  Each evaluation stage sums l or k
+    products of residues and is reduced mod p before the next.
+    """
+    p = params.field.p
+    vy = _root_powers(params.l, params.beta, p, tuple(y_roots))
+    vz = _root_powers(params.k, params.gamma, p, tuple(z_roots))
+
+    def split(tensors):   # (P, s, l, k) -> (P, k, l, s): tensor u at (sigma_t, rho_j)
+        out = np.asarray(tensors, dtype=np.int64) @ vz.T % p
+        return np.moveaxis(np.swapaxes(out, -1, -2) @ vy.T % p, -3, -1)
+
+    products = axis_products(params.s, params.alpha, p, split(f), split(g))
+    return ~products.reshape(len(products), params.n).any(axis=1)
+
+
+def shift_orbit_orthogonal_flags(params: RingParams, f, g) -> np.ndarray:
+    """For two (P, s, l, k) stacks of canonical tensors, the boolean (P,)
+    array: f[u] is orthogonal to the whole shift orbit of reverse(g[u]).
+    The bridge between ring annihilators and Euclidean duality says that
+    this holds exactly when f[u]*g[u] == 0.
+
+    This side never multiplies: it dots f's word with x^i y^j z^t times g's
+    reversed word, read in the ring with the inverse constants, one monomial
+    at a time for all pairs still orthogonal.  A pair drops out at its first
+    nonzero dot product, and the walk stops when no pair is left; its first
+    step, (0, 0, 0), is the plain dot product f . reverse(g).  Each dot sums
+    n products of residues, below 2^63 for p < 2^16 and n < 2^31.
     """
     p = params.field.p
     f = np.asarray(f, dtype=np.int64)
     g = np.asarray(g, dtype=np.int64)
-    zero = ~ring_products(params, f, g).reshape(len(f), params.n).any(axis=1)
     inv = params.inverse_constants()
     words = _to_words(params, f)
     reversed_g = _to_tensors(inv, _to_words(params, g)[:, ::-1])
@@ -256,7 +317,7 @@ def annihilator_orthogonality_flags(params: RingParams, f, g) -> tuple[np.ndarra
             break
         shifted = _to_words(inv, _monomial_shift(reversed_g[live], inv, i, j, t))
         ortho[live] = (words[live] * shifted).sum(axis=1) % p == 0
-    return zero, ortho
+    return ortho
 
 
 def _reduce_axis(field: FieldSpec, coeffs, m: int, constant: int) -> np.ndarray:

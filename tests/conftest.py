@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from ccode3d import codes, linalg
+from ccode3d import codes, linalg, ring3d
 from ccode3d.poly import Poly
 
 settings.register_profile(
@@ -34,6 +34,19 @@ def row_space_equal(a, b, p: int) -> bool:
     if rka != rkb or ra.shape[1] != rb.shape[1]:
         return False
     return np.array_equal(ra[:rka], rb[:rkb])
+
+
+def annihilator_orthogonality_flags(params, f, g) -> tuple[np.ndarray, np.ndarray]:
+    """The bridge between ring annihilators and Euclidean duality on any
+    ring, split moduli or not, over two (P, s, l, k) stacks of canonical
+    tensors: the boolean arrays (f[u]*g[u] == 0, shift-orbit orthogonality
+    of f[u] and g[u]) for every u, which the bridge says agree.  The
+    products come from one ring3d.ring_products call, looked up at call
+    time, and the orbit side is ring3d.shift_orbit_orthogonal_flags."""
+    f = np.asarray(f, dtype=np.int64)
+    g = np.asarray(g, dtype=np.int64)
+    zero = ~ring3d.ring_products(params, f, g).reshape(len(f), params.n).any(axis=1)
+    return zero, ring3d.shift_orbit_orthogonal_flags(params, f, g)
 
 
 def reciprocal_index(k: int, t: int, *, constant_is_one: bool) -> int:

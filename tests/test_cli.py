@@ -66,6 +66,10 @@ def test_factor_command(capsys):
     # k is within the limit, but gamma has order 3: the full family has 3k members
     (["idempotents", "--q", "12289", "--k", "4096", "--gamma", "6048", "--full"],
      "idempotent family of 12288 members is past the limit of 4096"),
+    # x^29 - 1: its trial count, from cosets, is refused before any division
+    (["factor", "--q", "7", "--s", "29", "--alpha", "1"],
+     "factoring x^29 - 1 over F_7 by trial division would try 960799 monic candidates, "
+     "past the limit of 100000"),
 ])
 def test_invalid_factor_and_idempotents_print_only_the_error(capsys, monkeypatch, argv, message):
     from ccode3d import idempotents
@@ -237,13 +241,13 @@ def test_verify_draws_the_pairs_per_pair_in_chunks(capsys, monkeypatch):
     # the chunked draw hands the batched check the same pairs, in order, as
     # one randbytes(8 n) call per pair, including a short last chunk
     seen = []
-    flags = cli.annihilator_orthogonality_flags
+    flags = cli.split_product_zero_flags
 
-    def spy(ring, f, g):
+    def spy(ring, y_roots, z_roots, f, g):
         seen.append((f.copy(), g.copy()))
-        return flags(ring, f, g)
+        return flags(ring, y_roots, z_roots, f, g)
 
-    monkeypatch.setattr(cli, "annihilator_orthogonality_flags", spy)
+    monkeypatch.setattr(cli, "split_product_zero_flags", spy)
     pairs = 2 * cli.PAIR_CHUNK + 5
     code, out = run(capsys, "verify", "--spec", EXAMPLE3, "--pairs", str(pairs))
     assert code == 0 and "PASS product_zero_matches_shift_orthogonality" in out
@@ -256,14 +260,45 @@ def test_verify_draws_the_pairs_per_pair_in_chunks(capsys, monkeypatch):
 
 
 def test_verify_pair_check_stays_live(capsys, monkeypatch):
-    # a product that always vanishes disagrees with the orbit test on random pairs
-    def vanishing(params, a, b):
+    # an x-product that always vanishes makes every split product zero, which
+    # disagrees with the orbit test on random pairs
+    def vanishing(m, constant, p, a, b):
         return np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
 
-    monkeypatch.setattr(ring3d, "ring_products", vanishing)
+    monkeypatch.setattr(ring3d, "axis_products", vanishing)
     code, out = run(capsys, "verify", "--spec", EXAMPLE1, "--pairs", "5")
     assert code == 1
     assert "FAIL product_zero_matches_shift_orthogonality" in out
+
+
+def test_verify_complement_check_stays_live(capsys, monkeypatch):
+    # adding 1 to one complement leaves its products with the degree-1
+    # generators nonzero: (x^2 - 1)/p + 1 times p is p mod x^2 - 1
+    from ccode3d.poly import Poly
+
+    flags = cli.cell_product_zero_flags
+
+    def perturbed(ring, left_grid, right_grid):
+        left_grid = [list(row) for row in left_grid]
+        left_grid[0][0] = left_grid[0][0] + Poly.one(ring.field)
+        return flags(ring, left_grid, right_grid)
+
+    monkeypatch.setattr(cli, "cell_product_zero_flags", perturbed)
+    code, out = run(capsys, "verify", "--spec", EXAMPLE1, "--pairs", "5")
+    assert code == 1
+    assert "FAIL complement_generators_annihilate" in out
+    assert out.count("FAIL") == 1
+
+
+@pytest.mark.parametrize("spec", [EXAMPLE1, EXAMPLE3])
+def test_verify_makes_no_full_ring_product(capsys, monkeypatch, spec):
+    # every product verify makes goes through the CRT split and axis_products
+    def refused(params, a, b):
+        raise AssertionError("verify called ring_products")
+
+    monkeypatch.setattr(ring3d, "ring_products", refused)
+    code, out = run(capsys, "verify", "--spec", spec, "--pairs", "20")
+    assert code == 0 and "FAIL" not in out
 
 
 _JSON_LEAVES = st.one_of(st.integers(-10**6, 10**6), st.integers(0, 12),

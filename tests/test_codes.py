@@ -20,6 +20,7 @@ from ccode3d.codes import (
     build_dual,
     cell_generators,
     cell_partners,
+    cell_product_zero_flags,
     code_idempotents,
     count_divisor_grids,
     cyclic_yz_selfdual_scan,
@@ -33,7 +34,7 @@ from ccode3d.codes import (
 )
 from ccode3d.cli import load_spec
 from ccode3d.poly import Poly, factor_binomial
-from ccode3d.ring3d import RingElement3D, RingParams, unflatten
+from ccode3d.ring3d import RingElement3D, RingParams, ring_products, unflatten
 
 from conftest import (
     dual_spec,
@@ -449,6 +450,42 @@ def test_generators_annihilate_complement_products():
                     z_fam.members[t].coeffs)
                 for gen in generators:
                     assert (lhs * RingElement3D.from_tensor(ring, gen)).is_zero()
+
+
+# (q, s, l, k, alpha, beta, gamma), n = 18..288: unit and non-unit constants
+CELL_PRODUCT_RINGS = [
+    (7, 3, 2, 3, 3, 2, 6),
+    (13, 4, 4, 3, 2, 3, 5),
+    (13, 6, 4, 3, 1, 1, 1),
+    (5, 12, 4, 2, 1, 1, 4),
+    (13, 12, 4, 3, 12, 3, 8),
+    (13, 12, 6, 4, 1, 12, 1),
+]
+
+
+@pytest.mark.parametrize("q,s,l,k,alpha,beta,gamma", CELL_PRODUCT_RINGS)
+def test_cell_product_flags_match_all_pairs_ring_products(q, s, l, k, alpha, beta, gamma):
+    # the complements of a divisor grid against it, then grids with random
+    # x-polynomials of degree <= s in some cells, against the same divisors:
+    # pair by pair, the per-axis flag is the zero flag of the full product
+    field = FieldSpec(q)
+    ring = RingParams(field, s, l, k, alpha, beta, gamma)
+    rng = np.random.default_rng(100 * s + 10 * l + k)
+    divisors = binomial_divisors(field, s, ring.alpha)
+    binom = Poly.binomial(field, s, ring.alpha)
+    grid = [[divisors[rng.integers(len(divisors))] for _ in range(l)] for _ in range(k)]
+    complements = [[binom // d for d in row] for row in grid]
+    mixed = [[Poly.from_coeffs(field, rng.integers(0, q, s + 1)) if rng.random() < 0.5 else c
+              for c in row] for row in complements]
+    right = cell_generators(ring, grid)
+    for left_grid in (complements, mixed):
+        flags = cell_product_zero_flags(ring, left_grid, grid)
+        left = cell_generators(ring, left_grid)
+        products = ring_products(ring, left[:, None], right[None])
+        assert flags.shape == (k * l, k * l)
+        assert np.array_equal(flags, ~products.reshape(k * l, k * l, -1).any(axis=-1))
+    assert cell_product_zero_flags(ring, complements, grid).all()
+    assert not flags.all() and flags.any()
 
 
 def bundled_specs() -> list[CodeSpec]:

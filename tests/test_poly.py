@@ -4,13 +4,16 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from ccode3d.gf import FieldSpec
+from ccode3d import poly
+from ccode3d.gf import FieldSpec, InputError
 from ccode3d.poly import (
+    FACTOR_TRIAL_LIMIT,
     Poly,
     constacyclic_exponent_cosets,
     cyclotomic_cosets,
     factor_binomial,
     format_poly,
+    trial_candidates,
 )
 
 F5 = FieldSpec(5)
@@ -137,6 +140,52 @@ def test_factor_binomial_properties(p, s, alpha):
     if math.gcd(s, p) == 1:
         for (f, _), (g, _) in itertools.combinations(factors, 2):
             assert poly_gcd(f, g) == Poly.one(field)
+
+
+def test_trial_candidates_bound_the_candidates_tried(monkeypatch):
+    # the coset count is at least the candidates the degree loop draws, and
+    # equal when the last degree entered holds no factor
+    tried = []
+    candidates = poly._monic_candidates
+
+    def counting(field, degree):
+        for cand in candidates(field, degree):
+            tried.append(cand)
+            yield cand
+
+    monkeypatch.setattr(poly, "_monic_candidates", counting)
+    exact = 0
+    for p in (3, 5, 7, 11, 13):
+        field = FieldSpec(p)
+        for s, alpha in itertools.product(range(1, 17), range(1, p)):
+            count = trial_candidates(field, s, alpha)
+            if count > 3_000:
+                continue
+            tried.clear()
+            factor_binomial(field, s, alpha)
+            assert len(tried) <= count, (p, s, alpha)
+            exact += len(tried) == count
+    assert exact > 100
+    # x^11 - 1 over F_5 has two quintic factors: 5 + 25 + 125 + 625 + 3125
+    assert trial_candidates(F5, 11, 1) == 3905
+    assert trial_candidates(F5, 25, 1) == 5           # (x - 1)^25
+    assert trial_candidates(FieldSpec(13), 11, 1) == 402_233
+    assert trial_candidates(F7, 29, 1) == 960_799
+
+
+def test_factor_binomial_refuses_past_the_trial_limit(monkeypatch):
+    def no_division(self, other):
+        raise AssertionError("divided before the trial count")
+
+    monkeypatch.setattr(Poly, "__divmod__", no_division)
+    for field, s in ((F7, 29), (FieldSpec(13), 11)):
+        with pytest.raises(InputError, match=f"x\\^{s} - 1 over F_{field.p} .* would try "
+                                             f"{trial_candidates(field, s, 1)} "):
+            factor_binomial(field, s, 1)
+    monkeypatch.setattr(poly, "FACTOR_TRIAL_LIMIT", 3904)
+    with pytest.raises(InputError, match="3905 monic candidates, past the limit of 3904"):
+        factor_binomial(F5, 11, 1)
+    assert FACTOR_TRIAL_LIMIT == 10**5
 
 
 def test_cyclotomic_cosets_examples():

@@ -6,20 +6,24 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ccode3d import ring3d
-from ccode3d.codes import binomial_divisors, cell_generators
+from ccode3d.codes import binomial_divisors, cell_generators, code_idempotents
 from ccode3d.gf import FieldMismatchError, FieldSpec
 from ccode3d.idempotents import build_constacyclic_idempotents
 from ccode3d.poly import Poly
 from ccode3d.ring3d import (
     RingElement3D,
     RingParams,
-    annihilator_orthogonality_flags,
+    axis_products,
     axis_table,
     kron_words,
     ring_products,
+    shift_orbit_orthogonal_flags,
     shift_words,
+    split_product_zero_flags,
     unflatten,
 )
+
+from conftest import annihilator_orthogonality_flags
 
 F5 = FieldSpec(5)
 F7 = FieldSpec(7)
@@ -235,6 +239,22 @@ def test_axis_tables_are_reduced_monomial_products(p, s, l, k, alpha, beta, gamm
             assert list(table[i, i2]) == expected
 
 
+@pytest.mark.parametrize("p", [5, 7, 13, 65521])
+def test_axis_products_match_the_axis_table(p):
+    # sum_{i, i'} a[i] b[i'] T[i, i', d] for every m <= 12 and a unit and a
+    # non-unit constant, on pairwise and all-pairs broadcasts
+    rng = np.random.default_rng(p)
+    for m in range(1, 13):
+        for constant in (1, p - 1, 2, p - 2):
+            a, b = rng.integers(0, p, (2, 5, m))
+            a[0] = b[0] = p - 1   # the largest residues the int64 stages meet
+            table = axis_table(m, constant, p)
+            want = np.einsum("ui,vj,ijd->uvd", a, b, table) % p
+            assert np.array_equal(axis_products(m, constant, p, a[:, None], b[None]), want)
+            assert np.array_equal(axis_products(m, constant, p, a, b), want[range(5), range(5)])
+    assert axis_products(3, 2, p, np.zeros((0, 3)), np.zeros((0, 3))).shape == (0, 3)
+
+
 @given(params_and_elements(count=3))
 def test_mul_algebra_laws(pe):
     pr, f, g, h = pe
@@ -350,6 +370,50 @@ def test_batched_bridge_flags_match_pairwise_oracle(q, s, l, k, alpha, beta, gam
     assert np.array_equal(zero, ortho)
     zero, ortho = annihilator_orthogonality_flags(pr, f[:0], g[:0])
     assert zero.shape == ortho.shape == (0,)
+
+
+def bridge_roots(pr: RingParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    z, y = code_idempotents(pr)
+    return y.roots, z.roots
+
+
+@pytest.mark.parametrize("q,s,l,k,alpha,beta,gamma", BRIDGE_RINGS)
+def test_split_product_flags_match_ring_products(q, s, l, k, alpha, beta, gamma):
+    # random pairs, whose products are nonzero save by chance, and every
+    # generator against every complement of a divisor grid, which are zero
+    field = FieldSpec(q)
+    pr = RingParams(field, s, l, k, alpha, beta, gamma)
+    rng = np.random.default_rng(1000 * q + 100 * s + 10 * l + k)
+    divisors = binomial_divisors(field, s, pr.alpha)
+    grid = [[divisors[rng.integers(len(divisors))] for _ in range(l)] for _ in range(k)]
+    binom = Poly.binomial(field, s, pr.alpha)
+    gens = cell_generators(pr, grid)
+    comps = cell_generators(pr, [[binom // d for d in row] for row in grid])
+    cells = k * l
+    f = np.concatenate([np.repeat(gens, cells, axis=0), rng.integers(0, q, (40,) + pr.shape())])
+    g = np.concatenate([np.tile(comps, (cells, 1, 1, 1)), rng.integers(0, q, (40,) + pr.shape())])
+    f[-8:] = gens[rng.integers(cells, size=8)]   # a generator times a random tensor
+    zero = split_product_zero_flags(pr, *bridge_roots(pr), f, g)
+    assert zero.tolist() == (~ring_products(pr, f, g).reshape(len(f), -1).any(axis=1)).tolist()
+    assert zero[:cells * cells].all()
+    assert np.array_equal(zero, shift_orbit_orthogonal_flags(pr, f, g))
+    assert split_product_zero_flags(pr, *bridge_roots(pr), f[:0], g[:0]).shape == (0,)
+
+
+def test_split_product_flags_refuse_wrong_roots():
+    pr = RingParams(F7, 3, 2, 3, 3, 2, 6)
+    y_roots, z_roots = bridge_roots(pr)
+    f = np.ones((1,) + pr.shape(), dtype=np.int64)
+    assert split_product_zero_flags(pr, y_roots, z_roots, f, f).shape == (1,)
+    for wrong_y, wrong_z in (
+        (y_roots[:1], z_roots),                  # too few roots
+        (y_roots, z_roots[:2] + z_roots[:1]),    # a repeated root
+        (y_roots, tuple(r + 1 for r in z_roots)),  # not roots of z^3 - 6
+        (y_roots[::-1], z_roots[:2] + (1,)),     # 1^3 != 6
+        (z_roots[:2], y_roots + (0,)),           # the other modulus's roots
+    ):
+        with pytest.raises(ValueError, match="distinct roots"):
+            split_product_zero_flags(pr, wrong_y, wrong_z, f, f)
 
 
 def test_shift_orbit_side_does_not_use_the_product(monkeypatch):
