@@ -227,6 +227,9 @@ def cmd_idempotents(args) -> int:
 
 def cmd_factor(args) -> int:
     field = FieldSpec(args.q)
+    # no x-modulus a spec admits is longer: refuse before the cosets or the binomial are built
+    if args.s > SPEC_LENGTH_LIMIT:
+        raise InputError(f"exponent s is past the limit of {SPEC_LENGTH_LIMIT}")
     factors = factor_binomial(field, args.s, args.alpha)   # invalid input exits 2 before any output
     binom = Poly.binomial(field, args.s, field.canon(args.alpha))
     print(f"{format_poly(binom, signed=True)} over F_{field.p}:")

@@ -8,7 +8,6 @@ two polynomials or ring elements over different fields meet.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -38,17 +37,8 @@ class MissingRootOfUnityError(InputError):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; moduli here are < 2**16."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, math.isqrt(n) + 1, 2):
-        if n % d == 0:
-            return False
-    return True
+    """Deterministic, by the trial division of _prime_factors; moduli here are < 2**16."""
+    return n > 1 and _prime_factors(n) == [n]
 
 
 def _prime_factors(n: int) -> list[int]:

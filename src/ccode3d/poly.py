@@ -3,10 +3,16 @@
 Coefficients are stored ascending (constant term first) as canonical
 residues, with trailing zeros trimmed; the zero polynomial has an empty
 coefficient tuple and degree -1.
+
+Binomials x**s - alpha are factored along their q-cyclotomic cosets
+(binomial_cosets): the coset sizes are the factor degrees, so
+factor_binomial trial-divides only at those degrees, and factor_plan sizes
+its work before any division.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -71,16 +77,6 @@ class Poly:
         b = other.coeffs + (0,) * (n - len(other.coeffs))
         return Poly.from_coeffs(self.field, [x + y for x, y in zip(a, b)])
 
-    def __sub__(self, other: "Poly") -> "Poly":
-        self._check_field(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return Poly.from_coeffs(self.field, [x - y for x, y in zip(a, b)])
-
-    def __neg__(self) -> "Poly":
-        return Poly.from_coeffs(self.field, [-c for c in self.coeffs])
-
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_field(other)
         if self.is_zero() or other.is_zero():
@@ -125,9 +121,6 @@ class Poly:
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
-
-    def divides(self, other: "Poly") -> bool:
-        return (other % self).is_zero()
 
     def evaluate(self, a: int) -> int:
         """Horner evaluation at the residue a."""
@@ -181,7 +174,7 @@ def _monic_candidates(field: FieldSpec, degree: int):
         yield Poly(field, tuple(tail) + (1,))
 
 
-FACTOR_TRIAL_LIMIT = 10**5   # the most monic candidates factor_binomial may try
+FACTOR_WORK_LIMIT = 3 * 10**7   # the most coefficient updates factor_binomial's divisions may make
 
 
 def binomial_cosets(field: FieldSpec, s: int, alpha: int) -> tuple[int, int, list[list[int]]]:
@@ -190,7 +183,9 @@ def binomial_cosets(field: FieldSpec, s: int, alpha: int) -> tuple[int, int, lis
     With s = s'*p^v and p not dividing s', x**s - alpha = (x**s' - alpha)**(p^v),
     and the irreducible factors of x**s' - alpha match the cosets
     constacyclic_exponent_cosets(s', r, p) of its root exponents modulo r*s',
-    r the order of alpha: a factor's degree is its coset's size.
+    r the order of alpha: a factor's degree is its coset's size.  So every
+    factor of x**s - alpha has multiplicity p^v, and its degrees are the
+    coset sizes (factor_plan reads them).
     """
     power = 1
     while s % field.p == 0:
@@ -199,66 +194,60 @@ def binomial_cosets(field: FieldSpec, s: int, alpha: int) -> tuple[int, int, lis
     return power, r * s, constacyclic_exponent_cosets(s, r, field.p)
 
 
-def trial_candidates(field: FieldSpec, s: int, alpha: int) -> int:
-    """The number of monic candidates that factor_binomial's degree loop
-    tries on x**s - alpha, counted from cosets (binomial_cosets) with
-    nothing divided.
+def factor_plan(field: FieldSpec, s: int, alpha: int) -> tuple[int, int, dict[int, int], int]:
+    """(p^v, s', searches, work): how factor_binomial factors x**s - alpha,
+    read from its cosets (binomial_cosets) with nothing divided.
 
-    The loop enters degree d while d <= D_d // 2, D_d being the total degree
-    of the factors of degree >= d, and tries the q^d candidates of each
-    degree it enters: this count.  The last degree entered may stop early,
-    once what is left is irreducible, so the count bounds the loop's work
-    from above.
+    ``searches`` maps each degree to trial-divide, ascending, to the number
+    of factors of x**s' - alpha to find there: the cosets of that size, but
+    one fewer at the largest size, whose last factor is what remains.  At
+    most q^d candidates of degree d are drawn, each dividing a polynomial of
+    degree <= s', so ``work`` = sum of q^d*(d+1)*(s'+1) over the searched d
+    bounds the coefficient updates of the divisions.
     """
     power, _, cosets = binomial_cosets(field, s, alpha)
-    count, d = 0, 1
-    while d <= power * sum(len(c) for c in cosets if len(c) >= d) // 2:
-        count += field.p ** d
-        d += 1
-    return count
+    sizes = collections.Counter(len(c) for c in cosets)
+    sizes[max(sizes)] -= 1
+    searches = {d: sizes[d] for d in sorted(sizes) if sizes[d]}
+    s_free = s // power
+    return power, s_free, searches, sum(field.p ** d * (d + 1) * (s_free + 1) for d in searches)
 
 
 def factor_binomial(field: FieldSpec, s: int, alpha: int) -> list[tuple[Poly, int]]:
     """Monic irreducible factors of x**s - alpha, with multiplicities.
 
-    Trial division in degree order: exact and deterministic at the block
-    lengths this package targets.  Before any division it counts the
-    candidates it will try (trial_candidates) and refuses a binomial past
-    FACTOR_TRIAL_LIMIT of them with InputError.  Output is sorted by
-    (degree, ascending coefficient tuple) and multiplies back to x**s - alpha.
+    Trial division of the squarefree x**s' - alpha along factor_plan: at
+    each searched degree the monic candidates are tried in order until that
+    degree's factors are found, and what remains is the largest factor;
+    each factor has multiplicity p^v.  Before any division it refuses a
+    plan whose work passes FACTOR_WORK_LIMIT with InputError.  Output is
+    sorted by (degree, ascending coefficient tuple) and multiplies back to
+    x**s - alpha.
     """
     alpha = field.canon(alpha)
     if s < 1:
         raise InputError(f"exponent must be positive, got {s}")
     if alpha == 0:
         raise InputError("constant must be nonzero")
-    count = trial_candidates(field, s, alpha)
-    if count > FACTOR_TRIAL_LIMIT:
+    power, s_free, searches, work = factor_plan(field, s, alpha)
+    if work > FACTOR_WORK_LIMIT:
         raise InputError(
-            f"factoring x^{s} - {alpha} over F_{field.p} by trial division would try "
-            f"{count} monic candidates, past the limit of {FACTOR_TRIAL_LIMIT}")
-    remaining = Poly.binomial(field, s, alpha)
-    factors: list[tuple[Poly, int]] = []
-    degree = 1
-    while remaining.degree >= 1:
-        if degree > remaining.degree // 2:
-            factors.append((remaining.monic(), 1))
-            break
+            f"factoring x^{s} - {alpha} over F_{field.p} by trial division would pass "
+            f"the limit of {FACTOR_WORK_LIMIT} coefficient updates")
+    remaining = Poly.binomial(field, s_free, alpha)
+    factors = []
+    for degree, wanted in searches.items():
         for cand in _monic_candidates(field, degree):
-            mult = 0
-            while remaining.degree >= degree:
-                quo, rem = divmod(remaining, cand)
-                if not rem.is_zero():
-                    break
+            quo, rem = divmod(remaining, cand)
+            if rem.is_zero():
+                factors.append(cand)
                 remaining = quo
-                mult += 1
-            if mult:
-                factors.append((cand, mult))
-            if remaining.degree < 2 * degree:
-                break
-        degree += 1
-    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return factors
+                wanted -= 1
+                if not wanted:
+                    break
+    factors.append(remaining)
+    factors.sort(key=lambda f: (f.degree, f.coeffs))
+    return [(f, power) for f in factors]
 
 
 def cyclotomic_cosets(modulus: int, q: int, residues=None) -> list[list[int]]:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from ccode3d import codes, linalg, ring3d
-from ccode3d.poly import Poly
+from ccode3d.gf import InputError
+from ccode3d.poly import Poly, _monic_candidates, binomial_cosets
 
 settings.register_profile(
     "repro",
@@ -142,3 +143,49 @@ def per_spec_sweep_report(field, s, l, k) -> dict:
             if verdict:
                 report["self_dual"] += 1
     return report
+
+
+def reference_trial_candidates(field, s: int, alpha: int) -> int:
+    """The monic candidates reference_factor_binomial's degree loop tries on
+    x**s - alpha at most, counted from cosets: the loop enters degree d while
+    d <= D_d // 2, D_d being the total degree of the factors of degree >= d,
+    and tries the q^d candidates of each degree it enters."""
+    power, _, cosets = binomial_cosets(field, s, alpha)
+    count, d = 0, 1
+    while d <= power * sum(len(c) for c in cosets if len(c) >= d) // 2:
+        count += field.p ** d
+        d += 1
+    return count
+
+
+def reference_factor_binomial(field, s: int, alpha: int) -> list[tuple[Poly, int]]:
+    """The factors of x**s - alpha, with multiplicities, by trial division of
+    every degree up to half of what remains, each candidate divided out as
+    often as it goes: the oracle of poly.factor_binomial, sorted the same way."""
+    alpha = field.canon(alpha)
+    if s < 1:
+        raise InputError(f"exponent must be positive, got {s}")
+    if alpha == 0:
+        raise InputError("constant must be nonzero")
+    remaining = Poly.binomial(field, s, alpha)
+    factors: list[tuple[Poly, int]] = []
+    degree = 1
+    while remaining.degree >= 1:
+        if degree > remaining.degree // 2:
+            factors.append((remaining.monic(), 1))
+            break
+        for cand in _monic_candidates(field, degree):
+            mult = 0
+            while remaining.degree >= degree:
+                quo, rem = divmod(remaining, cand)
+                if not rem.is_zero():
+                    break
+                remaining = quo
+                mult += 1
+            if mult:
+                factors.append((cand, mult))
+            if remaining.degree < 2 * degree:
+                break
+        degree += 1
+    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return factors

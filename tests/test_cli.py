@@ -54,6 +54,27 @@ def test_factor_command(capsys):
     assert "1 + x" in out and "2 + x" in out and "4 + x" in out
 
 
+@pytest.mark.parametrize("s, alpha, degrees", [("12", "6", [12]), ("11", "1", [1, 10])])
+def test_factor_reads_the_degrees_from_cosets(capsys, s, alpha, degrees):
+    # over F_13, x^12 - 6 is one coset and x^11 - 1 is x - 1 times a factor of
+    # degree 10: at most 13 candidates are divided
+    code, out = run(capsys, "factor", "--q", "13", "--s", s, "--alpha", alpha)
+    assert code == 0
+    # each monic factor's line ends its canonical form with the leading "x^d"
+    leading = [line.split("   (signed")[0].split(" + ")[-1] for line in out.splitlines()[1:]]
+    assert leading == ["x" if d == 1 else f"x^{d}" for d in degrees]
+
+
+def test_factor_refuses_a_long_exponent_before_any_work(capsys, monkeypatch):
+    def no_factoring(*args):
+        raise AssertionError("the binomial was sized or factored")
+
+    monkeypatch.setattr(cli, "factor_binomial", no_factoring)
+    assert main(["factor", "--q", "7", "--s", "4097", "--alpha", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: exponent s is past the limit of 4096\n"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["factor", "--q", "5", "--s", "0", "--alpha", "1"], "exponent must be positive, got 0"),
     (["factor", "--q", "5", "--s", "-3", "--alpha", "1"], "exponent must be positive, got -3"),
@@ -66,10 +87,20 @@ def test_factor_command(capsys):
     # k is within the limit, but gamma has order 3: the full family has 3k members
     (["idempotents", "--q", "12289", "--k", "4096", "--gamma", "6048", "--full"],
      "idempotent family of 12288 members is past the limit of 4096"),
-    # x^29 - 1: its trial count, from cosets, is refused before any division
+    # x^29 - 1: its plan, from cosets, is sized and refused before any division
     (["factor", "--q", "7", "--s", "29", "--alpha", "1"],
-     "factoring x^29 - 1 over F_7 by trial division would try 960799 monic candidates, "
-     "past the limit of 100000"),
+     "factoring x^29 - 1 over F_7 by trial division would pass the limit of 30000000 "
+     "coefficient updates"),
+    # plan sums of thousands of digits, which the message does not print
+    (["factor", "--q", "65521", "--s", "3019", "--alpha", "1"],
+     "factoring x^3019 - 1 over F_65521 by trial division would pass the limit of 30000000 "
+     "coefficient updates"),
+    (["factor", "--q", "65521", "--s", "4091", "--alpha", "1"],
+     "factoring x^4091 - 1 over F_65521 by trial division would pass the limit of 30000000 "
+     "coefficient updates"),
+    # no x-modulus a spec admits is longer: refused before any coset is built
+    (["factor", "--q", "7", "--s", "2000003", "--alpha", "1"], "exponent s is past the limit of 4096"),
+    (["factor", "--q", "5", "--s", "5000", "--alpha", "1"], "exponent s is past the limit of 4096"),
 ])
 def test_invalid_factor_and_idempotents_print_only_the_error(capsys, monkeypatch, argv, message):
     from ccode3d import idempotents

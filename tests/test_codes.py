@@ -646,7 +646,7 @@ def divisibility_oracle(spec, t, j) -> bool:
     p_cell, partner_p = spec.divisor_grid[t][j], spec.divisor_grid[t2][j2]
     q_star = (binom // p_cell).reciprocal()
     partner_q_star = (binom // partner_p).reciprocal()
-    return partner_p.divides(q_star) and partner_q_star.divides(p_cell)
+    return (q_star % partner_p).is_zero() and (p_cell % partner_q_star).is_zero()
 
 
 def test_fixed_point_test_matches_divisibility_oracle(rng):
@@ -725,6 +725,9 @@ def test_binomial_divisors_count():
     assert [d.degree for d in divisors] == [0, 1, 1, 2]
     assert all(d.is_monic() for d in divisors)
     assert len(binomial_divisors(F7, 2, -1)) == 2   # x^2 + 1 irreducible over F_7
+    # x^12 - 6 is one coset over F_13: irreducible, with nothing searched
+    F13 = FieldSpec(13)
+    assert binomial_divisors(F13, 12, 6) == (Poly.one(F13), Poly.binomial(F13, 12, 6))
 
 
 # the sweep's grid tuples: each runs all admissible +-1 sign rings, the

@@ -7,14 +7,17 @@ from hypothesis import given, strategies as st
 from ccode3d import poly
 from ccode3d.gf import FieldSpec, InputError
 from ccode3d.poly import (
-    FACTOR_TRIAL_LIMIT,
+    FACTOR_WORK_LIMIT,
     Poly,
+    binomial_cosets,
     constacyclic_exponent_cosets,
     cyclotomic_cosets,
     factor_binomial,
+    factor_plan,
     format_poly,
-    trial_candidates,
 )
+
+from conftest import reference_factor_binomial, reference_trial_candidates
 
 F5 = FieldSpec(5)
 F7 = FieldSpec(7)
@@ -142,50 +145,110 @@ def test_factor_binomial_properties(p, s, alpha):
             assert poly_gcd(f, g) == Poly.one(field)
 
 
-def test_trial_candidates_bound_the_candidates_tried(monkeypatch):
-    # the coset count is at least the candidates the degree loop draws, and
-    # equal when the last degree entered holds no factor
-    tried = []
+# direction 4's oracle ranges: q, s <= 24 and alpha in {1, -1, 2, 3}
+ORACLE_BINOMIALS = [(FieldSpec(p), s, alpha)
+                    for p in (3, 5, 7, 11, 13) for s in range(1, 25)
+                    for alpha in sorted({a % p for a in (1, -1, 2, 3)} - {0})]
+
+
+@pytest.fixture(scope="module")
+def factored_oracle_range():
+    """{(field, s, alpha): (factors, {degree: candidates drawn})} for every
+    binomial of ORACLE_BINOMIALS that factor_binomial factors, in one pass
+    with poly._monic_candidates counting what it yields."""
     candidates = poly._monic_candidates
+    drawn: dict[int, int] = {}
 
     def counting(field, degree):
         for cand in candidates(field, degree):
-            tried.append(cand)
+            drawn[degree] = drawn.get(degree, 0) + 1
             yield cand
 
-    monkeypatch.setattr(poly, "_monic_candidates", counting)
-    exact = 0
-    for p in (3, 5, 7, 11, 13):
-        field = FieldSpec(p)
-        for s, alpha in itertools.product(range(1, 17), range(1, p)):
-            count = trial_candidates(field, s, alpha)
-            if count > 3_000:
+    out = {}
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(poly, "_monic_candidates", counting)
+        for key in ORACLE_BINOMIALS:
+            drawn.clear()
+            try:
+                factors = factor_binomial(*key)
+            except InputError:
                 continue
-            tried.clear()
-            factor_binomial(field, s, alpha)
-            assert len(tried) <= count, (p, s, alpha)
-            exact += len(tried) == count
-    assert exact > 100
-    # x^11 - 1 over F_5 has two quintic factors: 5 + 25 + 125 + 625 + 3125
-    assert trial_candidates(F5, 11, 1) == 3905
-    assert trial_candidates(F5, 25, 1) == 5           # (x - 1)^25
-    assert trial_candidates(FieldSpec(13), 11, 1) == 402_233
-    assert trial_candidates(F7, 29, 1) == 960_799
+            out[key] = (factors, dict(drawn))
+    return out
+
+
+def test_factor_binomial_matches_the_degree_loop(factored_oracle_range):
+    # wherever the old count of 10^5 candidates admitted a binomial, the
+    # coset plan factors it to the degree loop's list, and refuses none
+    compared = 0
+    for key in ORACLE_BINOMIALS:
+        if reference_trial_candidates(*key) > 10**5:
+            continue
+        assert key in factored_oracle_range, key
+        assert factored_oracle_range[key][0] == reference_factor_binomial(*key), key
+        compared += 1
+    assert compared == 330
+    # those it adds: x^11 - 1 over F_13 is x - 1 times one factor of degree 10
+    assert len(factored_oracle_range) == 390
+    factors = factored_oracle_range[(FieldSpec(13), 11, 1)][0]
+    assert [(f.degree, m) for f, m in factors] == [(1, 1), (10, 1)]
+
+
+def test_factored_binomials_match_their_cosets(factored_oracle_range):
+    # each factor list multiplies back, has the coset sizes as its degrees and
+    # p^v as every multiplicity; the candidates drawn at each degree d, times
+    # (d + 1)*(s' + 1) coefficient updates a division, stay within the plan
+    for (field, s, alpha), (factors, drawn) in factored_oracle_range.items():
+        power, _, cosets = binomial_cosets(field, s, alpha)
+        assert [f.degree for f, _ in factors] == sorted(len(c) for c in cosets)
+        assert all(m == power for _, m in factors)
+        prod = Poly.one(field)
+        for f, m in factors:
+            for _ in range(m):
+                prod = prod * f
+        assert prod == Poly.binomial(field, s, alpha), (field, s, alpha)
+        _, s_free, searches, work = factor_plan(field, s, alpha)
+        assert sorted(drawn) == list(searches)
+        assert sum(n * (d + 1) * (s_free + 1) for d, n in drawn.items()) <= work <= FACTOR_WORK_LIMIT
+
+
+def test_factor_plan_reads_the_cosets():
+    F13 = FieldSpec(13)
+    # one coset of size 12: irreducible, nothing to search
+    assert factor_plan(F13, 12, 6) == (1, 12, {}, 0)
+    assert factor_binomial(F13, 12, 6) == [(Poly.binomial(F13, 12, 6), 1)]
+    # x - 1 and one factor of degree 10: the 13 linear candidates at most
+    assert factor_plan(F13, 11, 1) == (1, 11, {1: 1}, 13 * 2 * 12)
+    # x - 1 and two quintics: search the quintics for one, the other remains
+    assert factor_plan(F5, 11, 1) == (1, 11, {1: 1, 5: 1}, 5 * 2 * 12 + 5**5 * 6 * 12)
+    # (x - 1)^25: nothing is divided
+    assert factor_plan(F5, 25, 1) == (25, 1, {}, 0)
+    # x - 1 and four septics over F_7
+    assert factor_plan(F7, 29, 1) == (1, 29, {1: 1, 7: 3}, 7 * 2 * 30 + 7**7 * 8 * 30)
 
 
 def test_factor_binomial_refuses_past_the_trial_limit(monkeypatch):
     def no_division(self, other):
-        raise AssertionError("divided before the trial count")
+        raise AssertionError("divided before the plan was sized")
 
     monkeypatch.setattr(Poly, "__divmod__", no_division)
-    for field, s in ((F7, 29), (FieldSpec(13), 11)):
-        with pytest.raises(InputError, match=f"x\\^{s} - 1 over F_{field.p} .* would try "
-                                             f"{trial_candidates(field, s, 1)} "):
+    F65521 = FieldSpec(65521)
+    # x^4091 - 1 over F_65521 is x - 1 times two factors of degree 2045: a plan sum of
+    # thousands of digits, which the message does not print
+    assert factor_plan(F65521, 4091, 1)[3] > 10**4300
+    for field, s in ((F7, 29), (F65521, 720), (F65521, 3019), (F65521, 4091)):
+        with pytest.raises(InputError) as exc:
             factor_binomial(field, s, 1)
-    monkeypatch.setattr(poly, "FACTOR_TRIAL_LIMIT", 3904)
-    with pytest.raises(InputError, match="3905 monic candidates, past the limit of 3904"):
+        assert str(exc.value) == (f"factoring x^{s} - 1 over F_{field.p} by trial division "
+                                  f"would pass the limit of {FACTOR_WORK_LIMIT} coefficient updates")
+    work = factor_plan(F5, 11, 1)[3]
+    monkeypatch.setattr(poly, "FACTOR_WORK_LIMIT", work - 1)
+    with pytest.raises(InputError, match=f"pass the limit of {work - 1} "):
         factor_binomial(F5, 11, 1)
-    assert FACTOR_TRIAL_LIMIT == 10**5
+    monkeypatch.undo()
+    monkeypatch.setattr(poly, "FACTOR_WORK_LIMIT", work)
+    assert [(f.degree, m) for f, m in factor_binomial(F5, 11, 1)] == [(1, 1), (5, 1), (5, 1)]
+    assert FACTOR_WORK_LIMIT == 3 * 10**7
 
 
 def test_cyclotomic_cosets_examples():
