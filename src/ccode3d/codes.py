@@ -20,12 +20,14 @@ grid: cell (t, j) holds monic(q*) of the cell that ``cell_partners``, the
 involution of inverse roots, pairs with it; self-duality is decided on the
 grid alone, as the grid being a fixed point of that map.  It also provides
 the exhaustive sweep machinery: ``sign_grid_sweep_report`` makes no spec.  A
-grid of a +-1 sign ring is a row of indices into the ring's divisor table,
-and SWEEP_CHUNK grids at a time are gathered into zero-padded stacks of G
-and H by that same kron_words call, with the verdict a fixed-point test on
-the indices; one ``linalg.rank_stack`` call ranks G and H, and H spans
-ker G exactly when G*H^T = 0 and rank H = n - rank G, the dual's dimension
-(as in ``verify``).
+grid of a +-1 sign ring is a row of indices into the divisor table of its
+alpha, built once per alpha and shared by the rings with that alpha.  The
+grids of all the sweep's rings form one stream, cut into chunks of
+SWEEP_CHUNK grids that may straddle two rings; each chunk is gathered into
+zero-padded stacks of G and H by that same kron_words call, with the verdict
+a fixed-point test on the indices.  One ``linalg.rank_stack`` call per chunk
+ranks G and H, and H spans ker G exactly when G*H^T = 0 and
+rank H = n - rank G, the dual's dimension (as in ``verify``).
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class SweepTooLargeError(InputError):
     """A sweep would enumerate more than SWEEP_SPEC_LIMIT specs."""
 
 
-SWEEP_CHUNK = 512            # grids per stacked check in sign_grid_sweep_report
+SWEEP_CHUNK = 256            # grids per stacked check in sign_grid_sweep_report
 SWEEP_SPEC_LIMIT = 10**6     # the most grids sign_grid_sweep_report enumerates
 SPEC_LENGTH_LIMIT = 4096     # the longest code a CodeSpec admits: G and H take <= 128 MiB each
 
@@ -550,17 +552,20 @@ def sign_grid_sweep_report(field: FieldSpec, s: int, l: int, k: int) -> dict:
     of the grid-based self-dual verdict with the direct matrix test.  Returns
     aggregate counts.
 
-    No spec is made: each ring's grids are index rows into its divisor
-    table, SWEEP_CHUNK at a time (_sweep_stacks), whose G and H are
-    zero-padded (B, n, n) stacks and whose verdict is the fixed-point test
-    on the indices.  One rank_stack call on G and H stacked gives both ranks,
-    since zero rows change no rank; G*H^T and G*G^T are one batched product
-    each; and H spans ker G iff G*H^T = 0 and rank H = n - rank G, since a
-    subspace of ker G of the kernel's dimension is all of it.  A length past
-    SPEC_LENGTH_LIMIT is refused before any work, and a sweep of more than
-    SWEEP_SPEC_LIMIT grids (counted from cosets) before any factoring.
+    No spec is made: the grids of all the rings form one stream of index
+    rows, ring after ring, cut into SWEEP_CHUNK-grid chunks that may
+    straddle two rings (_sweep_stacks); every ring of a sweep has the same n
+    and p.  A chunk's G and H are zero-padded (B, n, n) stacks and its
+    verdicts the fixed-point test on the indices.  One rank_stack call on G
+    and H stacked gives both ranks of a chunk, since zero rows change no
+    rank; G*H^T and G*G^T are one batched product each; and H spans ker G
+    iff G*H^T = 0 and rank H = n - rank G, since a subspace of ker G of the
+    kernel's dimension is all of it.  A length past SPEC_LENGTH_LIMIT is
+    refused before any work, and a sweep of more than SWEEP_SPEC_LIMIT grids
+    (counted from cosets) before any factoring.
     """
-    _check_length(s * l * k)
+    n = s * l * k
+    _check_length(n)
     p = field.p
     rings = admissible_sign_rings(field, s, l, k)
     total = sum(count_divisor_grids(ring) for ring in rings)
@@ -574,51 +579,80 @@ def sign_grid_sweep_report(field: FieldSpec, s: int, l: int, k: int) -> dict:
         "specs": 0, "self_dual": 0,
         "rank_mismatches": 0, "orthogonality_failures": 0,
         "kernel_mismatches": 0, "verdict_disagreements": 0,
-        "rings": [],
+        "rings": [{"alpha": ring.alpha, "beta": ring.beta, "gamma": ring.gamma} for ring in rings],
     }
-    for ring in rings:
-        report["rings"].append({"alpha": ring.alpha, "beta": ring.beta, "gamma": ring.gamma})
-        for _, g, h, dims, verdicts in _sweep_stacks(ring):
-            rank_g, rank_h = np.split(linalg.rank_stack(np.concatenate([g, h]), p), 2)
-            direct = ~(g @ g.transpose(0, 2, 1) % p).any(axis=(1, 2)) & (2 * dims == ring.n)
-            not_orthogonal = (g @ h.transpose(0, 2, 1) % p).any(axis=(1, 2))
-            report["specs"] += len(g)
-            report["self_dual"] += int(verdicts.sum())
-            report["rank_mismatches"] += int((rank_g != dims).sum())
-            report["orthogonality_failures"] += int(not_orthogonal.sum())
-            report["kernel_mismatches"] += int((not_orthogonal | (rank_h != ring.n - rank_g)).sum())
-            report["verdict_disagreements"] += int((verdicts != direct).sum())
+    for _, _, g, h, dims, verdicts in _sweep_stacks(rings):
+        rank_g, rank_h = np.split(linalg.rank_stack(np.concatenate([g, h]), p), 2)
+        direct = ~(g @ g.transpose(0, 2, 1) % p).any(axis=(1, 2)) & (2 * dims == n)
+        not_orthogonal = (g @ h.transpose(0, 2, 1) % p).any(axis=(1, 2))
+        report["specs"] += len(g)
+        report["self_dual"] += int(verdicts.sum())
+        report["rank_mismatches"] += int((rank_g != dims).sum())
+        report["orthogonality_failures"] += int(not_orthogonal.sum())
+        report["kernel_mismatches"] += int((not_orthogonal | (rank_h != n - rank_g)).sum())
+        report["verdict_disagreements"] += int((verdicts != direct).sum())
     return report
 
 
-def _sweep_stacks(ring: RingParams):
-    """Every divisor grid of a +-1 sign ring, SWEEP_CHUNK at a time, in the
-    order of itertools.product over binomial_divisors (the first cell most
-    significant): for each chunk of B grids yields (grids, G, H, dims,
-    verdicts).  grids is the (B, k*l) array of divisor indices in (t, j)
-    order.  G and H are (B, n, n) stacks from one kron_words call each on
-    the ring's x-bands (x^i * p for i < s - deg p, x^i * q* for i < deg p,
-    zero-padded to s rows) gathered by index, against the cell stack and its
-    double reversal: cell c's rows sit at c*s.., and the padding rows are
-    zero, so they change no rank and no product.  dims is n minus the
-    degree sum, and the verdict is the grid being a fixed point of the dual
-    map: 2*dim = n and every partner cell holds monic(q*) of its cell."""
-    field, s, n = ring.field, ring.s, ring.n
-    divisors = binomial_divisors(field, s, ring.alpha)
-    q_stars = [_reversed_complement(field, s, ring.alpha, d) for d in divisors]
-    code_bands = _bands([(d, s - d.degree) for d in divisors], s)
-    dual_bands = _bands([(q, d.degree) for d, q in zip(divisors, q_stars)], s)
-    degrees = np.array([d.degree for d in divisors])
+def _divisor_table(field: FieldSpec, s: int, alpha: int):
+    """The divisor side of the sweep, shared by every ring with this alpha:
+    (code bands, dual bands, degrees, q_monic), indexed like
+    binomial_divisors.  The bands are the (D, s, s) rows x^i * p for
+    i < s - deg p and x^i * q* for i < deg p, zero-padded to s rows, of every
+    divisor p; q_monic[i] is the index of monic(q*) of divisor i, or -1 if
+    it is no divisor."""
+    divisors = binomial_divisors(field, s, alpha)
+    q_stars = [_reversed_complement(field, s, alpha, d) for d in divisors]
     index = {d: i for i, d in enumerate(divisors)}
-    q_monic = np.array([index.get(q.monic(), -1) for q in q_stars])   # -1: monic(q*) is no divisor
-    partner = cell_partners(ring)
-    cells = _cell_tensors(ring)
-    radix = len(divisors) ** np.arange(len(partner) - 1, -1, -1)
-    total = len(divisors) ** len(partner)
-    for start in range(0, total, SWEEP_CHUNK):
-        grids = np.arange(start, min(start + SWEEP_CHUNK, total))[:, None] // radix % len(divisors)
-        g = kron_words(ring, code_bands[grids], cells).reshape(len(grids), n, n)
-        h = kron_words(ring, dual_bands[grids], cells[:, ::-1, ::-1]).reshape(len(grids), n, n)
-        dims = n - degrees[grids].sum(axis=1)
-        verdicts = (2 * dims == n) & (grids[:, partner] == q_monic[grids]).all(axis=1)
-        yield grids, g, h, dims, verdicts
+    return (_bands([(d, s - d.degree) for d in divisors], s),
+            _bands([(q, d.degree) for d, q in zip(divisors, q_stars)], s),
+            np.array([d.degree for d in divisors]),
+            np.array([index.get(q.monic(), -1) for q in q_stars]))
+
+
+def _sweep_stacks(rings: list[RingParams]):
+    """Every divisor grid of the +-1 sign rings of one sweep, which share n
+    and p, SWEEP_CHUNK at a time: ring after ring, and within a ring in the
+    order of itertools.product over binomial_divisors (the first cell most
+    significant).  A chunk may hold grids of two rings.  For each chunk of B
+    grids yields (ring_of, grids, G, H, dims, verdicts): ring_of is the (B,)
+    index of each grid's ring in rings, and grids the (B, k*l) array of
+    divisor indices in (t, j) order.  The divisor table (_divisor_table) is
+    built once per alpha; only the cell stack, the cell pairing and the
+    radix are the ring's own.  G and H are preallocated (B, n, n) stacks,
+    filled ring by ring from one kron_words call each on the bands gathered
+    by index, against the ring's cell stack and its double reversal: cell
+    c's rows sit at c*s.., and the padding rows are zero, so they change no
+    rank and no product.  dims is n minus the degree sum, and the verdict is
+    the grid being a fixed point of the dual map: 2*dim = n and every
+    partner cell holds monic(q*) of its cell.  No ring, no chunk."""
+    if not rings:
+        return
+    field, s, n, width = rings[0].field, rings[0].s, rings[0].n, rings[0].k * rings[0].l
+    tables = {alpha: _divisor_table(field, s, alpha)
+              for alpha in dict.fromkeys(ring.alpha for ring in rings)}
+    sizes = [len(tables[ring.alpha][0]) for ring in rings]   # divisors per cell
+    starts = [0, *itertools.accumulate(size ** width for size in sizes)]   # ring r: starts[r]..
+    for start in range(0, starts[-1], SWEEP_CHUNK):
+        count = min(SWEEP_CHUNK, starts[-1] - start)
+        ring_of = np.empty(count, dtype=np.intp)
+        grids = np.empty((count, width), dtype=np.int64)
+        g, h = np.empty((2, count, n, n), dtype=np.int64)
+        dims = np.empty(count, dtype=np.int64)
+        verdicts = np.empty(count, dtype=bool)
+        for r, ring in enumerate(rings):
+            lo, hi = max(start, starts[r]), min(start + count, starts[r + 1])
+            if lo >= hi:
+                continue
+            code_bands, dual_bands, degrees, q_monic = tables[ring.alpha]
+            cells = _cell_tensors(ring)
+            rows = slice(lo - start, hi - start)
+            radix = sizes[r] ** np.arange(width - 1, -1, -1)
+            grid = np.arange(lo - starts[r], hi - starts[r])[:, None] // radix % sizes[r]
+            ring_of[rows], grids[rows] = r, grid
+            g[rows] = kron_words(ring, code_bands[grid], cells).reshape(-1, n, n)
+            h[rows] = kron_words(ring, dual_bands[grid], cells[:, ::-1, ::-1]).reshape(-1, n, n)
+            dims[rows] = n - degrees[grid].sum(axis=1)
+            verdicts[rows] = (2 * dims[rows] == n) & (
+                grid[:, cell_partners(ring)] == q_monic[grid]).all(axis=1)
+        yield ring_of, grids, g, h, dims, verdicts

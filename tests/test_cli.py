@@ -631,12 +631,14 @@ def test_eliminations_per_command(capsys, monkeypatch):
     capsys.readouterr()
     calls.clear()
     # the sweep eliminates stacks only, G and H stacked together, once per
-    # chunk of each sign ring; 100 splits each ring's 256 specs
+    # chunk of the whole sweep: 100 splits the 8 rings' 2,048 specs into 21
+    # chunks, some of which straddle two rings
     monkeypatch.setattr(codes, "SWEEP_CHUNK", 100)
     code, out = run(capsys, "sweep", "grid", "--q", "5", "--s", "2", "--l", "2", "--k", "2")
     assert code == 0
-    chunks = sum(-(-codes.count_divisor_grids(ring) // codes.SWEEP_CHUNK)
-                 for ring in codes.admissible_sign_rings(FieldSpec(5), 2, 2, 2))
+    total = sum(codes.count_divisor_grids(ring)
+                for ring in codes.admissible_sign_rings(FieldSpec(5), 2, 2, 2))
+    chunks = -(-total // codes.SWEEP_CHUNK)
     assert len(stack_calls) == chunks
     assert not calls
 

@@ -775,31 +775,67 @@ def test_stacked_sweep_report_equals_per_spec_reference(tup, monkeypatch):
 
 @pytest.mark.parametrize("tup", SWEEP_TUPLES)
 def test_sweep_stacks_equal_one_spec_builds(tup, monkeypatch):
-    # grid by grid, in enumeration order across chunk boundaries: the
-    # stacked G and H with their padding rows dropped are build_code's and
-    # build_dual's matrices exactly, the padding rows are zero, and the
-    # dimension and the verdict are the one-spec ones
+    # grid by grid, in ring order and then product order across chunk
+    # boundaries: the stacked G and H with their padding rows dropped are
+    # build_code's and build_dual's matrices exactly, the padding rows are
+    # zero, and the dimension and the verdict are the one-spec ones
     monkeypatch.setattr(codes, "SWEEP_CHUNK", 7)
-    for ring in admissible_sign_rings(*tup):
-        s, n, cells = ring.s, ring.n, ring.k * ring.l
-        divisors = binomial_divisors(ring.field, s, ring.alpha)
-        specs = enumerate_divisor_grids(ring)
-        for grids, g, h, dims, verdicts in codes._sweep_stacks(ring):
-            assert 0 < len(grids) <= 7 and g.shape == h.shape == (len(grids), n, n)
-            for b, spec in zip(range(len(grids)), specs):
-                grid = [p for row in spec.divisor_grid for p in row]
-                assert [divisors[i] for i in grids[b]] == grid
-                degrees = np.array([p.degree for p in grid])
-                for stack, built, count in ((g, build_code(spec), s - degrees),
-                                            (h, build_dual(spec), degrees)):
-                    words = stack[b].reshape(cells, s, n)
-                    band = np.arange(s) < count[:, None]
-                    assert words[band].dtype == built.generator_matrix.dtype
-                    assert np.array_equal(words[band], built.generator_matrix)
-                    assert not words[~band].any()
-                assert dims[b] == build_code(spec).dimension
-                assert verdicts[b] == self_dual_decide(spec)[0]
-        assert next(specs, None) is None
+    rings = admissible_sign_rings(*tup)
+    divisors = {ring.alpha: binomial_divisors(ring.field, ring.s, ring.alpha) for ring in rings}
+    specs = ((r, spec) for r, ring in enumerate(rings) for spec in enumerate_divisor_grids(ring))
+    chunk_alphas = []
+    for ring_of, grids, g, h, dims, verdicts in codes._sweep_stacks(rings):
+        s, n, cells = rings[0].s, rings[0].n, rings[0].k * rings[0].l
+        assert 0 < len(grids) <= 7 and g.shape == h.shape == (len(grids), n, n)
+        chunk_alphas.append([rings[r].alpha for r in dict.fromkeys(ring_of.tolist())])
+        for b, (r, spec) in zip(range(len(grids)), specs):
+            assert ring_of[b] == r
+            grid = [p for row in spec.divisor_grid for p in row]
+            assert [divisors[spec.ring.alpha][i] for i in grids[b]] == grid
+            degrees = np.array([p.degree for p in grid])
+            for stack, built, count in ((g, build_code(spec), s - degrees),
+                                        (h, build_dual(spec), degrees)):
+                words = stack[b].reshape(cells, s, n)
+                band = np.arange(s) < count[:, None]
+                assert words[band].dtype == built.generator_matrix.dtype
+                assert np.array_equal(words[band], built.generator_matrix)
+                assert not words[~band].any()
+            assert dims[b] == build_code(spec).dimension
+            assert verdicts[b] == self_dual_decide(spec)[0]
+    assert next(specs, None) is None
+    # a chunk of 7 straddles rings; over F_7, x^2 + 1 is irreducible, so one
+    # chunk gathers from the tables of alpha = 1 (4 divisors) and -1 (2)
+    assert any(len(alphas) == 2 for alphas in chunk_alphas)
+    if tup[0] == F7:
+        assert {alpha: len(d) for alpha, d in divisors.items()} == {1: 4, 6: 2}
+        assert [1, 6] in chunk_alphas
+
+
+def test_sweep_builds_the_divisor_tables_once_per_alpha(monkeypatch):
+    # the divisor side, bands included, depends on (field, s, alpha) only:
+    # one code and one dual _bands call per alpha, however many rings share it
+    calls = []
+    bands = codes._bands
+
+    def counting_bands(x_blocks, s):
+        calls.append(s)
+        return bands(x_blocks, s)
+
+    monkeypatch.setattr(codes, "_bands", counting_bands)
+    for tup in SWEEP_TUPLES + [(F5, 2, 2, 1)]:
+        calls.clear()
+        rings = admissible_sign_rings(*tup)
+        sign_grid_sweep_report(*tup)
+        assert len(calls) == 2 * len({ring.alpha for ring in rings})
+    assert len(rings) == 8 and len(calls) == 4
+
+
+def test_sweep_with_no_admissible_ring_checks_nothing():
+    # y^3 - beta does not split over F_5 for beta = +-1: no ring, no grid
+    assert admissible_sign_rings(F5, 2, 3, 1) == []
+    report = sign_grid_sweep_report(F5, 2, 3, 1)
+    assert report["specs"] == 0 and report["rings"] == []
+    assert report == per_spec_sweep_report(F5, 2, 3, 1)
 
 
 def _raise_constant_term(reversed_complement):
