@@ -51,11 +51,13 @@ class SpecValidationError(InputError):
 
 
 class SweepTooLargeError(InputError):
-    """A sweep would enumerate more than SWEEP_SPEC_LIMIT specs."""
+    """A sweep would enumerate more than SWEEP_SPEC_LIMIT specs, or its
+    tables and stacks would take more than SWEEP_BYTE_LIMIT bytes."""
 
 
 SWEEP_CHUNK = 256            # grids per stacked check in sign_grid_sweep_report
 SWEEP_SPEC_LIMIT = 10**6     # the most grids sign_grid_sweep_report enumerates
+SWEEP_BYTE_LIMIT = 1 << 28   # the most bytes its band tables and one chunk's G and H take
 SPEC_LENGTH_LIMIT = 4096     # the longest code a CodeSpec admits: G and H take <= 128 MiB each
 
 
@@ -561,8 +563,10 @@ def sign_grid_sweep_report(field: FieldSpec, s: int, l: int, k: int) -> dict:
     rank; G*H^T and G*G^T are one batched product each; and H spans ker G
     iff G*H^T = 0 and rank H = n - rank G, since a subspace of ker G of the
     kernel's dimension is all of it.  A length past SPEC_LENGTH_LIMIT is
-    refused before any work, and a sweep of more than SWEEP_SPEC_LIMIT grids
-    (counted from cosets) before any factoring.
+    refused before any work, and before any factoring a sweep of more than
+    SWEEP_SPEC_LIMIT grids, or one whose int64 stacks would pass
+    SWEEP_BYTE_LIMIT bytes: the two (D, s, s) band tables of each alpha and
+    one chunk's (B, n, n) G and H, with D and the grids counted from cosets.
     """
     n = s * l * k
     _check_length(n)
@@ -573,6 +577,14 @@ def sign_grid_sweep_report(field: FieldSpec, s: int, l: int, k: int) -> dict:
         raise SweepTooLargeError(
             f"sweep grid over F_{p} with (s, l, k) = ({s}, {l}, {k}) has {total} specs "
             f"over {len(rings)} sign rings, past the limit of {SWEEP_SPEC_LIMIT}"
+        )
+    divisors = sum(_divisor_counts(field, s, alpha)[0] for alpha in {ring.alpha for ring in rings})
+    size = 8 * 2 * (divisors * s * s + min(SWEEP_CHUNK, total) * n * n)
+    if size > SWEEP_BYTE_LIMIT:
+        raise SweepTooLargeError(
+            f"sweep grid over F_{p} with (s, l, k) = ({s}, {l}, {k}) needs {size} bytes "
+            f"for its divisor band tables and one chunk of G and H stacks, "
+            f"past the limit of {SWEEP_BYTE_LIMIT} bytes"
         )
     report = {
         "q": p, "s": s, "l": l, "k": k,

@@ -10,9 +10,13 @@ find the same first hit with less work:
 * The last coefficient is solved, not enumerated.  A prefix i_1 < ... <
   i_(w-1) with its coefficients has syndrome S, and it completes to a
   codeword iff S = -c*h_j for a column h_j with j > i_(w-1) and some c in
-  1..p-1.  Each S is looked up among the (p-1)*n multiples -c*h_j by a
-  64-bit linear key, and every key match is re-checked exactly, so a key
-  collision cannot make a false hit.
+  1..p-1.  The multiples -c*h_j are indexed once per search, for every
+  weight: each S is first projected to r <= m coordinates by a fixed
+  matrix over F_p, and one gather from a bit filter of at most 2^20
+  entries, marked with the projected multiples' keys, rejects nearly every
+  S that completes nothing.  Only a survivor gets its full syndrome, which
+  must match a 64-bit linear key of some multiple and then equal it
+  exactly, so neither a filter nor a key collision can make a false hit.
 * When the code is an ideal of the ring (its row space is closed under the
   x, y and z shifts, tested against the parity matrix), every support starts
   at coordinate 0.  The monomial x^a y^b z^c moves coordinate 0 to coordinate
@@ -71,6 +75,7 @@ class DistanceResult:
 _BLOCK = 1 << 14           # syndrome entries per batched product
 _PATTERN_CHUNK = 1 << 12   # prefix patterns per product
 _KEY_BASE = 0x9E3779B97F4A7C15
+_FILTER_BITS = (10, 20)    # the filter has 2^bits entries, bits clamped to this range
 
 
 @functools.cache
@@ -80,63 +85,133 @@ def _key_weights(m: int) -> np.ndarray:
     return np.array([pow(_KEY_BASE, r + 1, 1 << 64) for r in range(m)], dtype=np.uint64)
 
 
+def _filter_bits(p: int, n: int) -> int:
+    """log2 of the filter's size for a length-n code over F_p: at least 64
+    entries per multiple -c*h_j, clamped so the table never passes 1 MiB."""
+    low, high = _FILTER_BITS
+    return min(max((64 * (p - 1) * n).bit_length(), low), high)
+
+
+def _projection_width(p: int, m: int, n: int) -> int:
+    """The number r <= m of coordinates a syndrome is projected to: enough
+    that p^r exceeds the filter's size p-fold."""
+    return min(m, math.ceil(_filter_bits(p, n) / math.log2(p)) + 1)
+
+
+@dataclass(frozen=True)
+class _ColumnIndex:
+    """The lookup of the multiples -c*h_j of a parity matrix's columns,
+    built once per min_distance call and shared by every weight.
+
+    ``filter`` marks the top bits of the _key_weights(r) keys of the
+    projected multiples -c*h_j*P mod p, where P is the fixed (m, r) matrix
+    [I_r; A] of rank r, A's entries a fixed multiplicative hash of their
+    position reduced mod p.  A syndrome S equal to some -c*h_j has
+    S*P = -c*h_j*P, so its key's top bits are marked: a syndrome the filter
+    rejects completes nothing.  ``keys`` are the sorted full keys of the
+    multiples, and ``neg`` the multiples themselves, for the exact check."""
+    columns: np.ndarray     # (n, m) float64: h_j
+    projected: np.ndarray   # (n, r) float64: h_j*P mod p
+    neg: np.ndarray         # (p-1, n, m) int64: -c*h_j for c = 1..p-1
+    keys: np.ndarray        # sorted uint64 keys of neg
+    filter: np.ndarray      # (2^bits,) bool
+    shift: np.uint64        # 64 - bits: a key's top bits index the filter
+
+
+def _column_index(parity: np.ndarray, p: int) -> _ColumnIndex:
+    m, n = parity.shape
+    r = _projection_width(p, m, n)
+    bits = _filter_bits(p, n)
+    mix = (np.arange(1, (m - r) * r + 1, dtype=np.uint64) * np.uint64(_KEY_BASE)
+           >> np.uint64(32)) % np.uint64(p)
+    cols = parity.T
+    projected = (cols[:, :r] + cols[:, r:] @ mix.astype(np.int64).reshape(m - r, r)) % p
+    mults = -np.arange(1, p)[:, None, None]
+    neg = mults * cols % p                                              # (p-1, n, m)
+    shift = np.uint64(64 - bits)
+    marked = np.zeros(1 << bits, dtype=bool)
+    marked[(mults * projected % p).view(np.uint64) @ _key_weights(r) >> shift] = True
+    keys = np.sort((neg.view(np.uint64) @ _key_weights(m)).ravel())
+    return _ColumnIndex(cols.astype(np.float64), projected.astype(np.float64), neg, keys, marked, shift)
+
+
 @functools.lru_cache(maxsize=64)
 def _prefix_patterns(p: int, w: int, chunk: int) -> np.ndarray:
     """Chunk ``chunk`` of the coefficient patterns of a length-(w-1) prefix:
-    first entry 1, the others in 1..p-1, in lexicographic order."""
+    first entry 1, the others in 1..p-1, in lexicographic order, as float64
+    for the products of _scan."""
     base = p - 1
     count = base ** max(w - 2, 0)
     idx = np.arange(chunk * _PATTERN_CHUNK, min((chunk + 1) * _PATTERN_CHUNK, count))
     radices = base ** np.arange(w - 3, -1, -1)
     tails = idx[:, None] // radices % base + 1
-    patterns = np.hstack([np.ones((len(idx), min(w - 1, 1)), dtype=np.int64), tails])
+    patterns = np.hstack([np.ones((len(idx), min(w - 1, 1))), tails])   # float64
     patterns.setflags(write=False)
     return patterns
 
 
-def _scan(parity: np.ndarray, p: int, w: int, firsts):
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p for a float64 array of nonnegative integers below 2^53:
+    x/p is correctly rounded, so its floor is the exact quotient."""
+    q = x / p
+    np.floor(q, out=q)
+    q *= -p
+    q += x
+    return q
+
+
+def _scan(index: _ColumnIndex, p: int, w: int, firsts):
     """First weight-w (support, pattern) with zero syndrome in lexicographic
     order, among supports whose first coordinate lies in ``firsts``, or None.
     Weight 1 checks every column (in an ideal, a zero column makes all zero).
 
     Prefixes are batched into blocks of about _BLOCK syndrome entries; a
     larger block mostly computes syndromes past the first hit.  In a block,
-    every prefix syndrome whose key matches some -c*h_j is compared exactly
-    with all of them, and the least (prefix, j, pattern, c) with j > i_(w-1)
-    wins; past w = 1 the columns are nonzero, so c is unique.
+    the projected prefix syndromes S*P are one float64 product reduced mod
+    p, exact while (w-1)*(p-1)^2 < 2^53, which holds for p < 2^16 and
+    n <= 4096.  One gather from the index's filter rejects a syndrome that
+    completes nothing.  A survivor gets its full m-row syndrome, which must
+    match some full key of the multiples -c*h_j and then equal one of them
+    exactly, so neither a filter nor a key collision can make a false hit;
+    the least (prefix, j, pattern, c) with j > i_(w-1) wins.  Past w = 1 the
+    columns are nonzero, so c is unique.
     """
-    m, n = parity.shape
-    cols = parity.T
-    neg = -np.arange(1, p)[:, None, None] * cols % p             # (p-1, n, m): -c*h_j
-    weights = _key_weights(m)
-    table = np.sort(neg.reshape((p - 1) * n, m).view(np.uint64) @ weights)
+    n, m = index.columns.shape
+    r = index.projected.shape[1]
+    short_weights, full_weights = _key_weights(r), _key_weights(m)
     npat = (p - 1) ** max(w - 2, 0)
-    per_block = max(1, _BLOCK // (min(npat, _PATTERN_CHUNK) * max(m, 1)))
+    per_block = max(1, _BLOCK // (min(npat, _PATTERN_CHUNK) * max(r, 1)))
     prefixes = iter([()]) if w == 1 else (
         (i,) + rest for i in firsts for rest in itertools.combinations(range(i + 1, n - 1), w - 2))
     later = np.arange(n)
     while block := list(itertools.islice(prefixes, per_block)):
         block = np.array(block, dtype=np.intp).reshape(len(block), w - 1)
         last = block[:, -1] if w > 1 else np.full(1, -1)
-        gathered = cols[block]                                     # (B, w-1, m)
+        projected = index.projected[block]                          # (B, w-1, r)
         best = None
         for chunk in range(-(-npat // _PATTERN_CHUNK)):
-            syn = _prefix_patterns(p, w, chunk) @ gathered % p      # (B, P, m)
-            keys = syn.view(np.uint64) @ weights
-            found = table[np.minimum(np.searchsorted(table, keys), len(table) - 1)] == keys
+            patterns = _prefix_patterns(p, w, chunk)
+            keys = _mod(patterns @ projected, p).astype(np.uint64) @ short_weights   # (B, P)
+            passed = index.filter[keys >> index.shift]
+            if not passed.any():
+                continue
+            b, a = np.nonzero(passed)
+            syn = _mod((patterns[a, None, :] @ index.columns[block[b]])[:, 0], p).astype(np.int64)
+            keys = syn.view(np.uint64) @ full_weights
+            found = index.keys[np.minimum(np.searchsorted(index.keys, keys), len(index.keys) - 1)] == keys
             if not found.any():
                 continue
-            b, a = np.nonzero(found)
-            exact = (syn[b, a][:, None, None, :] == neg).all(axis=3)   # (r, p-1, n)
+            b, a, syn = b[found], a[found], syn[found]
+            exact = (syn[:, None, None, :] == index.neg).all(axis=3)   # (s, p-1, n)
             exact &= (later > last[b][:, None])[:, None, :]
-            r, c, j = np.nonzero(exact)
-            hits = [*zip(b[r].tolist(), j.tolist(), (a[r] + chunk * _PATTERN_CHUNK).tolist(),
+            t, c, j = np.nonzero(exact)
+            hits = [*zip(b[t].tolist(), j.tolist(), (a[t] + chunk * _PATTERN_CHUNK).tolist(),
                          c.tolist())] + ([best] if best else [])
             best = min(hits, default=None)
         if best is not None:
             b, j, a, c = best
             pattern = _prefix_patterns(p, w, a // _PATTERN_CHUNK)[a % _PATTERN_CHUNK]
-            return (*block[b].tolist(), j), (*pattern.tolist(), c + 1)
+            return (*block[b].tolist(), j), (*map(int, pattern), c + 1)
     return None
 
 
@@ -161,12 +236,13 @@ def min_distance(code: BuiltCode, max_weight: int | None = None,
         parity = linalg.as_matrix(parity, p)
     firsts = (0,) if all(quasi_twisted_closure(code, parity).values()) else range(n)
     cap = n if max_weight is None else min(max_weight, n)
+    index = _column_index(parity, p)
     tested = 0
     for w in range(1, cap + 1):
         candidates = math.comb(n, w) * (p - 1) ** (w - 1)
         if tested + candidates > budget:
             return DistanceResult(None, w - 1, None, tested)
-        hit = _scan(parity, p, w, firsts)
+        hit = _scan(index, p, w, firsts)
         tested += candidates
         if hit is not None:
             support, pattern = hit

@@ -504,6 +504,28 @@ def test_sweep_grid_is_sized_before_any_divisor_is_built(capsys, monkeypatch, tm
     assert f"past the limit of {SWEEP_SPEC_LIMIT}" in err
 
 
+def test_sweep_grid_refuses_past_the_byte_limit(capsys, monkeypatch, tmp_path):
+    # x^2187 - 1 = (x - 1)^2187 over F_3: 17,504 grids, inside the spec limit,
+    # but 2,188 divisors a table make (2188, 2187, 2187) band stacks; the
+    # sweep is sized from cosets and refused before any divisor is built
+    from ccode3d import codes
+    from ccode3d.codes import SWEEP_BYTE_LIMIT
+
+    def no_divisors(*args):
+        raise AssertionError("the divisors were built before the sweep was sized")
+
+    monkeypatch.setattr(codes, "binomial_divisors", no_divisors)
+    out_file = tmp_path / "report.json"
+    start = time.perf_counter()
+    code = main(["sweep", "grid", "--q", "3", "--s", "2187", "--l", "1", "--k", "1",
+                 "--out", str(out_file)])
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and not out_file.exists()
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "needs 354475398528 bytes" in err and f"limit of {SWEEP_BYTE_LIMIT} bytes" in err
+
+
 def test_sweep_grid_refuses_an_oversized_ring(capsys, tmp_path):
     # n = 4099 is refused before x^4099 - 1 is factored
     from ccode3d.codes import SPEC_LENGTH_LIMIT
@@ -715,6 +737,18 @@ def test_console_entry_point():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0 and "e_0(z) = 3 + 4z" in proc.stdout
+
+
+def test_mindist_leaves_numpy_random_unloaded(tmp_path):
+    # numpy.random adds about 6 MB of resident memory to every process that
+    # imports it; neither the CLI nor the distance search may load it
+    out = str(tmp_path / "mindist.json")
+    script = ("import sys\n"
+              "from ccode3d.cli import main\n"
+              f"status = main(['mindist', '--spec', {EXAMPLE1!r}, '--out', {out!r}])\n"
+              "print(status, 'numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
 def test_experiment_scripts_run():

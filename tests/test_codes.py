@@ -881,6 +881,21 @@ def test_stacked_sweep_counters_stay_live(fault, counters, monkeypatch):
     assert all(report[counter] > 0 for counter in counters)
 
 
+def test_sweep_byte_limit_is_inclusive(monkeypatch):
+    # two band tables of (D, s, s) per alpha and one chunk of G and H, each
+    # (min(SWEEP_CHUNK, grids), n, n), all int64
+    s, n = 2, 4
+    rings = admissible_sign_rings(F5, s, 2, 1)
+    tables = sum(len(binomial_divisors(F5, s, alpha)) for alpha in {ring.alpha for ring in rings})
+    grids = sum(count_divisor_grids(ring) for ring in rings)
+    size = 8 * (2 * tables * s * s + 2 * min(codes.SWEEP_CHUNK, grids) * n * n)
+    monkeypatch.setattr(codes, "SWEEP_BYTE_LIMIT", size)
+    assert sign_grid_sweep_report(F5, s, 2, 1)["specs"] == grids
+    monkeypatch.setattr(codes, "SWEEP_BYTE_LIMIT", size - 1)
+    with pytest.raises(codes.SweepTooLargeError, match=f"needs {size} bytes .* limit of {size - 1} bytes"):
+        sign_grid_sweep_report(F5, s, 2, 1)
+
+
 def test_sweep_refuses_past_the_spec_limit(monkeypatch):
     rings = admissible_sign_rings(F5, 2, 2, 1)
     total = sum(count_divisor_grids(ring) for ring in rings)

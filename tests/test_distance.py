@@ -233,16 +233,68 @@ def assert_matches_reference(code, parity):
 
 
 def test_search_matches_unreduced_reference(rng: random.Random):
+    # the cases project their syndromes both to fewer coordinates than the
+    # parity matrix has rows (r < m) and to all of them (r = m)
+    narrowed = set()
     for code, parity in reference_cases(rng):
         assert_matches_reference(code, parity)
+        m, n = parity.shape
+        narrowed.add(distance._projection_width(code.ring.field.p, m, n) < m)
+    assert narrowed == {True, False}
 
 
 def test_key_collisions_are_rechecked(rng: random.Random, monkeypatch):
-    # all-zero key weights: every syndrome's key matches every column's, so
-    # only the exact comparison tells hits from misses
+    # all-zero key weights: every projected key is 0, so every syndrome passes
+    # the filter, and every full key matches every column's, so only the
+    # exact comparison tells hits from misses
     monkeypatch.setattr(distance, "_key_weights", lambda m: np.zeros(m, dtype=np.uint64))
     for code, parity in reference_cases(rng, per_ring=2):
+        assert distance._column_index(parity, code.ring.field.p).filter.sum() == 1
         assert_matches_reference(code, parity)
+
+
+@pytest.mark.parametrize("p", [32771, 65521])
+def test_large_prime_codes_match_bruteforce(p):
+    # one-dimensional codes over a prime past 2^15, where the filter is full
+    # size (2^20 entries) and r < m at n = 8, r = m at n = 4; weight 3 at
+    # n = 4 runs (p-1)^2 prefix patterns through the float product
+    field = FieldSpec(p)
+    for word, d, projected in (((0, 1, 0, 0, 0, 0, p - 2, 0), 2, 3), ((1, 0, 5, p - 1), 3, 3)):
+        n = len(word)
+        code = BuiltCode(RingParams(field, n, 1, 1, 1, 1, 1), np.array([word], dtype=np.int64))
+        assert distance._filter_bits(p, n) == 20
+        assert distance._projection_width(p, n - 1, n) == projected
+        res = min_distance(code, budget=10**11)
+        assert res.d == d == min_distance_bruteforce(code)
+        assert res.witness == word and res.weight_checked == d - 1
+
+
+def test_column_index_is_built_once_per_search(monkeypatch):
+    # weights 1..4 of the [16, 8, 4] code share one index
+    calls = []
+    build = distance._column_index
+
+    def counting(parity, p):
+        calls.append(parity.shape)
+        return build(parity, p)
+
+    monkeypatch.setattr(distance, "_column_index", counting)
+    ring = RingParams(F5, 4, 2, 2, 1, 1, 1)
+    P = lambda *c: Poly.from_coeffs(F5, c)
+    code = build_code(CodeSpec(ring, ((P(1, 0, 1), P(2, 4, 3, 1)), (P(1, 0, 1), P(2, 1)))))
+    res = min_distance(code)
+    assert res.d == 4 and res.weight_checked == 3
+    assert calls == [(8, 16)]
+
+
+def test_filter_size_is_bounded():
+    # at the largest field and length a spec admits, the filter keeps 2^20
+    # entries (1 MiB) although (p-1)*n = 2.7*10^8 multiples mark it; the
+    # smallest codes get 2^10
+    assert distance._filter_bits(65521, 4096) == 20
+    assert distance._filter_bits(3, 1) == 10
+    assert distance._projection_width(65521, 4095, 4096) == 3
+    assert distance._projection_width(5, 2, 3) == 2
 
 
 def test_pattern_chunks_keep_the_first_hit(rng: random.Random, monkeypatch):
