@@ -19,15 +19,19 @@ For constants +-1 the dual lives in the same ring and is itself a divisor
 grid: cell (t, j) holds monic(q*) of the cell that ``cell_partners``, the
 involution of inverse roots, pairs with it; self-duality is decided on the
 grid alone, as the grid being a fixed point of that map.  It also provides
-the exhaustive sweep machinery: ``sign_grid_sweep_report`` makes no spec.  A
-grid of a +-1 sign ring is a row of indices into the divisor table of its
-alpha, built once per alpha and shared by the rings with that alpha.  The
-grids of all the sweep's rings form one stream, cut into chunks of
-SWEEP_CHUNK grids that may straddle two rings; each chunk is gathered into
-zero-padded stacks of G and H by that same kron_words call, with the verdict
-a fixed-point test on the indices.  One ``linalg.rank_stack`` call per chunk
-ranks G and H, and H spans ker G exactly when G*H^T = 0 and
-rank H = n - rank G, the dual's dimension (as in ``verify``).
+the exhaustive sweep machinery: ``sign_grid_sweep_report`` makes no spec and
+builds no G or H.  A grid of a +-1 sign ring is a row of indices into the
+divisor table of its alpha, built once per alpha and shared by the rings
+with that alpha.  The grids of all the sweep's rings form one stream, cut
+into chunks of SWEEP_CHUNK grids that may straddle rings, and every check is
+read from tables: a row of G is a band row of its cell's divisor tensored
+with the cell e_j(y)*e_t(z), so, the cells of a ring being independent
+(checked once per sweep), rank G and rank H are sums of band ranks from one
+``linalg.rank_stack`` call, and since inner products of tensor products
+factor, G*H^T and G*G^T are zero unless some band pair on a cell pair that
+the ring's cell Gram keeps has a nonzero product.  The verdict is a
+fixed-point test on the indices, and H spans ker G exactly when G*H^T = 0
+and rank H = n - rank G, the dual's dimension (as in ``verify``).
 """
 
 from __future__ import annotations
@@ -51,13 +55,14 @@ class SpecValidationError(InputError):
 
 
 class SweepTooLargeError(InputError):
-    """A sweep would enumerate more than SWEEP_SPEC_LIMIT specs, or its
-    tables and stacks would take more than SWEEP_BYTE_LIMIT bytes."""
+    """A sweep would enumerate more than SWEEP_SPEC_LIMIT specs, or its band
+    tables and one chunk's band products would take more than
+    SWEEP_BYTE_LIMIT bytes."""
 
 
 SWEEP_CHUNK = 256            # grids per stacked check in sign_grid_sweep_report
 SWEEP_SPEC_LIMIT = 10**6     # the most grids sign_grid_sweep_report enumerates
-SWEEP_BYTE_LIMIT = 1 << 28   # the most bytes its band tables and one chunk's G and H take
+SWEEP_BYTE_LIMIT = 1 << 28   # the most bytes its band tables and one chunk's band products take
 SPEC_LENGTH_LIMIT = 4096     # the longest code a CodeSpec admits: G and H take <= 128 MiB each
 
 
@@ -237,7 +242,7 @@ def _assemble(ring: RingParams, x_blocks, cells: np.ndarray) -> BuiltCode:
     and the (l, k) tensor cells[c] give the block of the rows
     x^i * f(x) * cells[c], i < count.  All k*l blocks come from one
     kron_words call, as the stack of the band rows, padding dropped, each
-    with its own cell (the sweep keeps the padding, _sweep_stacks); no row
+    with its own cell (the sweep keeps the padding, _divisor_table); no row
     wraps, so the blocks do not depend on the ring's constants.  No
     elimination runs, since the rows are independent by construction: the
     cell tensors (_cell_tensors) and their reversals are independent, X_p is
@@ -554,19 +559,29 @@ def sign_grid_sweep_report(field: FieldSpec, s: int, l: int, k: int) -> dict:
     of the grid-based self-dual verdict with the direct matrix test.  Returns
     aggregate counts.
 
-    No spec is made: the grids of all the rings form one stream of index
-    rows, ring after ring, cut into SWEEP_CHUNK-grid chunks that may
-    straddle two rings (_sweep_stacks); every ring of a sweep has the same n
-    and p.  A chunk's G and H are zero-padded (B, n, n) stacks and its
-    verdicts the fixed-point test on the indices.  One rank_stack call on G
-    and H stacked gives both ranks of a chunk, since zero rows change no
-    rank; G*H^T and G*G^T are one batched product each; and H spans ker G
-    iff G*H^T = 0 and rank H = n - rank G, since a subspace of ker G of the
-    kernel's dimension is all of it.  A length past SPEC_LENGTH_LIMIT is
-    refused before any work, and before any factoring a sweep of more than
-    SWEEP_SPEC_LIMIT grids, or one whose int64 stacks would pass
-    SWEEP_BYTE_LIMIT bytes: the two (D, s, s) band tables of each alpha and
-    one chunk's (B, n, n) G and H, with D and the grids counted from cosets.
+    No spec is made and no G or H is built: a grid is a row of indices into
+    the divisor table of its alpha (_sweep_checks), and every check is read
+    from per-divisor and per-cell tables.  Row c*s + i of G is the band row
+    x^i * p_c(x) tensored with the cell w_c = e_j(y)*e_t(z), and of H the
+    band row x^i * q_c*(x) tensored with the reversed cell w_c*.  So:
+
+    * rank G is the sum of the ranks of its cells' code bands, and rank H of
+      their dual bands, since the k*l cell tensors of a ring are linearly
+      independent (checked once per sweep, _cell_grams; a dependent stack
+      raises RuntimeError);
+    * the (c, c') block of G*H^T is X_c*Y_c'^T times <w_c, w_c'*>, since the
+      inner product of two tensor products factors; so G*H^T != 0 iff some
+      pair the ring's cell Gram keeps (<w_c, w_c'*> != 0 mod p) has
+      X_c*Y_c'^T != 0, and likewise G*G^T with <w_c, w_c'>.
+
+    H spans ker G iff G*H^T = 0 and rank H = n - rank G, since a subspace of
+    ker G of the kernel's dimension is all of it.  A length past
+    SPEC_LENGTH_LIMIT is refused before any work, and before any factoring a
+    sweep of more than SWEEP_SPEC_LIMIT grids, or one whose int64 arrays
+    would pass SWEEP_BYTE_LIMIT bytes: the two (D, s, s) band tables of each
+    alpha and one chunk's gathered band pairs and their products, three
+    (s, s) matrices for each pair a cell Gram keeps, with D and the grids
+    counted from cosets.
     """
     n = s * l * k
     _check_length(n)
@@ -578,12 +593,14 @@ def sign_grid_sweep_report(field: FieldSpec, s: int, l: int, k: int) -> dict:
             f"sweep grid over F_{p} with (s, l, k) = ({s}, {l}, {k}) has {total} specs "
             f"over {len(rings)} sign rings, past the limit of {SWEEP_SPEC_LIMIT}"
         )
+    grams = _cell_grams(rings, l * k)
     divisors = sum(_divisor_counts(field, s, alpha)[0] for alpha in {ring.alpha for ring in rings})
-    size = 8 * 2 * (divisors * s * s + min(SWEEP_CHUNK, total) * n * n)
+    pairs = min(SWEEP_CHUNK, total) * int(grams.sum(axis=(1, 2, 3)).max(initial=0))
+    size = 8 * s * s * (2 * divisors + 3 * pairs)
     if size > SWEEP_BYTE_LIMIT:
         raise SweepTooLargeError(
             f"sweep grid over F_{p} with (s, l, k) = ({s}, {l}, {k}) needs {size} bytes "
-            f"for its divisor band tables and one chunk of G and H stacks, "
+            f"for its divisor band tables and one chunk of band pairs and products, "
             f"past the limit of {SWEEP_BYTE_LIMIT} bytes"
         )
     report = {
@@ -593,16 +610,14 @@ def sign_grid_sweep_report(field: FieldSpec, s: int, l: int, k: int) -> dict:
         "kernel_mismatches": 0, "verdict_disagreements": 0,
         "rings": [{"alpha": ring.alpha, "beta": ring.beta, "gamma": ring.gamma} for ring in rings],
     }
-    for _, _, g, h, dims, verdicts in _sweep_stacks(rings):
-        rank_g, rank_h = np.split(linalg.rank_stack(np.concatenate([g, h]), p), 2)
-        direct = ~(g @ g.transpose(0, 2, 1) % p).any(axis=(1, 2)) & (2 * dims == n)
-        not_orthogonal = (g @ h.transpose(0, 2, 1) % p).any(axis=(1, 2))
-        report["specs"] += len(g)
+    for _, _, rank_g, rank_h, dims, verdicts, self_orthogonal, not_orthogonal in \
+            _sweep_checks(rings, grams):
+        report["specs"] += len(dims)
         report["self_dual"] += int(verdicts.sum())
         report["rank_mismatches"] += int((rank_g != dims).sum())
         report["orthogonality_failures"] += int(not_orthogonal.sum())
         report["kernel_mismatches"] += int((not_orthogonal | (rank_h != n - rank_g)).sum())
-        report["verdict_disagreements"] += int((verdicts != direct).sum())
+        report["verdict_disagreements"] += int((verdicts != (self_orthogonal & (2 * dims == n))).sum())
     return report
 
 
@@ -622,49 +637,82 @@ def _divisor_table(field: FieldSpec, s: int, alpha: int):
             np.array([index.get(q.monic(), -1) for q in q_stars]))
 
 
-def _sweep_stacks(rings: list[RingParams]):
-    """Every divisor grid of the +-1 sign rings of one sweep, which share n
-    and p, SWEEP_CHUNK at a time: ring after ring, and within a ring in the
-    order of itertools.product over binomial_divisors (the first cell most
-    significant).  A chunk may hold grids of two rings.  For each chunk of B
-    grids yields (ring_of, grids, G, H, dims, verdicts): ring_of is the (B,)
-    index of each grid's ring in rings, and grids the (B, k*l) array of
-    divisor indices in (t, j) order.  The divisor table (_divisor_table) is
-    built once per alpha; only the cell stack, the cell pairing and the
-    radix are the ring's own.  G and H are preallocated (B, n, n) stacks,
-    filled ring by ring from one kron_words call each on the bands gathered
-    by index, against the ring's cell stack and its double reversal: cell
-    c's rows sit at c*s.., and the padding rows are zero, so they change no
-    rank and no product.  dims is n minus the degree sum, and the verdict is
-    the grid being a fixed point of the dual map: 2*dim = n and every
-    partner cell holds monic(q*) of its cell.  No ring, no chunk."""
+def _cell_grams(rings: list[RingParams], width: int) -> np.ndarray:
+    """The (R, 2, C, C) boolean cell Grams of the rings of one sweep, C = width
+    = k*l: entry (r, 0, c, c') says <w_c, w_c'> != 0 and (r, 1, c, c') says
+    <w_c, w_c'*> != 0 (mod p), for ring r's cell tensors w (_cell_tensors)
+    and their reversals w*, the cells of G and of H; flattened, a cell's
+    reversal is the reversed vector.  One rank_stack call checks that each
+    ring's cells are linearly independent, as the rank sums of _sweep_checks
+    need, and raises RuntimeError naming the first ring whose cells are not."""
+    if not rings:
+        return np.zeros((0, 2, width, width), dtype=bool)
+    p = rings[0].field.p
+    cells = np.array([_cell_tensors(ring).reshape(width, width) for ring in rings])
+    for ring, rank in zip(rings, linalg.rank_stack(cells, p).tolist()):
+        if rank < width:
+            raise RuntimeError(f"the {width} cell tensors of {ring} are linearly dependent "
+                               f"(rank {rank}): the sweep's rank sums do not hold")
+    return np.stack([cells @ other.transpose(0, 2, 1) % p != 0
+                     for other in (cells, cells[:, :, ::-1])], axis=1)
+
+
+def _sweep_checks(rings: list[RingParams], grams: np.ndarray):
+    """The checks of every divisor grid of the +-1 sign rings of one sweep,
+    which share n and p, SWEEP_CHUNK grids at a time: ring after ring, and
+    within a ring in the order of itertools.product over binomial_divisors
+    (the first cell most significant).  A chunk may hold grids of several
+    rings; it is handled as one stream, with each row's ring, radix, cell
+    pairing and cell Grams (grams, from _cell_grams) gathered per row.
+
+    For each chunk of B grids yields (ring_of, grids, rank_g, rank_h, dims,
+    verdicts, self_orthogonal, not_orthogonal), each indexed by grid:
+    ring_of is the index of its ring in rings, grids the (B, k*l) divisor
+    indices in (t, j) order, rank_g and rank_h the ranks of G and H, dims n
+    minus the degree sum, verdicts the grid being a fixed point of the dual
+    map (2*dim = n and every partner cell holds monic(q*) of its cell),
+    self_orthogonal G*G^T = 0 and not_orthogonal G*H^T != 0.
+
+    The divisor tables (_divisor_table) are built once per alpha and stacked,
+    each alpha's indices offset past the ones before it; one rank_stack call
+    ranks every code and dual band.  The ranks of G and H are sums of band
+    ranks, and the products are taken only on the (grid, c, c') that the
+    grid's ring's Grams keep: one s x s product for each distinct band pair
+    of the chunk, since rings with the same alpha share their bands.  No
+    ring, no chunk."""
     if not rings:
         return
     field, s, n, width = rings[0].field, rings[0].s, rings[0].n, rings[0].k * rings[0].l
-    tables = {alpha: _divisor_table(field, s, alpha)
-              for alpha in dict.fromkeys(ring.alpha for ring in rings)}
-    sizes = [len(tables[ring.alpha][0]) for ring in rings]   # divisors per cell
-    starts = [0, *itertools.accumulate(size ** width for size in sizes)]   # ring r: starts[r]..
+    alphas = list(dict.fromkeys(ring.alpha for ring in rings))
+    tables = [_divisor_table(field, s, alpha) for alpha in alphas]
+    sizes = [len(degrees) for _, _, degrees, _ in tables]   # divisors per cell
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    code_bands, dual_bands, degrees = (np.concatenate(part) for part in list(zip(*tables))[:3])
+    q_monic = np.concatenate([np.where(q < 0, -1, q + offset)   # -1 matches no index
+                              for (*_, q), offset in zip(tables, offsets)])
+    dual = len(code_bands)                 # the dual band of divisor d is bands[dual + d]
+    bands = np.concatenate([code_bands, dual_bands])
+    ranks = linalg.rank_stack(bands, field.p)
+    table_of = [alphas.index(ring.alpha) for ring in rings]
+    radix = np.array(sizes)[table_of]
+    offset = np.array(offsets)[table_of]
+    partners = np.array([cell_partners(ring) for ring in rings])
+    starts = np.concatenate([[0], np.cumsum(radix ** width)])   # ring r: starts[r]..
+    powers = np.arange(width - 1, -1, -1)
     for start in range(0, starts[-1], SWEEP_CHUNK):
-        count = min(SWEEP_CHUNK, starts[-1] - start)
-        ring_of = np.empty(count, dtype=np.intp)
-        grids = np.empty((count, width), dtype=np.int64)
-        g, h = np.empty((2, count, n, n), dtype=np.int64)
-        dims = np.empty(count, dtype=np.int64)
-        verdicts = np.empty(count, dtype=bool)
-        for r, ring in enumerate(rings):
-            lo, hi = max(start, starts[r]), min(start + count, starts[r + 1])
-            if lo >= hi:
-                continue
-            code_bands, dual_bands, degrees, q_monic = tables[ring.alpha]
-            cells = _cell_tensors(ring)
-            rows = slice(lo - start, hi - start)
-            radix = sizes[r] ** np.arange(width - 1, -1, -1)
-            grid = np.arange(lo - starts[r], hi - starts[r])[:, None] // radix % sizes[r]
-            ring_of[rows], grids[rows] = r, grid
-            g[rows] = kron_words(ring, code_bands[grid], cells).reshape(-1, n, n)
-            h[rows] = kron_words(ring, dual_bands[grid], cells[:, ::-1, ::-1]).reshape(-1, n, n)
-            dims[rows] = n - degrees[grid].sum(axis=1)
-            verdicts[rows] = (2 * dims[rows] == n) & (
-                grid[:, cell_partners(ring)] == q_monic[grid]).all(axis=1)
-        yield ring_of, grids, g, h, dims, verdicts
+        index = np.arange(start, min(start + SWEEP_CHUNK, starts[-1]))
+        ring_of = np.searchsorted(starts, index, side="right") - 1
+        size = radix[ring_of, None]
+        grids = (index - starts[ring_of])[:, None] // size ** powers % size
+        grid = grids + offset[ring_of, None]
+        dims = n - degrees[grid].sum(axis=1)
+        verdicts = (2 * dims == n) & (
+            np.take_along_axis(grid, partners[ring_of], axis=1) == q_monic[grid]).all(axis=1)
+        b, kind, c, c2 = np.nonzero(grams[ring_of])   # kind 0: G*G^T, kind 1: G*H^T
+        pairs, which = np.unique(grid[b, c] * len(bands) + dual * kind + grid[b, c2],
+                                 return_inverse=True)
+        left, right = np.divmod(pairs, len(bands))
+        nonzero = (bands[left] @ bands[right].transpose(0, 2, 1) % field.p).any(axis=(1, 2))[which]
+        flags = np.bincount(2 * b[nonzero] + kind[nonzero], minlength=2 * len(index)).reshape(-1, 2)
+        yield (ring_of, grids, ranks[grid].sum(axis=1), ranks[dual + grid].sum(axis=1), dims,
+               verdicts, flags[:, 0] == 0, flags[:, 1] > 0)

@@ -46,10 +46,15 @@ from .gf import InputError
 
 DEFAULT_BUDGET = 10**8
 BRUTE_FORCE_LIMIT = 10**7
+INDEX_BYTE_LIMIT = 1 << 28   # the most bytes the column index's multiples and keys take
 
 
 class SearchBudgetError(InputError):
     """The requested enumeration exceeds the allowed candidate count."""
+
+
+class IndexTooLargeError(InputError):
+    """The column index of a search would take more than INDEX_BYTE_LIMIT bytes."""
 
 
 @dataclass(frozen=True)
@@ -119,7 +124,16 @@ class _ColumnIndex:
 
 
 def _column_index(parity: np.ndarray, p: int) -> _ColumnIndex:
+    """The index of an (m, n) parity matrix, refused (IndexTooLargeError)
+    before anything is allocated when its (p-1, n, m) int64 multiples and
+    their (p-1)*n keys would pass INDEX_BYTE_LIMIT bytes."""
     m, n = parity.shape
+    size = 8 * (p - 1) * n * (m + 1)
+    if size > INDEX_BYTE_LIMIT:
+        raise IndexTooLargeError(
+            f"the distance search over F_{p} would index the {p - 1} multiples of {n} "
+            f"parity columns of length {m} in {size} bytes, past the limit of "
+            f"{INDEX_BYTE_LIMIT} bytes")
     r = _projection_width(p, m, n)
     bits = _filter_bits(p, n)
     mix = (np.arange(1, (m - r) * r + 1, dtype=np.uint64) * np.uint64(_KEY_BASE)
@@ -221,7 +235,9 @@ def min_distance(code: BuiltCode, max_weight: int | None = None,
     """Increasing-weight syndrome search for the exact minimum distance.
 
     Stops with a lower bound (d = None, d > weight_checked) if the candidate
-    budget or max_weight is exhausted first.  ``parity`` may supply a
+    budget or max_weight is exhausted first.  A search whose column index
+    would pass INDEX_BYTE_LIMIT bytes is refused (IndexTooLargeError) before
+    the index or the closure test is made.  ``parity`` may supply a
     precomputed parity-check matrix, whose rows must span ker G; by default
     the kernel of the generator matrix is used.
     """
@@ -234,9 +250,9 @@ def min_distance(code: BuiltCode, max_weight: int | None = None,
         parity = linalg.null_space(code.generator_matrix, p)
     else:
         parity = linalg.as_matrix(parity, p)
+    index = _column_index(parity, p)
     firsts = (0,) if all(quasi_twisted_closure(code, parity).values()) else range(n)
     cap = n if max_weight is None else min(max_weight, n)
-    index = _column_index(parity, p)
     tested = 0
     for w in range(1, cap + 1):
         candidates = math.comb(n, w) * (p - 1) ** (w - 1)

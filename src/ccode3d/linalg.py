@@ -65,33 +65,32 @@ def _inverses(p: int) -> np.ndarray:
 def rank_stack(m, p: int) -> np.ndarray:
     """The rank of every matrix of a (B, rows, cols) stack, as (B,).
 
-    One column loop serves the stack, eliminating as rref does.  Each matrix
-    keeps its own next pivot row; at column c the matrices with a nonzero
-    entry below it take the first such row as pivot, scaled by the inverse
-    table, and the others subtract a zero pivot row.  Entries are reduced
-    lazily, as in rref.
+    One column loop serves the stack, with no row exchange.  At column c
+    each matrix takes any row with a nonzero entry there as its pivot
+    (none when the column is zero), scales it by the inverse table and
+    subtracts it from every row, itself included: the other rows lose
+    column c and the pivot row becomes zero.  The rows left are zero at c
+    and the pivot row was not, so it is independent of them and the rank
+    is one more than theirs.  A matrix with no pivot subtracts a zero row.
+    Entries are reduced lazily, as in rref: each column adds less than p^2
+    in magnitude, so they stay below p + cols * p^2, and a pivot row times
+    an inverse stays within int64 for p < 2^16 and cols <= 4096.
     """
     a = np.asarray(m, dtype=np.int64) % p
     count, rows, cols = a.shape
+    ranks = np.zeros(count, dtype=np.intp)
+    if not rows:
+        return ranks
     inverse = _inverses(p)
-    r = np.zeros(count, dtype=np.intp)              # next pivot row of each matrix
+    every = np.arange(count)
     for c in range(cols):
         col = a[:, :, c] % p
-        candidates = (col != 0) & (np.arange(rows) >= r[:, None])
-        has = candidates.any(axis=1)
-        if not has.any():
-            continue
-        which = np.flatnonzero(has)
-        pr = candidates[which].argmax(axis=1)       # any nonzero pivot row: the rank is the same
-        rw = r[which]
-        pivot = np.zeros((count, cols - c), dtype=np.int64)
-        pivot[which] = a[which, pr, c:] * inverse[col[which, pr]][:, None] % p
-        a[which, pr] = a[which, rw]
-        rest = a[:, :, c:]
-        rest -= rest[:, :, :1] % p * pivot[:, None, :]
-        a[which, rw, c:] = pivot[which]
-        r[which] += 1
-    return r
+        pr = col.argmax(axis=1)                     # a nonzero row, if the column has one
+        lead = col[every, pr]
+        ranks += lead != 0
+        pivot = a[every, pr, c:] * inverse[lead][:, None] % p
+        a[:, :, c:] -= col[:, :, None] * pivot[:, None, :]
+    return ranks
 
 
 def rank(m, p: int) -> int:

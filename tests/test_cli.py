@@ -507,7 +507,9 @@ def test_sweep_grid_is_sized_before_any_divisor_is_built(capsys, monkeypatch, tm
 def test_sweep_grid_refuses_past_the_byte_limit(capsys, monkeypatch, tmp_path):
     # x^2187 - 1 = (x - 1)^2187 over F_3: 17,504 grids, inside the spec limit,
     # but 2,188 divisors a table make (2188, 2187, 2187) band stacks; the
-    # sweep is sized from cosets and refused before any divisor is built
+    # sweep is sized from cosets and refused before any divisor is built:
+    # 8 * 2187^2 * (2 * 4376 + 3 * 256 * 2) bytes for the code and dual bands
+    # of both alphas and a chunk of 256 grids, two kept cell pairs each
     from ccode3d import codes
     from ccode3d.codes import SWEEP_BYTE_LIMIT
 
@@ -523,7 +525,7 @@ def test_sweep_grid_refuses_past_the_byte_limit(capsys, monkeypatch, tmp_path):
     out, err = capsys.readouterr()
     assert code == 2 and out == "" and not out_file.exists()
     assert err.count("\n") == 1 and err.startswith("error: ")
-    assert "needs 354475398528 bytes" in err and f"limit of {SWEEP_BYTE_LIMIT} bytes" in err
+    assert "needs 393657480576 bytes" in err and f"limit of {SWEEP_BYTE_LIMIT} bytes" in err
 
 
 def test_sweep_grid_refuses_an_oversized_ring(capsys, tmp_path):
@@ -620,7 +622,6 @@ def test_eliminations_per_command(capsys, monkeypatch):
     # build_code and build_dual prove their rank by construction and eliminate
     # nothing, and the closure is tested against the dual's H
     from ccode3d import codes, linalg
-    from ccode3d.gf import FieldSpec
 
     calls, stack_calls = [], []
     rref, rank_stack = linalg.rref, linalg.rank_stack
@@ -652,16 +653,16 @@ def test_eliminations_per_command(capsys, monkeypatch):
         assert not stack_calls, argv
     capsys.readouterr()
     calls.clear()
-    # the sweep eliminates stacks only, G and H stacked together, once per
-    # chunk of the whole sweep: 100 splits the 8 rings' 2,048 specs into 21
-    # chunks, some of which straddle two rings
-    monkeypatch.setattr(codes, "SWEEP_CHUNK", 100)
-    code, out = run(capsys, "sweep", "grid", "--q", "5", "--s", "2", "--l", "2", "--k", "2")
-    assert code == 0
-    total = sum(codes.count_divisor_grids(ring)
-                for ring in codes.admissible_sign_rings(FieldSpec(5), 2, 2, 2))
-    chunks = -(-total // codes.SWEEP_CHUNK)
-    assert len(stack_calls) == chunks
+    # the sweep eliminates stacks only, and builds no G or H: one rank_stack
+    # call for the cell tensors of every ring and one for the code and dual
+    # bands of every alpha, however the 8 rings' 2,048 specs are chunked
+    # (100 makes 21 chunks, some of which straddle two rings)
+    for chunk in (100, 7, codes.SWEEP_CHUNK):
+        stack_calls.clear()
+        monkeypatch.setattr(codes, "SWEEP_CHUNK", chunk)
+        code, out = run(capsys, "sweep", "grid", "--q", "5", "--s", "2", "--l", "2", "--k", "2")
+        assert code == 0 and json.loads(out)["specs"] == 2048
+        assert len(stack_calls) == 2
     assert not calls
 
 
@@ -749,6 +750,26 @@ def test_mindist_leaves_numpy_random_unloaded(tmp_path):
               "print(status, 'numpy.random' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
+def test_mindist_refuses_an_oversized_column_index(tmp_path):
+    # x^128 - 1 over F_65521 with s = 256: the index of the 65,520 multiples
+    # of 256 parity columns of length 128 would take 17 GB; under a 2 GB
+    # address-space limit the search is refused before it allocates them
+    spec = {"q": 65521, "s": 256, "l": 1, "k": 1, "alpha": 1, "beta": 1, "gamma": 1,
+            "p": [[[65520] + [0] * 127 + [1]]]}
+    spec_file, out = tmp_path / "spec.json", tmp_path / "mindist.json"
+    spec_file.write_text(json.dumps(spec))
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))\n"
+              "from ccode3d.cli import main\n"
+              f"sys.exit(main(['mindist', '--spec', {str(spec_file)!r}, '--out', {str(out)!r}]))\n")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2 and proc.stdout == "" and not out.exists()
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    assert "in 17309859840 bytes, past the limit of 268435456 bytes" in proc.stderr
 
 
 def test_experiment_scripts_run():

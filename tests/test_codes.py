@@ -774,41 +774,69 @@ def test_stacked_sweep_report_equals_per_spec_reference(tup, monkeypatch):
 
 
 @pytest.mark.parametrize("tup", SWEEP_TUPLES)
-def test_sweep_stacks_equal_one_spec_builds(tup, monkeypatch):
+def test_sweep_checks_equal_one_spec_builds(tup, monkeypatch):
     # grid by grid, in ring order and then product order across chunk
-    # boundaries: the stacked G and H with their padding rows dropped are
-    # build_code's and build_dual's matrices exactly, the padding rows are
-    # zero, and the dimension and the verdict are the one-spec ones
+    # boundaries: the ranks, the dimension, the verdict and the two product
+    # flags read from the divisor and cell tables are the ones of
+    # build_code's and build_dual's matrices, eliminated and multiplied whole
     monkeypatch.setattr(codes, "SWEEP_CHUNK", 7)
     rings = admissible_sign_rings(*tup)
+    p = tup[0].p
     divisors = {ring.alpha: binomial_divisors(ring.field, ring.s, ring.alpha) for ring in rings}
     specs = ((r, spec) for r, ring in enumerate(rings) for spec in enumerate_divisor_grids(ring))
-    chunk_alphas = []
-    for ring_of, grids, g, h, dims, verdicts in codes._sweep_stacks(rings):
-        s, n, cells = rings[0].s, rings[0].n, rings[0].k * rings[0].l
-        assert 0 < len(grids) <= 7 and g.shape == h.shape == (len(grids), n, n)
+    chunk_alphas, self_orthogonal_seen = [], set()
+    grams = codes._cell_grams(rings, rings[0].k * rings[0].l)
+    for ring_of, grids, rank_g, rank_h, dims, verdicts, self_orthogonal, not_orthogonal in \
+            codes._sweep_checks(rings, grams):
+        assert 0 < len(grids) <= 7
         chunk_alphas.append([rings[r].alpha for r in dict.fromkeys(ring_of.tolist())])
         for b, (r, spec) in zip(range(len(grids)), specs):
             assert ring_of[b] == r
-            grid = [p for row in spec.divisor_grid for p in row]
-            assert [divisors[spec.ring.alpha][i] for i in grids[b]] == grid
-            degrees = np.array([p.degree for p in grid])
-            for stack, built, count in ((g, build_code(spec), s - degrees),
-                                        (h, build_dual(spec), degrees)):
-                words = stack[b].reshape(cells, s, n)
-                band = np.arange(s) < count[:, None]
-                assert words[band].dtype == built.generator_matrix.dtype
-                assert np.array_equal(words[band], built.generator_matrix)
-                assert not words[~band].any()
+            assert [divisors[spec.ring.alpha][i] for i in grids[b]] == [
+                d for row in spec.divisor_grid for d in row]
+            g, h = build_code(spec).generator_matrix, build_dual(spec).generator_matrix
+            assert rank_g[b] == linalg.rank(g, p) and rank_h[b] == linalg.rank(h, p)
             assert dims[b] == build_code(spec).dimension
             assert verdicts[b] == self_dual_decide(spec)[0]
+            assert self_orthogonal[b] == (not linalg.matmul(g, g.T, p).any())
+            assert not_orthogonal[b] == linalg.matmul(g, h.T, p).any()
+            self_orthogonal_seen.add(bool(self_orthogonal[b]))
     assert next(specs, None) is None
+    assert self_orthogonal_seen == {False, True}
     # a chunk of 7 straddles rings; over F_7, x^2 + 1 is irreducible, so one
     # chunk gathers from the tables of alpha = 1 (4 divisors) and -1 (2)
     assert any(len(alphas) == 2 for alphas in chunk_alphas)
     if tup[0] == F7:
         assert {alpha: len(d) for alpha, d in divisors.items()} == {1: 4, 6: 2}
         assert [1, 6] in chunk_alphas
+
+
+@pytest.mark.parametrize("tup, self_dual", [((FieldSpec(3), 3, 2, 1), 0), ((F5, 5, 2, 1), 24)])
+def test_sweep_report_equals_per_spec_reference_where_p_divides_s(tup, self_dual, monkeypatch):
+    # x^3 -+ 1 = (x -+ 1)^3 over F_3 and x^5 -+ 1 = (x -+ 1)^5 over F_5:
+    # repeated factors, two cells a ring, chunks that straddle rings, and
+    # self-dual grids over F_5
+    monkeypatch.setattr(codes, "SWEEP_CHUNK", 7)
+    report = sign_grid_sweep_report(*tup)
+    assert report == per_spec_sweep_report(*tup)
+    assert report["self_dual"] == self_dual
+    assert not any(report[key] for key in ("rank_mismatches", "orthogonality_failures",
+                                "kernel_mismatches", "verdict_disagreements"))
+
+
+def test_sweep_refuses_dependent_cell_tensors(monkeypatch):
+    # the rank sums need the k*l cell tensors of every ring to be independent:
+    # two equal cells are caught by the sweep's rank_stack, naming the ring
+    cell_tensors = codes._cell_tensors
+
+    def repeated_cell(ring):
+        cells = cell_tensors(ring).copy()
+        cells[1] = cells[0]
+        return cells
+
+    monkeypatch.setattr(codes, "_cell_tensors", repeated_cell)
+    with pytest.raises(RuntimeError, match=r"cell tensors of RingParams\(.*linearly dependent"):
+        sign_grid_sweep_report(F5, 2, 2, 1)
 
 
 def test_sweep_builds_the_divisor_tables_once_per_alpha(monkeypatch):
@@ -882,18 +910,25 @@ def test_stacked_sweep_counters_stay_live(fault, counters, monkeypatch):
 
 
 def test_sweep_byte_limit_is_inclusive(monkeypatch):
-    # two band tables of (D, s, s) per alpha and one chunk of G and H, each
-    # (min(SWEEP_CHUNK, grids), n, n), all int64
-    s, n = 2, 4
-    rings = admissible_sign_rings(F5, s, 2, 1)
+    # two band tables of (D, s, s) per alpha, and one chunk's gathered band
+    # pairs and products, three (s, s) matrices for each of the cell pairs a
+    # ring's Grams keep, at most min(SWEEP_CHUNK, grids) times the most any
+    # ring keeps, all int64
+    s, l, k = 2, 2, 1
+    rings = admissible_sign_rings(F5, s, l, k)
     tables = sum(len(binomial_divisors(F5, s, alpha)) for alpha in {ring.alpha for ring in rings})
     grids = sum(count_divisor_grids(ring) for ring in rings)
-    size = 8 * (2 * tables * s * s + 2 * min(codes.SWEEP_CHUNK, grids) * n * n)
+    kept = []
+    for ring in rings:
+        cells = codes._cell_tensors(ring).reshape(l * k, l * k)
+        kept.append(sum(int((cells @ other.T % 5 != 0).sum()) for other in (cells, cells[:, ::-1])))
+    assert kept == [2 * l * k] * len(rings)   # its partner in G*G^T, itself in G*H^T
+    size = 8 * s * s * (2 * tables + 3 * min(codes.SWEEP_CHUNK, grids) * max(kept))
     monkeypatch.setattr(codes, "SWEEP_BYTE_LIMIT", size)
-    assert sign_grid_sweep_report(F5, s, 2, 1)["specs"] == grids
+    assert sign_grid_sweep_report(F5, s, l, k)["specs"] == grids
     monkeypatch.setattr(codes, "SWEEP_BYTE_LIMIT", size - 1)
     with pytest.raises(codes.SweepTooLargeError, match=f"needs {size} bytes .* limit of {size - 1} bytes"):
-        sign_grid_sweep_report(F5, s, 2, 1)
+        sign_grid_sweep_report(F5, s, l, k)
 
 
 def test_sweep_refuses_past_the_spec_limit(monkeypatch):

@@ -9,7 +9,9 @@ from ccode3d import distance, linalg
 from ccode3d.codes import BuiltCode, CodeSpec, binomial_divisors, build_code, build_dual
 from ccode3d.distance import (
     DEFAULT_BUDGET,
+    INDEX_BYTE_LIMIT,
     DistanceResult,
+    IndexTooLargeError,
     SearchBudgetError,
     min_distance,
     min_distance_bruteforce,
@@ -295,6 +297,26 @@ def test_filter_size_is_bounded():
     assert distance._filter_bits(3, 1) == 10
     assert distance._projection_width(65521, 4095, 4096) == 3
     assert distance._projection_width(5, 2, 3) == 2
+
+
+def test_column_index_byte_limit_is_inclusive(monkeypatch):
+    # the (p-1, n, m) int64 multiples -c*h_j and their (p-1)*n keys: at the
+    # limit the search runs, one byte below it is refused before the index
+    # or the closure test is made
+    code = example1_code()
+    p, n, m = code.ring.field.p, code.n, code.n - code.dimension
+    size = 8 * (p - 1) * n * (m + 1)
+    assert INDEX_BYTE_LIMIT == 1 << 28
+    monkeypatch.setattr(distance, "INDEX_BYTE_LIMIT", size)
+    assert min_distance(code).d == 2
+    monkeypatch.setattr(distance, "INDEX_BYTE_LIMIT", size - 1)
+
+    def no_closure(*args):
+        raise AssertionError("the closure was tested before the index was sized")
+
+    monkeypatch.setattr(distance, "quasi_twisted_closure", no_closure)
+    with pytest.raises(IndexTooLargeError, match=f"in {size} bytes, past the limit of {size - 1} bytes"):
+        min_distance(code)
 
 
 def test_pattern_chunks_keep_the_first_hit(rng: random.Random, monkeypatch):
