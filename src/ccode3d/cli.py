@@ -5,10 +5,11 @@ divisor grid), runs constructions and verifications, and writes a JSON result
 file.  Exit codes: 0 success / verdict true, 1 verdict false or failed
 verification, 2 invalid spec or usage, 3 search budget exhausted.  A
 result's matrices (G, H and the cell generators) stay numpy arrays until
-canonical_json writes them, by shape, as the stdlib's indented JSON would,
-each entry's digits taken from a cached table.  verify forms no full ring
-product: its complement check multiplies axis by axis, and its random-pair
-bridge takes the products through the CRT split.
+canonical_json writes them; one recursive function writes every value as
+the stdlib's indented JSON would, an array's entries from a cached table of
+their digits.  verify forms no full ring product: its complement check
+multiplies axis by axis, and its random-pair bridge takes the products
+through the CRT split.
 
 Spec file schema (all residues canonical, coefficient arrays ascending):
 
@@ -22,7 +23,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import random
 import sys
@@ -63,9 +63,6 @@ EXIT_BUDGET = 3
 SEED_ENV = "CCODE_SEED"
 PAIR_CHUNK = 16   # random pairs per batched product in verify
 
-_INDENTED = json.JSONEncoder(indent=2, sort_keys=True)
-
-
 TOKEN_LIMIT = 1 << 16   # entries below this are written from a cached table of their digits
 
 
@@ -75,67 +72,56 @@ def _int_tokens(size: int) -> np.ndarray:
     return np.array([str(i) for i in range(size)], dtype=object)
 
 
-def _array_json(value: np.ndarray, level: int) -> str:
-    """json.dumps(value.tolist(), indent=2) as nested at indent level
-    `level`, for an int array, written in one pass over its flat entries.
-
-    Each entry's token comes from the cached table of _int_tokens, or from
-    str when it is negative or at least TOKEN_LIMIT.  The innermost rows are
-    joined with ",\n" and their indent; between two rows, r trailing axes
-    roll over, and the separator closes r lists, writes the comma and opens
-    r lists.  tolist() stops at the first empty axis, so the lists there
-    are written as the token "[]", and an array whose first axis is empty
-    as "[]".
-    """
-    shape = value.shape
-    if 0 in shape:
-        shape = shape[:shape.index(0)]
-        if not shape:
+def _write(value, pad: str) -> str:
+    """json.dumps(value, indent=2, sort_keys=True), each line after the
+    first starting with pad (a newline and the indent), with a numpy int
+    array written as its tolist(): from its flat entries, each token from
+    the table of _int_tokens (str past TOKEN_LIMIT or below 0), every run of
+    shape[d] strings joined into one list of axis d, innermost axis first.
+    Scalars other than str, bool, None and int, floats among them, take the
+    stdlib's encoder, which raises its TypeError on what JSON cannot hold."""
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if type(value) is int:
+        return str(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return ("{" + inner
+                + ("," + inner).join(json.encoder.encode_basestring_ascii(key) + ": "
+                                     + _write(item, inner) for key, item in sorted(value.items()))
+                + pad + "}")
+    if isinstance(value, (list, tuple)):
+        if not value:
             return "[]"
-        tokens = ["[]"] * math.prod(shape)
+        return "[" + inner + ("," + inner).join(_write(item, inner) for item in value) + pad + "]"
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iu"):
+        return json.JSONEncoder().encode(value)
+    if 0 in value.shape:
+        return _write(value.tolist(), pad)
+    flat = value.reshape(-1)
+    low, high = int(flat.min()), int(flat.max())
+    if low < 0 or high >= TOKEN_LIMIT:
+        tokens = list(map(str, flat.tolist()))
     else:
-        flat = value.reshape(-1)
-        low, high = int(flat.min()), int(flat.max())
-        if low < 0 or high >= TOKEN_LIMIT:
-            tokens = list(map(str, flat.tolist()))
-        else:
-            tokens = _int_tokens(1 << high.bit_length())[flat].tolist()
-    depth, width = len(shape), shape[-1]
-    pad = ["\n" + "  " * (level + a) for a in range(depth + 1)]   # pad[a + 1]: items at depth a
-
-    def separator(r):   # between two entries where the r innermost lists end
-        return ("".join(pad[a] + "]" for a in range(depth - 1, depth - 1 - r, -1))
-                + "," + pad[depth - r] + "".join("[" + pad[a + 1] for a in range(depth - r, depth)))
-
-    row_sep = separator(0)
-    rows = [row_sep.join(tokens[i:i + width]) for i in range(0, len(tokens), width)]
-    # the rows that end a list of each outer axis: row i + 1 starts a new list of axis a
-    ends = np.zeros(len(rows) - 1, dtype=np.intp)
-    for a in range(1, depth - 1):
-        ends += (np.arange(1, len(rows)) % math.prod(shape[a:-1]) == 0)
-    seps = [separator(1 + r) for r in range(depth)]
-    parts = [None] * (2 * len(rows) - 1)
-    parts[::2] = rows
-    parts[1::2] = [seps[r] for r in ends.tolist()]
-    return ("".join("[" + pad[a + 1] for a in range(depth)) + "".join(parts)
-            + "".join(pad[a] + "]" for a in range(depth - 1, -1, -1)))
+        tokens = _int_tokens(1 << high.bit_length())[flat].tolist()
+    for d in range(value.ndim - 1, -1, -1):   # the lists of axis d, innermost first
+        items_pad = pad + "  " * (d + 1)
+        opening, sep, close = "[" + items_pad, "," + items_pad, pad + "  " * d + "]"
+        runs = zip(*[iter(tokens)] * value.shape[d])   # consecutive runs of shape[d] strings
+        tokens = [f"{opening}{items}{close}" for items in map(sep.join, runs)]
+    return tokens[0]
 
 
 def canonical_json(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True) + "\n", byte for byte, with
-    each numpy int array written as its tolist().
-
-    A top-level dict that holds arrays (G, H, generators) is written key by
-    key: each array by _array_json, from its flat entries; every other
-    value, and every other object, takes the stdlib's indenting encoder.
-    """
-    if isinstance(obj, dict) and any(isinstance(value, np.ndarray) for value in obj.values()):
-        items = (f"  {json.dumps(key)}: "
-                 + (_array_json(value, 1) if isinstance(value, np.ndarray)
-                    else _INDENTED.encode(value).replace("\n", "\n  "))
-                 for key, value in sorted(obj.items()))
-        return "{\n" + ",\n".join(items) + "\n}\n"
-    return _INDENTED.encode(obj) + "\n"
+    each numpy int array written as its tolist() (_write)."""
+    return _write(obj, "\n") + "\n"
 
 
 def spec_to_dict(spec: CodeSpec) -> dict:
@@ -384,8 +370,7 @@ def cmd_export(args) -> int:
     spec = load_spec(args.spec)
     code = build_code(spec)
     if code.dimension == 0:
-        print("refusing to export a zero-dimensional code", file=sys.stderr)
-        return EXIT_INVALID
+        raise InputError("refusing to export a zero-dimensional code")
     dual = build_dual(spec)
     text = _cas_script(spec, code, dual) if args.format == "cas-script" else _csv_grids(code, dual)
     if args.out:

@@ -179,18 +179,19 @@ def _cell_tensors(ring: RingParams) -> np.ndarray:
     return cells
 
 
-def _shift_rows(f: Poly, count: int, s: int) -> np.ndarray:
-    """The count x s matrix of x^i * f(x), i < count; needs count + deg f <= s."""
-    rows = np.zeros((count, s), dtype=np.int64)
-    for i in range(count):
-        rows[i, i:i + len(f.coeffs)] = f.coeffs
+def _coefficient_rows(polys, width: int) -> np.ndarray:
+    """The (len(polys), width) int64 matrix of the polynomials' ascending
+    coefficients, each zero-padded to width; needs deg f < width."""
+    rows = np.zeros((len(polys), width), dtype=np.int64)
+    for row, f in zip(rows, polys):
+        row[:len(f.coeffs)] = f.coeffs
     return rows
 
 
 def _folded_x_rows(ring: RingParams, x_grid) -> np.ndarray:
     """The (k*l, s) residues of a k x l grid of polynomials of degree <= s in
     (t, j) order, with x^s folded onto alpha."""
-    x = np.vstack([_shift_rows(f, 1, ring.s + 1) for row in x_grid for f in row])
+    x = _coefficient_rows([f for row in x_grid for f in row], ring.s + 1)
     x[:, 0] += ring.alpha * x[:, ring.s]
     return x[:, :ring.s] % ring.field.p
 
@@ -230,11 +231,14 @@ def cell_product_zero_flags(ring: RingParams, left_grid, right_grid) -> np.ndarr
 
 def _bands(x_blocks, s: int) -> np.ndarray:
     """The (C, s, s) stack of the rows x^i * f(x), i < count, of every
-    x-block (f, count), each zero-padded to s rows."""
-    bands = np.zeros((len(x_blocks), s, s), dtype=np.int64)
-    for c, (f, count) in enumerate(x_blocks):
-        bands[c, :count] = _shift_rows(f, count, s)
-    return bands
+    x-block (f, count), zero-padded to s rows; needs count + deg f <= s or
+    count = 0.  Row i is the strided window of f's coefficients, after s - 1
+    zeros, that starts s - 1 - i in, masked by i < count: one (C, s, s) array."""
+    coeffs = _coefficient_rows([f for f, _ in x_blocks], s + 1)
+    padded = np.concatenate([np.zeros((len(coeffs), s - 1), dtype=np.int64), coeffs], axis=1)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, s, axis=1)[:, s - 1::-1]
+    counts = np.array([count for _, count in x_blocks])
+    return windows * (np.arange(s) < counts[:, None])[:, :, None]
 
 
 def _assemble(ring: RingParams, x_blocks, cells: np.ndarray) -> BuiltCode:

@@ -333,7 +333,7 @@ def test_verify_makes_no_full_ring_product(capsys, monkeypatch, spec):
 
 
 _JSON_LEAVES = st.one_of(st.integers(-10**6, 10**6), st.integers(0, 12),
-                         st.booleans(), st.none(), st.text(max_size=4))
+                         st.booleans(), st.none(), st.text(max_size=4), st.floats())
 
 
 def _int_lists(depth, min_size=0):
@@ -358,9 +358,10 @@ _JSON_VALUES = st.recursive(
                                  max_size=6),
                  _JSON_VALUES))
 def test_canonical_json_matches_stdlib_indent(obj):
-    # byte-identical to the stdlib's indenting encoder both on int lists (the
-    # C-encoder path) and on what must fall back: bools mixed into int lists,
-    # None, strings, empty, ragged and mixed-depth lists, nested dicts
+    # byte-identical to the stdlib's indenting encoder on int lists and on
+    # every other value: bools mixed into int lists, None, strings, floats
+    # (NaN, infinities and -0.0 included), empty, ragged and mixed-depth
+    # lists, nested dicts
     assert canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
@@ -371,6 +372,17 @@ def test_canonical_json_int_matrices():
                 {"s": [1, "], [", "2, 3"], "d": [[1, 2], [{"a": 1, "b": [2, 3]}]], "f": [0, 1.5]},
                 [[1, -2], [3]], [[[1, 2], [3]], [[4]]], [1, None]):
         assert canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("scalar", [np.int64(1), np.bool_(True)])
+def test_canonical_json_refuses_numpy_scalars(scalar):
+    # only int arrays are written as their lists; a numpy scalar raises the
+    # stdlib's TypeError, alone, in a list and beside an array
+    for obj in (scalar, [scalar], {"G": np.eye(2, dtype=np.int64), "n": scalar}):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            canonical_json(obj)
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        json.dumps([scalar], indent=2, sort_keys=True)
 
 
 _INT_ARRAYS = hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=4),
@@ -459,6 +471,13 @@ def test_export_refuses_zero_dimension(capsys, tmp_path):
     }))
     code, _ = run(capsys, "export", "--spec", str(spec))
     assert code == 2
+    # a usage error like any other: one error line, nothing on stdout, no file
+    for fmt in ("cas-script", "csv"):
+        out_file = tmp_path / f"zero.{fmt}"
+        assert main(["export", "--spec", str(spec), "--format", fmt, "--out", str(out_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out_file.exists()
+        assert captured.err == "error: refusing to export a zero-dimensional code\n"
 
 
 def test_sweep_grid_small(capsys):
@@ -702,15 +721,16 @@ def test_rank_oracles_stay_live(capsys, monkeypatch, tmp_path):
     from ccode3d import codes
     from ccode3d.gf import FieldSpec
 
-    shift_rows = codes._shift_rows
+    bands = codes._bands
 
-    def repeating_shift_rows(f, count, s):
-        rows = shift_rows(f, count, s)
-        if count >= 2:
-            rows[1] = rows[0]
+    def repeating_bands(x_blocks, s):
+        rows = bands(x_blocks, s)
+        for block, (_, count) in zip(rows, x_blocks):
+            if count >= 2:
+                block[1] = block[0]
         return rows
 
-    monkeypatch.setattr(codes, "_shift_rows", repeating_shift_rows)
+    monkeypatch.setattr(codes, "_bands", repeating_bands)
     spec = json.loads(Path(EXAMPLE1).read_text())
     spec["p"][0][0] = [1]                      # a cell with s = 2 rows
     spec_file = tmp_path / "spec.json"

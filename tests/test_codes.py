@@ -882,12 +882,13 @@ def _pair_each_cell_with_itself(cell_partners):
     return itself
 
 
-def _repeat_first_band_row(shift_rows):
+def _repeat_first_band_row(bands):
     # G and H stay orthogonal but lose rank, so H spans less than ker G
-    def repeated(f, count, s):
-        rows = shift_rows(f, count, s)
-        if count >= 2:
-            rows[1] = rows[0]
+    def repeated(x_blocks, s):
+        rows = bands(x_blocks, s)
+        for block, (_, count) in zip(rows, x_blocks):
+            if count >= 2:
+                block[1] = block[0]
         return rows
     return repeated
 
@@ -895,7 +896,7 @@ def _repeat_first_band_row(shift_rows):
 @pytest.mark.parametrize("fault, counters", [
     (("_reversed_complement", _raise_constant_term), ("orthogonality_failures", "kernel_mismatches")),
     (("cell_partners", _pair_each_cell_with_itself), ("verdict_disagreements",)),
-    (("_shift_rows", _repeat_first_band_row), ("rank_mismatches", "kernel_mismatches")),
+    (("_bands", _repeat_first_band_row), ("rank_mismatches", "kernel_mismatches")),
 ])
 def test_stacked_sweep_counters_stay_live(fault, counters, monkeypatch):
     # a wrong q*, a wrong cell pairing and a repeated band row, each in a
