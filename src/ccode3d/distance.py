@@ -10,13 +10,14 @@ find the same first hit with less work:
 * The last coefficient is solved, not enumerated.  A prefix i_1 < ... <
   i_(w-1) with its coefficients has syndrome S, and it completes to a
   codeword iff S = -c*h_j for a column h_j with j > i_(w-1) and some c in
-  1..p-1.  The multiples -c*h_j are indexed once per search, for every
-  weight: each S is first projected to r <= m coordinates by a fixed
-  matrix over F_p, and one gather from a bit filter of at most 2^20
-  entries, marked with the projected multiples' keys, rejects nearly every
-  S that completes nothing.  Only a survivor gets its full syndrome, which
-  must match a 64-bit linear key of some multiple and then equal it
-  exactly, so neither a filter nor a key collision can make a false hit.
+  1..p-1, that is iff S and h_j, each scaled to a leading 1, are equal.
+  The n scaled columns are indexed once per search, for every weight: each
+  S is first projected to r <= m coordinates by a fixed matrix over F_p,
+  and one gather from a bit filter of at most 2^20 entries, marked with the
+  projected multiples' keys, rejects nearly every S that completes nothing.
+  Only a survivor gets its full syndrome, scaled to a leading 1, which must
+  match a 64-bit linear key of some scaled column and then equal it exactly,
+  so neither a filter nor a key collision can make a false hit.
 * When the code is an ideal of the ring (its row space is closed under the
   x, y and z shifts, tested against the parity matrix), every support starts
   at coordinate 0.  The monomial x^a y^b z^c moves coordinate 0 to coordinate
@@ -46,15 +47,10 @@ from .gf import InputError
 
 DEFAULT_BUDGET = 10**8
 BRUTE_FORCE_LIMIT = 10**7
-INDEX_BYTE_LIMIT = 1 << 28   # the most bytes the column index's multiples and keys take
 
 
 class SearchBudgetError(InputError):
     """The requested enumeration exceeds the allowed candidate count."""
-
-
-class IndexTooLargeError(InputError):
-    """The column index of a search would take more than INDEX_BYTE_LIMIT bytes."""
 
 
 @dataclass(frozen=True)
@@ -105,48 +101,55 @@ def _projection_width(p: int, m: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class _ColumnIndex:
-    """The lookup of the multiples -c*h_j of a parity matrix's columns,
-    built once per min_distance call and shared by every weight.
+    """The lookup of the columns h_j of a parity matrix, each scaled to a
+    leading 1, built once per min_distance call and shared by every weight.
 
     ``filter`` marks the top bits of the _key_weights(r) keys of the
     projected multiples -c*h_j*P mod p, where P is the fixed (m, r) matrix
     [I_r; A] of rank r, A's entries a fixed multiplicative hash of their
     position reduced mod p.  A syndrome S equal to some -c*h_j has
     S*P = -c*h_j*P, so its key's top bits are marked: a syndrome the filter
-    rejects completes nothing.  ``keys`` are the sorted full keys of the
-    multiples, and ``neg`` the multiples themselves, for the exact check."""
+    rejects completes nothing.  S = -c*h_j iff S and h_j scaled to a leading
+    1 are equal, so the exact check takes the n ``scaled`` columns, their
+    sorted full ``keys``, and the leading entries ``lead`` that give c."""
     columns: np.ndarray     # (n, m) float64: h_j
     projected: np.ndarray   # (n, r) float64: h_j*P mod p
-    neg: np.ndarray         # (p-1, n, m) int64: -c*h_j for c = 1..p-1
-    keys: np.ndarray        # sorted uint64 keys of neg
+    scaled: np.ndarray      # (n, m) int64: h_j over its first nonzero entry, 0 for a zero column
+    lead: np.ndarray        # (n,) int64: the first nonzero entry of h_j, 0 for a zero column
+    keys: np.ndarray        # sorted uint64 keys of scaled
     filter: np.ndarray      # (2^bits,) bool
     shift: np.uint64        # 64 - bits: a key's top bits index the filter
 
 
+def _leading(rows: np.ndarray) -> np.ndarray:
+    """The first nonzero entry of each row of an (s, m) stack, 0 for a zero row."""
+    if not rows.shape[1]:
+        return np.zeros(len(rows), dtype=rows.dtype)
+    return rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+
+
 def _column_index(parity: np.ndarray, p: int) -> _ColumnIndex:
-    """The index of an (m, n) parity matrix, refused (IndexTooLargeError)
-    before anything is allocated when its (p-1, n, m) int64 multiples and
-    their (p-1)*n keys would pass INDEX_BYTE_LIMIT bytes."""
+    """The index of an (m, n) parity matrix.  The filter is marked slice by
+    slice of projected multiples, until it is full or every multiple is in."""
     m, n = parity.shape
-    size = 8 * (p - 1) * n * (m + 1)
-    if size > INDEX_BYTE_LIMIT:
-        raise IndexTooLargeError(
-            f"the distance search over F_{p} would index the {p - 1} multiples of {n} "
-            f"parity columns of length {m} in {size} bytes, past the limit of "
-            f"{INDEX_BYTE_LIMIT} bytes")
     r = _projection_width(p, m, n)
     bits = _filter_bits(p, n)
     mix = (np.arange(1, (m - r) * r + 1, dtype=np.uint64) * np.uint64(_KEY_BASE)
            >> np.uint64(32)) % np.uint64(p)
     cols = parity.T
     projected = (cols[:, :r] + cols[:, r:] @ mix.astype(np.int64).reshape(m - r, r)) % p
-    mults = -np.arange(1, p)[:, None, None]
-    neg = mults * cols % p                                              # (p-1, n, m)
     shift = np.uint64(64 - bits)
     marked = np.zeros(1 << bits, dtype=bool)
-    marked[(mults * projected % p).view(np.uint64) @ _key_weights(r) >> shift] = True
-    keys = np.sort((neg.view(np.uint64) @ _key_weights(m)).ravel())
-    return _ColumnIndex(cols.astype(np.float64), projected.astype(np.float64), neg, keys, marked, shift)
+    slices = math.ceil((p - 1) * n / len(marked))   # about 2^bits keys a slice
+    for mults in np.array_split(-np.arange(1, p)[:, None, None], slices):
+        marked[(mults * projected % p).view(np.uint64) @ _key_weights(r) >> shift] = True
+        if marked.all():
+            break
+    lead = _leading(cols)
+    scaled = cols * linalg._inverses(p)[lead][:, None] % p
+    keys = np.sort(scaled.view(np.uint64) @ _key_weights(m))
+    return _ColumnIndex(cols.astype(np.float64), projected.astype(np.float64), scaled, lead,
+                        keys, marked, shift)
 
 
 @functools.lru_cache(maxsize=64)
@@ -184,20 +187,21 @@ def _scan(index: _ColumnIndex, p: int, w: int, firsts):
     the projected prefix syndromes S*P are one float64 product reduced mod
     p, exact while (w-1)*(p-1)^2 < 2^53, which holds for p < 2^16 and
     n <= 4096.  One gather from the index's filter rejects a syndrome that
-    completes nothing.  A survivor gets its full m-row syndrome, which must
-    match some full key of the multiples -c*h_j and then equal one of them
-    exactly, so neither a filter nor a key collision can make a false hit;
-    the least (prefix, j, pattern, c) with j > i_(w-1) wins.  Past w = 1 the
-    columns are nonzero, so c is unique.
+    completes nothing.  A survivor gets its full m-row syndrome, scaled to a
+    leading 1, which must match some full key of the scaled columns and then
+    equal one of them exactly, so neither a filter nor a key collision can
+    make a false hit; the least (prefix, j, pattern) with j > i_(w-1) wins,
+    with c = -S_lead/h_j_lead.  A zero syndrome matches only a zero column,
+    at w = 1, where c = 1.
     """
     n, m = index.columns.shape
     r = index.projected.shape[1]
     short_weights, full_weights = _key_weights(r), _key_weights(m)
+    inverse = linalg._inverses(p)
     npat = (p - 1) ** max(w - 2, 0)
     per_block = max(1, _BLOCK // (min(npat, _PATTERN_CHUNK) * max(r, 1)))
     prefixes = iter([()]) if w == 1 else (
         (i,) + rest for i in firsts for rest in itertools.combinations(range(i + 1, n - 1), w - 2))
-    later = np.arange(n)
     while block := list(itertools.islice(prefixes, per_block)):
         block = np.array(block, dtype=np.intp).reshape(len(block), w - 1)
         last = block[:, -1] if w > 1 else np.full(1, -1)
@@ -211,45 +215,39 @@ def _scan(index: _ColumnIndex, p: int, w: int, firsts):
                 continue
             b, a = np.nonzero(passed)
             syn = _mod((patterns[a, None, :] @ index.columns[block[b]])[:, 0], p).astype(np.int64)
-            keys = syn.view(np.uint64) @ full_weights
+            lead = _leading(syn)
+            scaled = syn * inverse[lead][:, None] % p
+            keys = scaled.view(np.uint64) @ full_weights
             found = index.keys[np.minimum(np.searchsorted(index.keys, keys), len(index.keys) - 1)] == keys
             if not found.any():
                 continue
-            b, a, syn = b[found], a[found], syn[found]
-            exact = (syn[:, None, None, :] == index.neg).all(axis=3)   # (s, p-1, n)
-            exact &= (later > last[b][:, None])[:, None, :]
-            t, c, j = np.nonzero(exact)
+            b, a, lead, scaled = b[found], a[found], lead[found], scaled[found]
+            exact = (scaled[:, None, :] == index.scaled).all(axis=2)    # (s, n)
+            exact &= np.arange(n) > last[b][:, None]
+            t, j = np.nonzero(exact)
+            c = np.maximum(-lead[t] * inverse[index.lead[j]] % p, 1)   # 0 only for a zero column
             hits = [*zip(b[t].tolist(), j.tolist(), (a[t] + chunk * _PATTERN_CHUNK).tolist(),
                          c.tolist())] + ([best] if best else [])
             best = min(hits, default=None)
         if best is not None:
             b, j, a, c = best
             pattern = _prefix_patterns(p, w, a // _PATTERN_CHUNK)[a % _PATTERN_CHUNK]
-            return (*block[b].tolist(), j), (*map(int, pattern), c + 1)
+            return (*block[b].tolist(), j), (*map(int, pattern), c)
     return None
 
 
-def min_distance(code: BuiltCode, max_weight: int | None = None,
-                 budget: int = DEFAULT_BUDGET,
-                 parity: np.ndarray | None = None) -> DistanceResult:
-    """Increasing-weight syndrome search for the exact minimum distance.
+def min_distance(code: BuiltCode, parity: np.ndarray, max_weight: int | None = None,
+                 budget: int = DEFAULT_BUDGET) -> DistanceResult:
+    """Increasing-weight syndrome search for the exact minimum distance
+    against a parity-check matrix, whose rows must span ker G.
 
     Stops with a lower bound (d = None, d > weight_checked) if the candidate
-    budget or max_weight is exhausted first.  A search whose column index
-    would pass INDEX_BYTE_LIMIT bytes is refused (IndexTooLargeError) before
-    the index or the closure test is made.  ``parity`` may supply a
-    precomputed parity-check matrix, whose rows must span ker G; by default
-    the kernel of the generator matrix is used.
+    budget or max_weight is exhausted first.
     """
     if code.dimension < 1:
         raise InputError("a zero-dimensional code has no nonzero codeword")
-    ring = code.ring
-    p = ring.field.p
-    n = code.n
-    if parity is None:
-        parity = linalg.null_space(code.generator_matrix, p)
-    else:
-        parity = linalg.as_matrix(parity, p)
+    p, n = code.ring.field.p, code.n
+    parity = linalg.as_matrix(parity, p)
     index = _column_index(parity, p)
     firsts = (0,) if all(quasi_twisted_closure(code, parity).values()) else range(n)
     cap = n if max_weight is None else min(max_weight, n)

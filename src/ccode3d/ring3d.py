@@ -164,7 +164,8 @@ def kron_words(params: RingParams, x_rows: np.ndarray, cells: np.ndarray) -> np.
     Only the products are reduced."""
     zy = np.swapaxes(cells, -1, -2).reshape(len(cells), 1, params.k * params.l, 1)
     words = zy * x_rows[..., None, :]                               # (..., C, r, k*l, s)
-    return words.reshape(*x_rows.shape[:-1], params.n) % params.field.p
+    words %= params.field.p
+    return words.reshape(*x_rows.shape[:-1], params.n)
 
 
 def shift_words(params: RingParams, words, axis: str) -> np.ndarray:

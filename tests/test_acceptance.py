@@ -88,7 +88,7 @@ def test_criterion_1_example1():
     assert row_space_equal(code.generator_matrix, paper_rows, 5)
     verdict, _ = self_dual_decide(spec, code)
     assert verdict is True
-    res = min_distance(code)
+    res = min_distance(code, build_dual(spec).generator_matrix)
     assert res.exact and res.d == 2
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -100,7 +100,7 @@ def test_criterion_2_example2():
     spec = example2_spec()
     code = build_code(spec)
     assert (code.n, code.dimension) == (12, 6)
-    res = min_distance(code)
+    res = min_distance(code, build_dual(spec).generator_matrix)
     assert res.exact and res.d == 2
     verdict, cert = self_dual_decide(spec, code)
     assert verdict is False
@@ -119,9 +119,10 @@ def test_criterion_2_example2():
 
 def test_criterion_3_example3():
     start = time.perf_counter()
-    code = build_code(example3_spec())
+    spec = example3_spec()
+    code = build_code(spec)
     assert (code.n, code.dimension) == (18, 12)
-    res = min_distance(code)
+    res = min_distance(code, build_dual(spec).generator_matrix)
     assert res.exact and res.d == 4
     assert res.weight_checked == 3       # weights 1..3 exhausted with no hit
     assert sum(1 for v in res.witness if v) == 4
@@ -276,11 +277,11 @@ def test_criterion_7_no_self_dual_with_trivial_yz_constants():
 def test_criterion_8_distance_oracle_equivalence(sign_sweep):
     start = time.perf_counter()
     compared = 0
-    for spec, code, _dual in sign_sweep:
+    for spec, code, dual in sign_sweep:
         p = spec.ring.field.p
         if code.dimension < 1 or p**code.dimension > 10**7:
             continue
-        res = min_distance(code)
+        res = min_distance(code, dual.generator_matrix)
         assert res.exact
         assert res.d == min_distance_bruteforce(code)
         assert sum(1 for v in res.witness if v) == res.d

@@ -772,24 +772,32 @@ def test_mindist_leaves_numpy_random_unloaded(tmp_path):
     assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
-def test_mindist_refuses_an_oversized_column_index(tmp_path):
-    # x^128 - 1 over F_65521 with s = 256: the index of the 65,520 multiples
-    # of 256 parity columns of length 128 would take 17 GB; under a 2 GB
-    # address-space limit the search is refused before it allocates them
+def test_mindist_indexes_a_large_field_in_little_memory(tmp_path):
+    # x^128 - 1 over F_65521 with s = 256: the search indexes the 256 parity
+    # columns of length 128 once each, not their 65,520 multiples (17 GB), so
+    # it runs under a 2 GB address-space limit: the default budget stops it
+    # after weight 1 (exit 3), a lifted one finds d = 2 (exit 0)
     spec = {"q": 65521, "s": 256, "l": 1, "k": 1, "alpha": 1, "beta": 1, "gamma": 1,
             "p": [[[65520] + [0] * 127 + [1]]]}
-    spec_file, out = tmp_path / "spec.json", tmp_path / "mindist.json"
+    spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps(spec))
-    script = ("import resource, sys\n"
-              "resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))\n"
-              "from ccode3d.cli import main\n"
-              f"sys.exit(main(['mindist', '--spec', {str(spec_file)!r}, '--out', {str(out)!r}]))\n")
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
-    assert time.perf_counter() - start < 10
-    assert proc.returncode == 2 and proc.stdout == "" and not out.exists()
-    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
-    assert "in 17309859840 bytes, past the limit of 268435456 bytes" in proc.stderr
+    for budget, status in (([], 3), (["--budget", "10000000000"], 0)):
+        out = tmp_path / f"mindist-{status}.json"
+        argv = ["mindist", "--spec", str(spec_file), "--out", str(out), *budget]
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))\n"
+                  "from ccode3d.cli import main\n"
+                  f"sys.exit(main({argv!r}))\n")
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == status, proc.stderr
+        result = json.loads(out.read_text())["distance"]
+        if status:
+            assert (result["d"], result["weight_checked"]) == (None, 1)
+        else:
+            assert result["d"] == 2 and result["weight_checked"] == 1
+            assert [i for i, v in enumerate(result["witness"]) if v] == [0, 128]
 
 
 def test_experiment_scripts_run():

@@ -1,6 +1,8 @@
 import copy
 import itertools
 import math
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -137,6 +139,25 @@ def test_validate_admits_length_up_to_the_limit():
     past = RingParams(F5, codes.SPEC_LENGTH_LIMIT // 2 + 1, 2, 1, 1, -1, 1)
     with pytest.raises(SpecValidationError, match=r"n = s\*l\*k = 4098 .* limit of 4096"):
         CodeSpec(past, ((poly5(-1, 1), poly5(-1, 1)),))
+
+
+def test_build_at_the_length_limit_keeps_one_copy_of_its_words():
+    # a one-cell build at s = 4096 over F_5 with divisor x - 1: G is 4,095 x
+    # 4,096 int64 (134 MB), and kron_words reduces its words in place, so the
+    # process peaks under 350 MB (an out-of-place reduction peaks near 413 MB)
+    script = ("import resource\n"
+              "from ccode3d.codes import CodeSpec, build_code\n"
+              "from ccode3d.gf import FieldSpec\n"
+              "from ccode3d.poly import Poly\n"
+              "from ccode3d.ring3d import RingParams\n"
+              "F5 = FieldSpec(5)\n"
+              "ring = RingParams(F5, 4096, 1, 1, 1, 1, 1)\n"
+              "code = build_code(CodeSpec(ring, ((Poly.from_coeffs(F5, [4, 1]),),)))\n"
+              "print(*code.generator_matrix.shape, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    rows, cols, peak_kb = map(int, proc.stdout.split())
+    assert (rows, cols) == (4095, 4096)
+    assert peak_kb < 350 * 1024
 
 
 def test_example1_generator_matrix_matches_published_rows():

@@ -9,9 +9,7 @@ from ccode3d import distance, linalg
 from ccode3d.codes import BuiltCode, CodeSpec, binomial_divisors, build_code, build_dual
 from ccode3d.distance import (
     DEFAULT_BUDGET,
-    INDEX_BYTE_LIMIT,
     DistanceResult,
-    IndexTooLargeError,
     SearchBudgetError,
     min_distance,
     min_distance_bruteforce,
@@ -40,9 +38,14 @@ def example2_code():
     return build_code(CodeSpec(ring, ((xm, xp), (xm, xp), (xm, xp))))
 
 
+def kernel(code):
+    """A parity-check matrix of a code: the kernel basis of its generator matrix."""
+    return linalg.null_space(code.generator_matrix, code.ring.field.p)
+
+
 def test_example1_distance_two():
     code = example1_code()
-    res = min_distance(code)
+    res = min_distance(code, build_dual(example1_spec()).generator_matrix)
     assert res.exact and res.d == 2 and res.weight_checked == 1
     assert sum(1 for v in res.witness if v) == 2
     assert linalg.row_space_contains(code.generator_matrix, list(res.witness), 5)
@@ -51,7 +54,7 @@ def test_example1_distance_two():
 
 def test_example2_distance_two():
     code = example2_code()
-    res = min_distance(code)
+    res = min_distance(code, kernel(code))
     assert res.exact and res.d == 2
     assert min_distance_bruteforce(code) == 2
 
@@ -60,7 +63,7 @@ def test_full_space_distance_one():
     ring = RingParams(F5, 2, 2, 2, 1, -1, -1)
     one = Poly.one(F5)
     code = build_code(CodeSpec(ring, ((one, one), (one, one))))
-    res = min_distance(code)
+    res = min_distance(code, kernel(code))
     assert res.d == 1 and res.weight_checked == 0
     assert min_distance_bruteforce(code) == 1
 
@@ -70,21 +73,21 @@ def test_zero_dimensional_rejected():
     binom = Poly.binomial(F5, 2, 1)
     code = build_code(CodeSpec(ring, ((binom, binom), (binom, binom))))
     with pytest.raises(ValueError):
-        min_distance(code)
+        min_distance(code, kernel(code))
     with pytest.raises(ValueError):
         min_distance_bruteforce(code)
 
 
 def test_budget_exhaustion_returns_bound():
     code = example1_code()
-    res = min_distance(code, budget=3)
+    res = min_distance(code, kernel(code), budget=3)
     assert not res.exact and res.d is None
     assert res.weight_checked == 0 and res.witness is None
 
 
 def test_max_weight_cap_returns_bound():
     code = example1_code()
-    res = min_distance(code, max_weight=1)
+    res = min_distance(code, kernel(code), max_weight=1)
     assert not res.exact and res.weight_checked == 1
 
 
@@ -103,7 +106,7 @@ def test_injected_repetition_style_code():
     G = np.ones((1, 3), dtype=np.int64)
     code = BuiltCode(ring, G)
     assert min_distance_bruteforce(code) == 3
-    res = min_distance(code)
+    res = min_distance(code, kernel(code))
     assert res.d == 3 and res.weight_checked == 2
 
 
@@ -116,14 +119,15 @@ def test_parity_override_gives_same_answer():
 
 def test_jobs_partitioning_matches_serial():
     # the witness is the first hit in lexicographic support order
-    res = min_distance(example2_code())
+    code = example2_code()
+    res = min_distance(code, kernel(code))
     assert res.d == 2
     assert res.witness == (1, 0, 0, 1) + (0,) * 8
     # an [16, 8, 4] code whose first hit lies at first coordinate 0
     ring = RingParams(F5, 4, 2, 2, 1, 1, 1)
     P = lambda *c: Poly.from_coeffs(F5, c)
     code = build_code(CodeSpec(ring, ((P(1, 0, 1), P(2, 4, 3, 1)), (P(1, 0, 1), P(2, 1)))))
-    res = min_distance(code)
+    res = min_distance(code, kernel(code))
     assert res.d == 4 == min_distance_bruteforce(code)
     assert res.witness == (1, 0, 1, 0, 4, 0, 4) + (0,) * 9
     assert linalg.row_space_contains(code.generator_matrix, list(res.witness), 5)
@@ -133,7 +137,7 @@ def test_jobs_partitioning_matches_serial():
     ring = RingParams(F5, 5, 1, 1, 1, 1, 1)
     G = np.array([[0, 1, 1, 0, 0], [0, 0, 0, 1, 1]], dtype=np.int64)
     code = BuiltCode(ring, G)
-    assert min_distance(code).witness == (0, 1, 1, 0, 0)
+    assert min_distance(code, kernel(code)).witness == (0, 1, 1, 0, 0)
 
 
 def test_search_matches_bruteforce_on_random_specs(rng: random.Random):
@@ -150,10 +154,11 @@ def test_search_matches_bruteforce_on_random_specs(rng: random.Random):
                 tuple(rng.choice(divisors) for _ in range(ring.l))
                 for _ in range(ring.k)
             )
-            code = build_code(CodeSpec(ring, grid))
+            spec = CodeSpec(ring, grid)
+            code = build_code(spec)
             if code.dimension == 0:
                 continue
-            res = min_distance(code)
+            res = min_distance(code, build_dual(spec).generator_matrix)
             assert res.exact
             assert res.d == min_distance_bruteforce(code)
             assert sum(1 for v in res.witness if v) == res.d
@@ -221,15 +226,15 @@ REFERENCE_BUDGET = 3 * 10**5   # keeps the reference's pattern arrays small
 
 def assert_matches_reference(code, parity):
     full = reference_search(code, parity, budget=REFERENCE_BUDGET)
-    assert min_distance(code, budget=REFERENCE_BUDGET, parity=parity) == full
-    assert min_distance(code, budget=REFERENCE_BUDGET) == full   # the default kernel parity
+    assert min_distance(code, parity, budget=REFERENCE_BUDGET) == full
+    assert min_distance(code, kernel(code), budget=REFERENCE_BUDGET) == full
     charge = 0
     for w in range(1, (full.d or full.weight_checked) + 1):   # stops by budget and max_weight
         step = math.comb(code.n, w) * (code.ring.field.p - 1) ** (w - 1)
         for budget in (charge + step - 1, charge + step):
-            assert (min_distance(code, budget=budget, parity=parity)
+            assert (min_distance(code, parity, budget=budget)
                     == reference_search(code, parity, budget=budget))
-        assert (min_distance(code, max_weight=w - 1, parity=parity)
+        assert (min_distance(code, parity, max_weight=w - 1)
                 == reference_search(code, parity, max_weight=w - 1))
         charge += step
 
@@ -266,9 +271,21 @@ def test_large_prime_codes_match_bruteforce(p):
         code = BuiltCode(RingParams(field, n, 1, 1, 1, 1, 1), np.array([word], dtype=np.int64))
         assert distance._filter_bits(p, n) == 20
         assert distance._projection_width(p, n - 1, n) == projected
-        res = min_distance(code, budget=10**11)
+        res = min_distance(code, kernel(code), budget=10**11)
         assert res.d == d == min_distance_bruteforce(code)
         assert res.witness == word and res.weight_checked == d - 1
+    # columns 1, 3 and 5 proportional (h_3 = -3*h_1, h_5 = 7*h_1): the least
+    # j wins, with c = -1/(-3); a zero column at 4 makes d = 1 with c = 1
+    h1 = np.array([0, 5, 1])
+    parity = np.array([[1, 2, 3], h1, [1, 1, 0], -3 * h1, [2, 0, 1], 7 * h1]).T % p
+    third = pow(3, -1, p)
+    for zero, d, witness in ((False, 2, (0, 1, 0, third, 0, 0)), (True, 1, (0, 0, 0, 0, 1, 0))):
+        if zero:
+            parity[:, 4] = 0
+        code = BuiltCode(RingParams(field, 6, 1, 1, 1, 1, 1), linalg.null_space(parity, p))
+        res = min_distance(code, parity, budget=10**11)
+        assert res == reference_search(code, parity, budget=10**11)
+        assert res.d == d and res.witness == witness
 
 
 def test_column_index_is_built_once_per_search(monkeypatch):
@@ -284,7 +301,7 @@ def test_column_index_is_built_once_per_search(monkeypatch):
     ring = RingParams(F5, 4, 2, 2, 1, 1, 1)
     P = lambda *c: Poly.from_coeffs(F5, c)
     code = build_code(CodeSpec(ring, ((P(1, 0, 1), P(2, 4, 3, 1)), (P(1, 0, 1), P(2, 1)))))
-    res = min_distance(code)
+    res = min_distance(code, kernel(code))
     assert res.d == 4 and res.weight_checked == 3
     assert calls == [(8, 16)]
 
@@ -299,24 +316,31 @@ def test_filter_size_is_bounded():
     assert distance._projection_width(5, 2, 3) == 2
 
 
-def test_column_index_byte_limit_is_inclusive(monkeypatch):
-    # the (p-1, n, m) int64 multiples -c*h_j and their (p-1)*n keys: at the
-    # limit the search runs, one byte below it is refused before the index
-    # or the closure test is made
-    code = example1_code()
-    p, n, m = code.ring.field.p, code.n, code.n - code.dimension
-    size = 8 * (p - 1) * n * (m + 1)
-    assert INDEX_BYTE_LIMIT == 1 << 28
-    monkeypatch.setattr(distance, "INDEX_BYTE_LIMIT", size)
-    assert min_distance(code).d == 2
-    monkeypatch.setattr(distance, "INDEX_BYTE_LIMIT", size - 1)
-
-    def no_closure(*args):
-        raise AssertionError("the closure was tested before the index was sized")
-
-    monkeypatch.setattr(distance, "quasi_twisted_closure", no_closure)
-    with pytest.raises(IndexTooLargeError, match=f"in {size} bytes, past the limit of {size - 1} bytes"):
-        min_distance(code)
+def test_column_index_has_no_multiple_axis():
+    # the same parity pattern over F_13 and F_65521: the index keeps n
+    # columns scaled to a leading 1, their leading entries and n keys, and
+    # no array with a (p-1) axis; over F_65521 the filter is marked in two
+    # slices of multiples, and it marks exactly the projected multiples
+    pattern = np.random.default_rng(13).integers(-2, 3, size=(4, 20))
+    pattern[:, 5] = 0
+    m, n = pattern.shape
+    for p in (13, 65521):
+        index = distance._column_index(pattern % p, p)
+        r = distance._projection_width(p, m, n)
+        assert index.columns.shape == index.scaled.shape == (n, m)
+        assert index.projected.shape == (n, r)
+        assert index.lead.shape == index.keys.shape == (n,)
+        assert index.filter.shape == (1 << distance._filter_bits(p, n),)
+        assert (index.scaled * index.lead[:, None] % p == pattern.T % p).all()
+        nonzero = np.flatnonzero(index.lead)
+        assert nonzero.tolist() == [j for j in range(n) if j != 5]
+        assert (index.scaled[nonzero, np.argmax(index.scaled[nonzero] != 0, axis=1)] == 1).all()
+        mults = -np.arange(1, p)[:, None, None]
+        projected = index.projected.astype(np.int64)
+        marked = np.zeros_like(index.filter)
+        marked[(mults * projected % p).view(np.uint64) @ distance._key_weights(r) >> index.shift] = True
+        assert (index.filter == marked).all() and not marked.all()
+    assert math.ceil(65520 * n / (1 << distance._filter_bits(65521, n))) == 2
 
 
 def test_pattern_chunks_keep_the_first_hit(rng: random.Random, monkeypatch):
