@@ -7,9 +7,11 @@ verification, 2 invalid spec or usage, 3 search budget exhausted.  A
 result's matrices (G, H and the cell generators) stay numpy arrays until
 canonical_json writes them; one recursive function writes every value as
 the stdlib's indented JSON would, an array's entries from a cached table of
-their digits.  verify forms no full ring product: its complement check
-multiplies axis by axis, and its random-pair bridge takes the products
-through the CRT split.
+their digits.  verify runs no elimination over n columns and forms no full
+ring product: it ranks and multiplies G and H in the CRT basis, k*l blocks
+of s columns (codes.crt_blocks), its complement check multiplies axis by
+axis, and its random-pair bridge takes the products through the CRT split,
+in chunks of PAIR_BYTES bytes of words.
 
 Spec file schema (all residues canonical, coefficient arrays ascending):
 
@@ -30,7 +32,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import linalg
 from .codes import (
     SPEC_LENGTH_LIMIT,
     SWEEP_SPEC_LIMIT,
@@ -43,6 +44,11 @@ from .codes import (
     cell_product_zero_flags,
     check_scan_length,
     code_idempotents,
+    complement_grid,
+    crt_blocks,
+    crt_closure,
+    crt_products_vanish,
+    crt_rank,
     cyclic_yz_selfdual_scan,
     direct_self_dual_check,
     quasi_twisted_closure,
@@ -61,7 +67,7 @@ EXIT_INVALID = 2
 EXIT_BUDGET = 3
 
 SEED_ENV = "CCODE_SEED"
-PAIR_CHUNK = 16   # random pairs per batched product in verify
+PAIR_BYTES = 1 << 24   # bytes of random words f and g per chunk of verify's random pairs
 
 TOKEN_LIMIT = 1 << 16   # entries below this are written from a cached table of their digits
 
@@ -283,39 +289,48 @@ def _verify_checks(spec: CodeSpec, pairs: int, seed: int):
 
     code = build_code(spec)
     dual = build_dual(spec)
-    g, h = code.generator_matrix, dual.generator_matrix
-    rank_g, rank_h = linalg.rank(g, p), linalg.rank(h, p)   # the only eliminations
-    yield "generator_rank_equals_dimension", ring.n - spec.degree_sum() == g.shape[0] == rank_g
+    # G at the roots, H, of the inverse-constant ring, at the inverse roots: no elimination
+    g = crt_blocks(ring, code.generator_matrix)
+    h = crt_blocks(ring, dual.generator_matrix, inverse=True)
+    rank_g, rank_h = crt_rank(g, p), crt_rank(h, p)
+    yield "generator_rank_equals_dimension", ring.n - spec.degree_sum() == code.dimension == rank_g
     # tested against H, which dual_equals_kernel below ties to the kernel
-    closure = quasi_twisted_closure(code, h)
+    closure = crt_closure(ring, g, h)
     for axis in ("x", "y", "z"):
         yield f"quasi_twisted_closure_{axis}", closure[axis]
 
-    orthogonal = not linalg.matmul(g, h.T, p).any()
+    orthogonal = crt_products_vanish(g, h, p)
     yield "dual_orthogonality", orthogonal
-    yield "dual_rank_complement", ring.n - rank_g == h.shape[0] == spec.degree_sum()
+    yield "dual_rank_complement", ring.n - rank_g == dual.dimension == spec.degree_sum()
     # a subspace of ker G with the kernel's dimension is all of it
     yield "dual_equals_kernel", orthogonal and rank_h == ring.n - rank_g
     if dual.ring == ring:   # self-duality needs alpha = alpha^-1, beta = beta^-1, gamma = gamma^-1
         verdict, _ = self_dual_decide(spec)
         yield "self_dual_criteria_agree", verdict == direct_self_dual_check(code)
-    binom = Poly.binomial(ring.field, ring.s, ring.alpha)
-    complements = [[binom // d for d in row] for row in spec.divisor_grid]
     yield ("complement_generators_annihilate",
-           bool(cell_product_zero_flags(ring, complements, spec.divisor_grid).all()))
+           bool(cell_product_zero_flags(ring, complement_grid(spec), spec.divisor_grid).all()))
+    yield "product_zero_matches_shift_orthogonality", _random_pairs_agree(ring, pairs, seed)
 
+
+def _random_pairs_agree(ring: RingParams, pairs: int, seed: int) -> bool:
+    """The bridge between ring annihilators and Euclidean duality on random
+    pairs: f*g = 0 through the CRT split exactly when f is orthogonal to the
+    shift orbit of reverse(g).  The pairs are drawn and tested in chunks of
+    PAIR_BYTES bytes of words, at least one pair a chunk."""
+    p = ring.field.p
     z_roots, y_roots = (fam.roots for fam in code_idempotents(ring))
     rng = random.Random(seed)
+    chunk = max(1, PAIR_BYTES // (16 * ring.n))   # f and g: 2n int64 words a pair
     agree = True
-    for start in range(0, pairs, PAIR_CHUNK):   # chunks of pairs bound the product's memory
-        count = min(PAIR_CHUNK, pairs - start)
+    for start in range(0, pairs, chunk):
+        count = min(chunk, pairs - start)
         # 32 random bits a coefficient, the same words as one randbytes(8 n) per pair;
         # numpy.random would add 6 MB of RSS
         words = np.frombuffer(rng.randbytes(8 * ring.n * count), dtype=np.uint32)
         f, g = np.swapaxes((words % p).reshape(count, 2, *ring.shape()), 0, 1)
         zero_flags = split_product_zero_flags(ring, y_roots, z_roots, f, g)
         agree &= bool((zero_flags == shift_orbit_orthogonal_flags(ring, f, g)).all())
-    yield "product_zero_matches_shift_orthogonality", agree
+    return agree
 
 
 def cmd_verify(args) -> int:

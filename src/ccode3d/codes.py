@@ -15,6 +15,13 @@ and every block of G and H comes from one stacked ``ring3d.kron_words`` call.
 Two such pure tensors multiply axis by axis, so ``cell_product_zero_flags``
 decides which products of two grids' generators vanish from the x-products
 and the products of the idempotents, with no full ring product.
+The checks on a built matrix read it in the CRT basis (``crt_blocks``):
+with y and z evaluated at the roots of the two idempotent families, a row
+of G is one x-word in the block of its cell, and so is a row of H at the
+inverse roots, so ranks are sums of block ranks and the products of G*H^T,
+G*G^T and the closure (``quasi_twisted_closure``, ``direct_self_dual_check``)
+are products on blocks of s columns; a matrix with a row across two blocks
+is ranked and multiplied whole.
 For constants +-1 the dual lives in the same ring and is itself a divisor
 grid: cell (t, j) holds monic(q*) of the cell that ``cell_partners``, the
 involution of inverse roots, pairs with it; self-duality is decided on the
@@ -43,11 +50,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import linalg
+from . import linalg, ring3d
 from .gf import FieldSpec, InputError
 from .idempotents import IdempotentFamily, build_constacyclic_idempotents
 from .poly import Poly, binomial_cosets, factor_binomial
-from .ring3d import AXES, RingParams, axis_products, kron_words, shift_words
+from .ring3d import AXES, RingParams, axis_products, kron_words
 
 
 class SpecValidationError(InputError):
@@ -318,27 +325,169 @@ def cell_partners(ring: RingParams) -> np.ndarray:
     return partners
 
 
+@dataclass(frozen=True)
+class CrtBlocks:
+    """The rows of a matrix in the CRT basis of a ring (crt_blocks): block
+    b = t*l + j of a row is its x-word at (sigma_t, rho_j).  If every row
+    has at most one nonzero block (per_block), stack[b] holds, zero-padded,
+    the block-b words of the rows that lie in block b; otherwise stack[b]
+    holds block b of every row.  stack is (k*l, r, s) float64 residues, r
+    the most rows in one block if per_block, else the number of rows."""
+
+    stack: np.ndarray
+    per_block: bool
+
+    def whole(self) -> np.ndarray:
+        """The (1, rows, n) stack of every row's k*l blocks side by side;
+        only for a matrix that is not per_block."""
+        return np.swapaxes(self.stack, 0, 1).reshape(1, self.stack.shape[1], -1)
+
+
+def _evaluation_points(ring: RingParams, inverse: bool) -> list[tuple[int, ...]]:
+    """The z- and y-roots of the ring's idempotent families, or their inverses."""
+    roots = [fam.roots for fam in code_idempotents(ring)]
+    if inverse:
+        roots = [tuple(ring.field.inv(rho) for rho in family) for family in roots]
+    return roots
+
+
+@lru_cache(maxsize=None)
+def _vandermondes(ring: RingParams, inverse: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, k) and (l, l) float64 Vandermonde matrices of the z- and
+    y-roots of the ring's families, or of their inverses, from the cached
+    ring3d._root_powers (which checks the roots); read-only, made once per
+    ring."""
+    p = ring.field.p
+    out = []
+    for m, constant, roots in zip((ring.k, ring.l), (ring.gamma, ring.beta),
+                                  _evaluation_points(ring, inverse)):
+        powers = ring3d._root_powers(m, pow(constant, -1 if inverse else 1, p), p, roots)
+        out.append(powers.astype(np.float64))
+        out[-1].setflags(write=False)
+    return tuple(out)
+
+
+def crt_blocks(ring: RingParams, words, inverse: bool = False) -> CrtBlocks:
+    """Every row of words (rows, n) with z and y evaluated at the roots
+    sigma_t and rho_j of the ring's two idempotent families, or at their
+    inverses (the roots of the inverse-constant ring, where H lives).
+
+    The roots are distinct (ring3d._root_powers checks that they are the
+    roots of z^k - gamma and y^l - beta), so the evaluation is the CRT
+    isomorphism onto k*l copies of F_p[x]/(x^s - alpha), and it is two
+    separable products against the cached Vandermonde matrices, in float64
+    (x[b, i, row] below): the z-product sums k products of residues, below
+    k*(p-1)^2, and the y-product l of those times residues, so it is reduced
+    mod p in between (linalg.float_residues) only when k*l*(p-1)^3 could
+    reach 2^52.
+    A row f(x)*e_j(y)*e_t(z) of G is f at block (t, j) and zero elsewhere,
+    and so is a row of H at the inverse roots.  That is detected, never
+    assumed: a row with two nonzero blocks makes the result whole, not
+    per_block (CrtBlocks).  Ranks are unchanged by the evaluation, and
+    since sum_j rho_j^d = l*[d = 0] for |d| < l (and likewise along z),
+    <u, v> = (k*l)^-1 * sum_b u(b) . v(b^-1) for u at the roots and v at
+    their inverses, so a product vanishes iff its block products do
+    (crt_products_vanish)."""
+    p = ring.field.p
+    s, l, k = ring.shape()
+    z, y = _vandermondes(ring, inverse)
+    rows = len(words)
+    x = z @ np.asarray(words, dtype=np.float64).T.reshape(k, l * s * rows)   # one product an axis
+    if k * l * (p - 1) ** 3 >= 2 ** 52:   # else the y-product's sums stay below 2^52 unreduced
+        x = linalg.float_residues(x, p)
+    x = linalg.float_residues(y @ x.reshape(k, l, s * rows), p).reshape(k * l, s, rows)
+    nonzero = x.any(axis=1)
+    if nonzero.sum(axis=0).max(initial=0) > 1:
+        return CrtBlocks(x.transpose(0, 2, 1), False)
+    block = nonzero.argmax(axis=0)                 # a zero row sits in block 0
+    counts = np.bincount(block, minlength=k * l)
+    order = np.argsort(block, kind="stable")
+    slot = np.arange(rows) - np.repeat(np.cumsum(counts) - counts, counts)
+    stack = np.zeros((k * l, counts.max(initial=0), s))
+    stack[block[order], slot] = x[block[order], :, order]
+    return CrtBlocks(stack, True)
+
+
+def crt_rank(blocks: CrtBlocks, p: int) -> int:
+    """The rank of the matrix: the sum of its block ranks when per_block,
+    else the rank of the whole transformed matrix, from one rank_stack call."""
+    stack = blocks.stack if blocks.per_block else blocks.whole()
+    return int(linalg.rank_stack(stack.astype(np.int64), p).sum())
+
+
+def crt_products_vanish(left: CrtBlocks, right: CrtBlocks, p: int) -> bool:
+    """Whether every row of left (at the roots) is orthogonal to every row of
+    right (at the inverse roots), from products on the s-column blocks:
+    when either side is per_block, a row of it meets the other side only in
+    its one block, so the (rows, rows') products block by block are every
+    product; when neither is, one product of the whole matrices."""
+    if left.per_block or right.per_block:
+        return linalg.products_vanish(left.stack, right.stack, p)
+    return linalg.products_vanish(left.whole(), right.whole(), p)
+
+
+def _crt_times(ring: RingParams, blocks: CrtBlocks, axis: str) -> CrtBlocks:
+    """Rows at the roots (crt_blocks) multiplied by x, y or z: x shifts
+    every block constacyclically, the wrapped entry times alpha, and y and z
+    scale block (t, j) by its root rho_j or sigma_t."""
+    p = ring.field.p
+    if axis == "x":
+        out = np.roll(blocks.stack, 1, axis=-1)
+        out[..., 0] *= ring.alpha
+    else:
+        z, y = (np.array(roots, dtype=np.float64) for roots in _evaluation_points(ring, False))
+        points = np.repeat(z, ring.l) if axis == "z" else np.tile(y, ring.k)
+        out = blocks.stack * points[:, None, None]
+    return CrtBlocks(linalg.float_residues(out, p), blocks.per_block)
+
+
 def quasi_twisted_closure(code: BuiltCode, parity: np.ndarray) -> dict[str, bool]:
     """Closure of the row space under each axis shift, against a parity
     matrix spanning ker G: build_dual(spec)'s H for a spec's code, G for H.
 
     A word lies in the row space of G iff it is orthogonal to the parity
-    rows, so an axis is closed iff the batched shift of G's rows (the
-    wrapped block scaled by the axis constant) has shift(G) * parity^T = 0.
-    No elimination runs; a parity matrix spanning less can pass a non-ideal.
+    rows, so an axis is closed iff shift(G) * parity^T = 0.  The product is
+    taken in the CRT basis (crt_closure): G at the roots of its ring and the
+    parity rows, which live in the inverse-constant ring, at the inverse
+    roots.  No elimination runs; a parity matrix spanning less can pass a
+    non-ideal.
     """
     ring = code.ring
-    g = code.generator_matrix
-    return {
-        axis: not linalg.matmul(shift_words(ring, g, axis), parity.T, ring.field.p).any()
-        for axis in AXES
-    }
+    return crt_closure(ring, crt_blocks(ring, code.generator_matrix),
+                       crt_blocks(ring, parity, inverse=True))
+
+
+def crt_closure(ring: RingParams, g: CrtBlocks, parity: CrtBlocks) -> dict[str, bool]:
+    """quasi_twisted_closure from G at the roots and the parity rows at the
+    inverse roots (crt_blocks): for each axis, whether G's blocks times that
+    variable (_crt_times) are orthogonal to the parity rows.  When either
+    side is per_block the products are taken block by block, and y and z
+    scale block b of G by a nonzero root, which keeps the zeros of every
+    block product: their verdicts are that of G * parity^T itself."""
+    p = ring.field.p
+    if g.per_block or parity.per_block:
+        plain = crt_products_vanish(g, parity, p)
+        return {"x": crt_products_vanish(_crt_times(ring, g, "x"), parity, p), "y": plain, "z": plain}
+    return {axis: crt_products_vanish(_crt_times(ring, g, axis), parity, p) for axis in AXES}
 
 
 def direct_self_dual_check(code: BuiltCode) -> bool:
-    """Self-duality straight from the matrix: G*G^T = 0 and dim = n/2."""
-    gg = linalg.matmul(code.generator_matrix, code.generator_matrix.T, code.ring.field.p)
-    return (not gg.any()) and 2 * code.dimension == code.n
+    """Self-duality straight from the matrix: dim = n/2 and G*G^T = 0, the
+    product taken in the CRT basis, G at the roots against G at the inverse
+    roots (crt_products_vanish)."""
+    ring, g = code.ring, code.generator_matrix
+    return 2 * code.dimension == code.n and crt_products_vanish(
+        crt_blocks(ring, g), crt_blocks(ring, g, inverse=True), ring.field.p)
+
+
+def complement_grid(spec: CodeSpec) -> list[list[Poly]]:
+    """The k x l grid of the complements (x^s - alpha)/p of the spec's
+    divisors, each the reversal of the cached _reversed_complement q*:
+    q(0) != 0, as q divides x^s - alpha and alpha != 0, so reversing q*
+    gives q back exactly."""
+    ring = spec.ring
+    return [[_reversed_complement(ring.field, ring.s, ring.alpha, p).reciprocal() for p in row]
+            for row in spec.divisor_grid]
 
 
 def self_dual_decide(spec: CodeSpec, code: BuiltCode | None = None) -> tuple[bool, dict]:

@@ -15,8 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
+from . import linalg
 from .gf import FieldSpec, InputError, element_order, find_root
 from .poly import Poly
+from .ring3d import axis_products
 
 
 class RepeatedRootsError(InputError):
@@ -115,33 +119,35 @@ def identity_report(fam: IdempotentFamily) -> dict[str, bool]:
 
     Checks completeness (members sum to 1 mod the modulus), pairwise
     orthogonality, the delta evaluations at the roots, and the eigenvalue
-    identity z*e_t = eigenvalue(t)*e_t mod the modulus.
+    identity z*e_t = eigenvalue(t)*e_t mod the modulus, on the (m, m)
+    matrix E of the members' coefficients (each of degree < m, so a
+    residue): completeness from its column sums, orthogonality from
+    axis_products on every pair of rows (one call, or one a slice of rows
+    where the m^3 products would pass linalg.PRODUCT_BYTES), the
+    evaluations from E times the Vandermonde matrix of the roots, and z*e_t
+    as the row rotated one place with the wrapped coefficient times the
+    modulus constant.  The Vandermonde matrix is built here, unchecked, as
+    the roots are on trial.
     """
-    field = fam.field
-    modulus = fam.modulus()
-    one = Poly.one(field)
-    total = Poly.zero(field)
-    for m in fam.members:
-        total = total + m
-    report = {"completeness": (total % modulus) == one}
-
-    ortho = True
-    for t, a in enumerate(fam.members):
-        for u, b in enumerate(fam.members):
-            prod = (a * b) % modulus
-            want = a if t == u else Poly.zero(field)
-            ortho &= prod == want
-    report["orthogonality"] = ortho
-
-    deltas = True
-    for t, m in enumerate(fam.members):
-        for u in range(fam.size):
-            deltas &= m.evaluate(fam.eigenvalue(u)) == (1 if t == u else 0)
-    report["root_evaluations"] = deltas
-
-    eigen = True
-    z = Poly.x_power(field, 1)
-    for t, m in enumerate(fam.members):
-        eigen &= ((z * m) % modulus) == m.scale(fam.eigenvalue(t))
-    report["shift_eigenvalue"] = eigen
-    return report
+    p, m = fam.field.p, fam.size
+    constant = fam.field.pow(fam.roots[0], m)
+    members = np.zeros((m, m), dtype=np.int64)
+    for row, member in zip(members, fam.members):
+        row[:len(member.coeffs)] = member.coeffs
+    roots = np.array(fam.roots, dtype=np.int64) % p
+    powers = np.ones((m, m), dtype=np.int64)
+    for i in range(1, m):
+        powers[:, i] = powers[:, i - 1] * roots % p
+    identity = np.eye(m, dtype=np.int64)
+    shifted = np.roll(members, 1, axis=1)
+    shifted[:, 0] = shifted[:, 0] * constant % p
+    step = max(1, linalg.PRODUCT_BYTES // (8 * m * m))
+    return {
+        "completeness": np.array_equal(members.sum(axis=0) % p, identity[0]),
+        "orthogonality": all(
+            np.array_equal(axis_products(m, constant, p, members[i:i + step, None], members),
+                           identity[i:i + step, :, None] * members[i:i + step, None])
+            for i in range(0, m, step)),
+        "root_evaluations": np.array_equal(members @ powers.T % p, identity),
+        "shift_eigenvalue": np.array_equal(shifted, members * roots[:, None] % p),
+    }

@@ -4,8 +4,12 @@ Matrices are 2-D int64 arrays of canonical residues; every function takes the
 prime modulus explicitly and never mutates its inputs.  ``rank_stack`` takes
 a 3-D stack (B, rows, cols) and runs one column loop for all B matrices: zero
 rows do not change a rank, so matrices of different heights are zero-padded
-into one stack.  A caller holding one matrix uses ``rref``, whose loop is
-cheaper than a stack of one.  Rows H inside ker m span it iff rank H = cols - rank m.
+into one stack.  ``products_vanish`` tests a stack of products for zero in
+float64, where BLAS multiplies exactly while each sum stays below 2^53.
+The package ranks and multiplies its matrices block by block in the CRT
+basis (codes.crt_blocks) with these two; ``rref``, ``rank`` and the int64
+``matmul`` have no caller left in the package and stay as the tests'
+references.  Rows H inside ker m span it iff rank H = cols - rank m.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from __future__ import annotations
 from functools import cache
 
 import numpy as np
+
+PRODUCT_BYTES = 1 << 26   # the most bytes of products that products_vanish forms at once
 
 
 def as_matrix(data, p: int) -> np.ndarray:
@@ -91,6 +97,37 @@ def rank_stack(m, p: int) -> np.ndarray:
         pivot = a[every, pr, c:] * inverse[lead][:, None] % p
         a[:, :, c:] -= col[:, :, None] * pivot[:, None, :]
     return ranks
+
+
+def float_residues(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p, in place, for a float64 array of integers 0 <= x < 2^52.
+
+    x / p then rounds to a value whose floor is the exact quotient (a
+    multiple of p divides exactly, and x / p = q + r/p with 0 < r < p stays
+    below q + 1 by more than half an ulp), and q * p and x - q * p are
+    exact; np.fmod gives the same residues, many times slower on large x.
+    """
+    quotient = x / p
+    np.floor(quotient, out=quotient)
+    quotient *= -p
+    x += quotient
+    return x
+
+
+def products_vanish(a, b, p: int) -> bool:
+    """True iff a[i] @ b[i].T = 0 mod p for every i, for two float64 stacks
+    of canonical residues, (B, r, c) and (B, r', c).
+
+    BLAS multiplies them exactly: every partial sum is an integer below
+    c * (p - 1)^2, under 2^44 for c <= 4096 and p < 2^16, which is exactly
+    representable whatever the order of the sums (float_residues reduces it).  a's rows are taken in
+    slices whose products take at most PRODUCT_BYTES bytes, and the test
+    stops at the first slice with a nonzero product.
+    """
+    count, rows, _ = a.shape
+    step = max(1, PRODUCT_BYTES // max(1, 8 * count * b.shape[1]))
+    right = np.swapaxes(b, 1, 2)
+    return not any(float_residues(a[:, i:i + step] @ right, p).any() for i in range(0, rows, step))
 
 
 def rank(m, p: int) -> int:

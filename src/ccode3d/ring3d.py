@@ -7,23 +7,24 @@ x^i y^j z^t.  The canonical codeword layout concatenates the z-slices:
 
 so a flattened word reads (z^0 block | z^1 block | ... | z^(k-1) block), each
 block listing the y^j runs of x-coefficients, low powers first.  This module
-is the only place that knows the layout.  Two batched operations act on whole
-stacks of flattened words: ``kron_words`` lays a stack of x-rows against a
-stack of (l, k) tensors w_c, such as the cells e_j(y)*e_t(z), as the blocks
-kron(w_c^T, X_c), reducing nothing, and ``shift_words`` applies one axis
-shift to every word at once.
+is the only place that knows the layout.  ``kron_words`` lays a stack of
+x-rows against a stack of (l, k) tensors w_c, such as the cells
+e_j(y)*e_t(z), as the blocks kron(w_c^T, X_c), reducing nothing.
 
 R is the tensor product of the three univariate rings F_q[u]/(u^m - c), so
 the ring product factors axis by axis.  ``axis_products`` multiplies two
 broadcasting stacks in one such ring, as one batched matmul against the
-twisted circulant of one operand; every product that verify makes goes
-through it.  Its complement check multiplies pure tensors f(x)*e_j(y)*e_t(z)
-one axis at a time (codes.cell_product_zero_flags).  Its random-pair bridge
-between ring annihilators and Euclidean duality has two independent sides:
-``split_product_zero_flags`` takes the products through the CRT split, with
-y and z evaluated at the roots of their split moduli and the k*l components
-multiplied along x, and ``shift_orbit_orthogonal_flags`` walks the shift
-orbit and never multiplies.
+twisted circulant of one operand, read as a strided view and never
+gathered; every ring product that verify makes goes through it.  Its
+identity check multiplies every pair of members of an idempotent family
+(idempotents.identity_report), its complement check multiplies pure tensors
+f(x)*e_j(y)*e_t(z) one axis at a time (codes.cell_product_zero_flags), and
+its random-pair bridge between ring annihilators and Euclidean duality has
+two independent sides: ``split_product_zero_flags`` takes the products
+through the CRT split, with y and z evaluated at the roots of their split
+moduli (the cached Vandermonde matrices of ``_root_powers``, which
+codes.crt_blocks reads too) and the k*l components multiplied along x, and
+``shift_orbit_orthogonal_flags`` walks the shift orbit and never multiplies.
 
 ``ring_products`` contracts two stacks of full tensors against one cached
 multiplication table per axis, T[i, i', d] = c^((i+i')//m) where
@@ -168,13 +169,6 @@ def kron_words(params: RingParams, x_rows: np.ndarray, cells: np.ndarray) -> np.
     return words.reshape(*x_rows.shape[:-1], params.n)
 
 
-def shift_words(params: RingParams, words, axis: str) -> np.ndarray:
-    """The constacyclic shift along one axis of every row of a stack of
-    flattened words; row by row equal to unflatten(...).shift(axis).flatten()."""
-    tensors = _to_tensors(params, np.asarray(words, dtype=np.int64) % params.field.p)
-    return _to_words(params, _monomial_shift(tensors, params, *_UNIT_STEPS[axis]))
-
-
 def _to_words(params: RingParams, tensors: np.ndarray) -> np.ndarray:
     """(..., s, l, k) coefficient tensors to (..., n) z-major words."""
     return np.swapaxes(tensors, -1, -3).reshape(*tensors.shape[:-3], params.n)
@@ -241,15 +235,17 @@ def axis_products(m: int, constant: int, p: int, a, b) -> np.ndarray:
 
     (a*b)[d] = sum_i' b[i'] * C[i', d] for the twisted circulant of a,
     C[i', d] = a[(d - i') mod m] times constant where d < i' (the terms that
-    wrap), gathered once and reduced mod p; the sum is one batched matmul.
-    Overflow bound: each output sums m products of two residues, below
-    m * p^2 < 2^63 for p < 2^16 and m < 2^31.
+    wrap).  Row i' of C is the window of length m that starts m - i' into
+    (constant * a | a), so C is a strided view of that (..., 2m) array and
+    is never gathered: the products take O(m) memory a vector, not O(m^2).
+    The sum is one batched matmul, reduced mod p.  Overflow bound: each
+    output sums m products of two residues, below m * p^2 < 2^63 for
+    p < 2^16 and m < 2^31.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    d = np.arange(m)
-    lag = d[None, :] - d[:, None]                                  # (i', d): d - i'
-    circulant = a[..., lag % m] * np.where(lag < 0, constant % p, 1) % p
+    twisted = np.concatenate([a * (constant % p) % p, a], axis=-1)
+    circulant = np.lib.stride_tricks.sliding_window_view(twisted, m, axis=-1)[..., m:0:-1, :]
     out = (b[..., None, :] @ circulant)[..., 0, :]
     out %= p
     return out

@@ -37,6 +37,52 @@ def row_space_equal(a, b, p: int) -> bool:
     return np.array_equal(ra[:rka], rb[:rkb])
 
 
+def shift_words(params, words, axis: str) -> np.ndarray:
+    """The constacyclic shift along one axis of every row of a stack of
+    flattened words; row by row equal to unflatten(...).shift(axis).flatten().
+    The oracle of the closure's shifts in the CRT basis (codes._crt_times)."""
+    tensors = ring3d._to_tensors(params, np.asarray(words, dtype=np.int64) % params.field.p)
+    return ring3d._to_words(params, ring3d._monomial_shift(tensors, params,
+                                                           *ring3d._UNIT_STEPS[axis]))
+
+
+def int64_closure(code, parity) -> dict[str, bool]:
+    """The closure verdicts from the int64 products shift(G) * parity^T over
+    all n columns: the oracle of codes.quasi_twisted_closure."""
+    ring, p = code.ring, code.ring.field.p
+    return {axis: not linalg.matmul(shift_words(ring, code.generator_matrix, axis),
+                                    np.asarray(parity).T, p).any()
+            for axis in ring3d.AXES}
+
+
+def identity_report_loop(fam) -> dict[str, bool]:
+    """The defining identities of an idempotent family checked with one
+    polynomial product per pair of members: the oracle of
+    idempotents.identity_report."""
+    field = fam.field
+    modulus = fam.modulus()
+    total = Poly.zero(field)
+    for m in fam.members:
+        total = total + m
+    report = {"completeness": (total % modulus) == Poly.one(field)}
+    ortho = True
+    for t, a in enumerate(fam.members):
+        for u, b in enumerate(fam.members):
+            ortho &= ((a * b) % modulus) == (a if t == u else Poly.zero(field))
+    report["orthogonality"] = ortho
+    deltas = True
+    for t, m in enumerate(fam.members):
+        for u in range(fam.size):
+            deltas &= m.evaluate(fam.eigenvalue(u)) == (1 if t == u else 0)
+    report["root_evaluations"] = deltas
+    eigen = True
+    z = Poly.x_power(field, 1)
+    for t, m in enumerate(fam.members):
+        eigen &= ((z * m) % modulus) == m.scale(fam.eigenvalue(t))
+    report["shift_eigenvalue"] = eigen
+    return report
+
+
 def annihilator_orthogonality_flags(params, f, g) -> tuple[np.ndarray, np.ndarray]:
     """The bridge between ring annihilators and Euclidean duality on any
     ring, split moduli or not, over two (P, s, l, k) stacks of canonical

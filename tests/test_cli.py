@@ -279,15 +279,82 @@ def test_verify_draws_the_pairs_per_pair_in_chunks(capsys, monkeypatch):
         return flags(ring, y_roots, z_roots, f, g)
 
     monkeypatch.setattr(cli, "split_product_zero_flags", spy)
-    pairs = 2 * cli.PAIR_CHUNK + 5
-    code, out = run(capsys, "verify", "--spec", EXAMPLE3, "--pairs", str(pairs))
-    assert code == 0 and "PASS product_zero_matches_shift_orthogonality" in out
-    assert [len(f) for f, _ in seen] == [cli.PAIR_CHUNK, cli.PAIR_CHUNK, 5]
     ring = load_spec(EXAMPLE3).ring
+    # a budget of 16 pairs' words (f and g, 2n int64 each) forces three chunks
+    monkeypatch.setattr(cli, "PAIR_BYTES", 16 * 16 * ring.n + 8)
+    code, out = run(capsys, "verify", "--spec", EXAMPLE3, "--pairs", str(2 * 16 + 5))
+    assert code == 0 and "PASS product_zero_matches_shift_orthogonality" in out
+    assert [len(f) for f, _ in seen] == [16, 16, 5]
     rng = random.Random(int(os.environ.get("CCODE_SEED", "20260810")))
     for f, g in zip(np.concatenate([f for f, _ in seen]), np.concatenate([g for _, g in seen])):
         words = np.frombuffer(rng.randbytes(8 * ring.n), dtype=np.uint32) % ring.field.p
         assert np.array_equal(np.stack([f, g]), words.reshape(2, *ring.shape()))
+    # a disagreement in the first chunk fails the check, whatever the later chunks say
+    seen.clear()
+    monkeypatch.setattr(cli, "split_product_zero_flags",
+                        lambda *args: ~spy(*args) if not seen else spy(*args))
+    code, out = run(capsys, "verify", "--spec", EXAMPLE3, "--pairs", str(2 * 16 + 5))
+    assert code == 1 and "FAIL product_zero_matches_shift_orthogonality" in out
+
+
+def test_random_pairs_run_in_little_memory():
+    # one pair at s = 4096 would gather a 128 MiB twisted circulant, and the
+    # sixteen of a fixed chunk 2 GiB; the circulant is a strided view and the
+    # chunks are sized by bytes, so 50 pairs run under a 1 GB address space
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))\n"
+              "from ccode3d.cli import _random_pairs_agree\n"
+              "from ccode3d.gf import FieldSpec\n"
+              "from ccode3d.ring3d import RingParams\n"
+              "ring = RingParams(FieldSpec(5), 4096, 1, 1, 1, 1, 1)\n"
+              "sys.exit(0 if _random_pairs_agree(ring, 50, 20260810) else 1)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("fault, failing", [
+    # member labels swapped against their roots: still an ideal, each row in one block
+    ("swapped", ["idempotents_z_root_evaluations", "idempotents_z_shift_eigenvalue"]),
+    # member 0 is e_0 + e_1: its rows lie across two blocks, so G takes the
+    # whole-matrix fallback, which ranks G exactly and sees z leave the span
+    ("merged", ["idempotents_z_orthogonality", "quasi_twisted_closure_z"]),
+])
+def test_verify_fails_a_wrong_z_family(capsys, monkeypatch, tmp_path, fault, failing):
+    import functools
+
+    from ccode3d import codes
+    from ccode3d.idempotents import IdempotentFamily
+
+    code_idempotents = codes.code_idempotents
+
+    def wrong_idempotents(ring):
+        z, y = code_idempotents(ring)
+        members = list(z.members)
+        if fault == "swapped":
+            members[0], members[1] = members[1], members[0]
+        else:
+            members[0] = members[0] + members[1]
+        return IdempotentFamily(z.field, z.roots, tuple(members)), y
+
+    for module in (codes, cli):
+        monkeypatch.setattr(module, "code_idempotents", wrong_idempotents)
+    monkeypatch.setattr(codes, "_cell_tensors",   # a cache of its own, dropped after the test
+                        functools.lru_cache(maxsize=None)(codes._cell_tensors.__wrapped__))
+    # example2 (k = 3, constants +-1) with no rows at t = 1, so that a row
+    # across the z-members 0 and 1 is no sum of the code's rows
+    data = json.loads(Path(EXAMPLE2).read_text())
+    data["p"][1] = [[6, 0, 1], [6, 0, 1]]
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(data))
+    spec = load_spec(str(spec_file))
+    g = codes.crt_blocks(spec.ring, codes.build_code(spec).generator_matrix)
+    assert g.per_block == (fault == "swapped")
+    code, out = run(capsys, "verify", "--spec", str(spec_file), "--pairs", "5")
+    assert code == 1
+    lines = out.splitlines()
+    for name in failing:
+        assert f"FAIL {name}" in lines
+    assert "PASS generator_rank_equals_dimension" in lines
 
 
 def test_verify_pair_check_stays_live(capsys, monkeypatch):
@@ -639,7 +706,8 @@ def test_each_spec_validated_once(capsys, monkeypatch):
 
 def test_eliminations_per_command(capsys, monkeypatch):
     # build_code and build_dual prove their rank by construction and eliminate
-    # nothing, and the closure is tested against the dual's H
+    # nothing, the closure is tested against the dual's H, and verify ranks G
+    # and H block by block in the CRT basis, one rank_stack call each
     from ccode3d import codes, linalg
 
     calls, stack_calls = [], []
@@ -655,7 +723,7 @@ def test_eliminations_per_command(capsys, monkeypatch):
 
     monkeypatch.setattr(linalg, "rref", counting_rref)
     monkeypatch.setattr(linalg, "rank_stack", counting_rank_stack)
-    for argv, expected in (
+    for argv, stacks in (
         (["build", "--spec", EXAMPLE1], 0),
         (["dual", "--spec", EXAMPLE1], 0),
         (["dual", "--spec", EXAMPLE3], 0),        # for non-unit constants too
@@ -667,9 +735,10 @@ def test_eliminations_per_command(capsys, monkeypatch):
         (["verify", "--spec", EXAMPLE3, "--pairs", "2"], 2),
     ):
         calls.clear()
+        stack_calls.clear()
         assert main(argv) == 0
-        assert len(calls) == expected, argv
-        assert not stack_calls, argv
+        assert not calls, argv
+        assert len(stack_calls) == stacks, argv
     capsys.readouterr()
     calls.clear()
     # the sweep eliminates stacks only, and builds no G or H: one rank_stack

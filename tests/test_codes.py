@@ -24,7 +24,11 @@ from ccode3d.codes import (
     cell_partners,
     cell_product_zero_flags,
     code_idempotents,
+    complement_grid,
     count_divisor_grids,
+    crt_blocks,
+    crt_products_vanish,
+    crt_rank,
     cyclic_yz_selfdual_scan,
     direct_self_dual_check,
     quasi_twisted_closure,
@@ -41,6 +45,7 @@ from ccode3d.ring3d import RingElement3D, RingParams, ring_products, unflatten
 from conftest import (
     dual_spec,
     enumerate_divisor_grids,
+    int64_closure,
     per_spec_sweep_report,
     reciprocal_cell,
     row_space_equal,
@@ -344,6 +349,117 @@ def test_closure_matches_per_row_oracle(rng):
             g = code.generator_matrix[rng.sample(range(code.dimension), code.dimension // 2)]
             part = BuiltCode(spec.ring, g)
             assert quasi_twisted_closure(part, linalg.null_space(g, p)) == per_row_closure(part)
+
+
+def crt_agrees_with_int64(code, parity) -> tuple[bool, bool]:
+    """Assert that the CRT-basis ranks of G and of the parity matrix equal
+    linalg.rank, and that the closure, G*parity^T and G*G^T verdicts equal
+    the int64 products over all n columns; return whether G and the parity
+    matrix each came out per_block."""
+    ring, p = code.ring, code.ring.field.p
+    g = code.generator_matrix
+    at_roots, at_inverses = crt_blocks(ring, g), crt_blocks(ring, parity, inverse=True)
+    assert crt_rank(at_roots, p) == linalg.rank(g, p)
+    assert crt_rank(at_inverses, p) == linalg.rank(parity, p)
+    assert quasi_twisted_closure(code, parity) == int64_closure(code, parity)
+    assert crt_products_vanish(at_roots, at_inverses, p) == (not linalg.matmul(g, parity.T, p).any())
+    self_orthogonal = not linalg.matmul(g, g.T, p).any()
+    assert crt_products_vanish(at_roots, crt_blocks(ring, g, inverse=True), p) == self_orthogonal
+    assert direct_self_dual_check(code) == (self_orthogonal and 2 * code.dimension == ring.n)
+    return at_roots.per_block, at_inverses.per_block
+
+
+def test_crt_checks_match_int64_oracles(rng):
+    # every acceptance spec (the three examples and every grid of the +-1
+    # sign rings over (5, 2, 2, 2) and (7, 2, 2, 2)) and random grids, with
+    # p | s and with non-unit constants: G at the roots and H at the inverse
+    # roots lie one row per block, and the fallback agrees on the rest
+    specs = [load_spec(str(SPECS / f"example{i}.json")) for i in (1, 2, 3)]
+    specs += [spec for field in (F5, F7) for ring in admissible_sign_rings(field, 2, 2, 2)
+              for spec in enumerate_divisor_grids(ring)]
+    divisible = []
+    for field, s, l, k in ((F5, 5, 2, 2), (F5, 10, 1, 4), (F7, 7, 3, 2), (FieldSpec(13), 13, 3, 4)):
+        for constants in ((1, 1, 1), (2, field.p - 1, 1), (3, 1, field.p - 1)):
+            ring = RingParams(field, s, l, k, *constants)
+            try:
+                code_idempotents(ring)
+            except ValueError:   # no root of unity of the order the ring needs
+                continue
+            divisors = binomial_divisors(field, s, ring.alpha)
+            divisible.append(CodeSpec(ring, tuple(tuple(rng.choice(divisors) for _ in range(l))
+                                                  for _ in range(k))))
+    assert len(divisible) >= 8 and any(set(s.ring.shape()[1:]) != {1} for s in divisible)
+    # over F_65521 with k*l = 32 the z-products are reduced before the y-product
+    big = RingParams(FieldSpec(65521), 2, 4, 8, 1, 1, 1)
+    wide = CodeSpec(big, tuple(tuple(rng.choice(binomial_divisors(big.field, 2, 1)) for _ in range(4))
+                               for _ in range(8)))
+    random = [wide] + random_specs(rng, 60) + non_unit_specs(rng)
+    assert any(s.ring.s % s.ring.field.p == 0 for s in random)
+    for spec in specs + divisible + random:
+        code, dual = build_code(spec), build_dual(spec)
+        assert crt_agrees_with_int64(code, dual.generator_matrix) == (True, True)
+        assert crt_agrees_with_int64(dual, code.generator_matrix) == (True, True)
+    for spec in divisible + random:
+        code, p = build_code(spec), spec.ring.field.p
+        g = code.generator_matrix
+        if code.dimension and code.dimension < spec.ring.n:
+            # a kernel basis by elimination lies across blocks: the parity side falls back
+            assert crt_agrees_with_int64(code, linalg.null_space(g, p))[0]
+        if code.dimension > 1:
+            part = BuiltCode(spec.ring, g[rng.sample(range(code.dimension), code.dimension // 2)])
+            crt_agrees_with_int64(part, linalg.null_space(part.generator_matrix, p))
+
+
+def test_crt_fallback_on_a_row_across_two_blocks(rng):
+    # adding a row of another cell to one row of G (or of H) leaves that row
+    # in two blocks, and the row space as it was: the matrix is ranked and
+    # multiplied whole, and agrees
+    ring = RingParams(FieldSpec(13), 6, 3, 4, 1, 1, 1)
+    divisors = binomial_divisors(ring.field, ring.s, ring.alpha)
+    grid = tuple(tuple(rng.choice(divisors[1:-1]) for _ in range(ring.l)) for _ in range(ring.k))
+    spec = CodeSpec(ring, grid)
+    code, dual = build_code(spec), build_dual(spec)
+    p = ring.field.p
+    mixed_g, mixed_h = (m.copy() for m in (code.generator_matrix, dual.generator_matrix))
+    for mixed, inverse in ((mixed_g, False), (mixed_h, True)):
+        mixed[0] = (mixed[0] + mixed[-1]) % p        # the first and the last cell
+        assert not crt_blocks(ring, mixed, inverse=inverse).per_block
+    assert crt_agrees_with_int64(code, mixed_h) == (True, False)
+    mixed_code = BuiltCode(ring, mixed_g)
+    assert crt_agrees_with_int64(mixed_code, dual.generator_matrix) == (False, True)
+    assert crt_agrees_with_int64(mixed_code, mixed_g) == (False, False)
+    # both sides whole: the y- and z-shifts scale each block by its own roots
+    assert crt_agrees_with_int64(mixed_code, mixed_h) == (False, False)
+    assert all(quasi_twisted_closure(mixed_code, mixed_h).values())
+    # one row across two cells spans no ideal: closed under y iff the cells
+    # share their y-root, under z iff they share their z-root
+    first_rows = np.cumsum([0] + [ring.s - d.degree for row in grid for d in row])[:-1]
+    verdicts = set()
+    for a, b in itertools.combinations(range(ring.k * ring.l), 2):
+        pair = BuiltCode(ring, (code.generator_matrix[[first_rows[a]]] +
+                                code.generator_matrix[[first_rows[b]]]) % p)
+        closure = quasi_twisted_closure(pair, linalg.null_space(pair.generator_matrix, p))
+        assert closure == int64_closure(pair, linalg.null_space(pair.generator_matrix, p))
+        assert (closure["y"], closure["z"]) == (a % ring.l == b % ring.l, a // ring.l == b // ring.l)
+        verdicts.add(tuple(closure.values()))
+    assert len(verdicts) == 3
+    repeated = code.generator_matrix.copy()
+    repeated[1] = repeated[0]                          # one rank short, still one block a row
+    assert crt_rank(crt_blocks(ring, repeated), p) == linalg.rank(repeated, p) == code.dimension - 1
+
+
+def test_complement_grid_matches_the_division(rng):
+    # the reversal of the cached q* is (x^s - alpha)/p, also where the
+    # reversal of a complement is no multiple of it
+    specs = random_specs(rng, 40) + non_unit_specs(rng)
+    moved = 0
+    for spec in specs:
+        ring = spec.ring
+        binom = Poly.binomial(ring.field, ring.s, ring.alpha)
+        complements = [[binom // d for d in row] for row in spec.divisor_grid]
+        assert complement_grid(spec) == complements
+        moved += any(q.reciprocal().monic() != q.monic() for row in complements for q in row)
+    assert moved > len(specs) // 2
 
 
 def test_closure_rejects_non_ideal_code():

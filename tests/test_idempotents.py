@@ -1,10 +1,16 @@
 import pytest
 
+from ccode3d import linalg
 from ccode3d.gf import FieldSpec, element_order, find_root
-from ccode3d.idempotents import build_constacyclic_idempotents, build_full_idempotents, identity_report
+from ccode3d.idempotents import (
+    IdempotentFamily,
+    build_constacyclic_idempotents,
+    build_full_idempotents,
+    identity_report,
+)
 from ccode3d.poly import Poly
 
-from conftest import reciprocal_index
+from conftest import identity_report_loop, reciprocal_index
 
 F5 = FieldSpec(5)
 F7 = FieldSpec(7)
@@ -102,6 +108,35 @@ def test_identity_report_all_green():
         for fam in (build_constacyclic_idempotents(field, k, gamma),
                     build_full_idempotents(field, k, gamma)):
             assert all(identity_report(fam).values())
+
+
+@pytest.mark.parametrize("budget", [linalg.PRODUCT_BYTES, 1], ids=["one-product", "per-member"])
+def test_identity_report_matches_the_polynomial_loop(monkeypatch, budget):
+    # every family over q in {5, 7, 13, 31} (the full families of one
+    # modulus, equal up to the order of their members, once), and each with
+    # one coefficient of one member moved, which the two reports must fail
+    # alike; orthogonality in one product, and then in one a member
+    monkeypatch.setattr(linalg, "PRODUCT_BYTES", budget)
+    checked, seen = 0, set()
+    for field, k, gamma, _ in valid_triples(qs=(5, 7, 13, 31), k_max=6):
+        for fam in (build_constacyclic_idempotents(field, k, gamma),
+                    build_full_idempotents(field, k, gamma)):
+            if frozenset(zip(fam.roots, fam.members)) in seen:
+                continue
+            seen.add(frozenset(zip(fam.roots, fam.members)))
+            report = identity_report(fam)
+            assert report == identity_report_loop(fam) == dict.fromkeys(report, True)
+            members = list(fam.members)
+            t = checked % fam.size
+            coeffs = list(members[t].coeffs) + [0] * (fam.size - len(members[t].coeffs))
+            coeffs[checked % fam.size] = (coeffs[checked % fam.size] + 1) % field.p
+            members[t] = Poly.from_coeffs(field, coeffs)
+            corrupted = IdempotentFamily(field, fam.roots, tuple(members))
+            report = identity_report(corrupted)
+            assert report == identity_report_loop(corrupted)
+            assert not all(report.values())
+            checked += 1
+    assert checked > 100
 
 
 def test_completeness_and_orthogonality_small():

@@ -218,3 +218,29 @@ def test_stack_kernels_on_fixed_shapes(shape, p):
     zero = np.zeros(shape, dtype=np.int64)
     assert_stack_ranks_match_rank(zero, p)
     assert not linalg.rank_stack(zero, p).any()
+
+
+@pytest.mark.parametrize("p", [2, 13, 65521])
+def test_products_vanish_matches_int64_products(monkeypatch, p):
+    # random stacks, stacks whose products vanish, and one nonzero product
+    # in the last slice, with slices of one row forced by a tiny budget
+    rng = np.random.default_rng(p)
+    for budget in (linalg.PRODUCT_BYTES, 1):
+        monkeypatch.setattr(linalg, "PRODUCT_BYTES", budget)
+        for count, rows, other, cols in ((1, 5, 4, 7), (3, 4, 6, 5), (2, 0, 3, 4), (2, 3, 0, 4)):
+            a = rng.integers(0, p, (count, rows, cols))
+            b = rng.integers(0, p, (count, other, cols))
+            # rows of the kernel of each a[i] (zero rows past its dimension): a vanishing product
+            kernel = np.zeros_like(b)
+            for m, rows_out in zip(a, kernel):
+                basis = linalg.null_space(m, p)[:other] if rows else b[0]
+                rows_out[:len(basis)] = basis
+            for right in (b, kernel):
+                expected = not any(linalg.matmul(x, y.T, p).any() for x, y in zip(a, right))
+                assert linalg.products_vanish(a.astype(np.float64),
+                                              right.astype(np.float64), p) == expected
+    a = np.zeros((2, 3, 4096))
+    b = np.full((2, 2, 4096), p - 1.0)
+    assert linalg.products_vanish(a, b, p)
+    a[1, 2, :4093] = p - 1                            # 4093 * (p - 1)^2, exact in float64
+    assert not linalg.products_vanish(a, b, p)

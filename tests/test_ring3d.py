@@ -18,12 +18,11 @@ from ccode3d.ring3d import (
     kron_words,
     ring_products,
     shift_orbit_orthogonal_flags,
-    shift_words,
     split_product_zero_flags,
     unflatten,
 )
 
-from conftest import annihilator_orthogonality_flags
+from conftest import annihilator_orthogonality_flags, shift_words
 
 F5 = FieldSpec(5)
 F7 = FieldSpec(7)
