@@ -7,11 +7,14 @@ verification, 2 invalid spec or usage, 3 search budget exhausted.  A
 result's matrices (G, H and the cell generators) stay numpy arrays until
 canonical_json writes them; one recursive function writes every value as
 the stdlib's indented JSON would, an array's entries from a cached table of
-their digits.  verify runs no elimination over n columns and forms no full
-ring product: it ranks and multiplies G and H in the CRT basis, k*l blocks
-of s columns (codes.crt_blocks), its complement check multiplies axis by
-axis, and its random-pair bridge takes the products through the CRT split,
-in chunks of PAIR_BYTES bytes of words.
+their digits.  verify eliminates nothing and forms no full ring product: it
+transforms G and H once each to the CRT basis, k*l blocks of s columns
+(codes.crt_blocks), where every block is a band of rows x^i * f(x) whose
+rank linalg.rank_stack reads off its leading columns, and takes the
+closure, G*H^T and the self-dual cross-check G*G^T on those blocks; its
+complement check multiplies axis by axis, and its random-pair bridge takes
+the products through the CRT split, one component first, in chunks of
+PAIR_BYTES bytes of words.
 
 Spec file schema (all residues canonical, coefficient arrays ascending):
 
@@ -306,7 +309,7 @@ def _verify_checks(spec: CodeSpec, pairs: int, seed: int):
     yield "dual_equals_kernel", orthogonal and rank_h == ring.n - rank_g
     if dual.ring == ring:   # self-duality needs alpha = alpha^-1, beta = beta^-1, gamma = gamma^-1
         verdict, _ = self_dual_decide(spec)
-        yield "self_dual_criteria_agree", verdict == direct_self_dual_check(code)
+        yield "self_dual_criteria_agree", verdict == direct_self_dual_check(code, g)
     yield ("complement_generators_annihilate",
            bool(cell_product_zero_flags(ring, complement_grid(spec), spec.divisor_grid).all()))
     yield "product_zero_matches_shift_orthogonality", _random_pairs_agree(ring, pairs, seed)

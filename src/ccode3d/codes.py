@@ -243,7 +243,7 @@ def _bands(x_blocks, s: int) -> np.ndarray:
     zeros, that starts s - 1 - i in, masked by i < count: one (C, s, s) array."""
     coeffs = _coefficient_rows([f for f, _ in x_blocks], s + 1)
     padded = np.concatenate([np.zeros((len(coeffs), s - 1), dtype=np.int64), coeffs], axis=1)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, s, axis=1)[:, s - 1::-1]
+    windows = ring3d._windows(padded, s)[:, s - 1::-1]
     counts = np.array([count for _, count in x_blocks])
     return windows * (np.arange(s) < counts[:, None])[:, :, None]
 
@@ -412,7 +412,7 @@ def crt_rank(blocks: CrtBlocks, p: int) -> int:
     """The rank of the matrix: the sum of its block ranks when per_block,
     else the rank of the whole transformed matrix, from one rank_stack call."""
     stack = blocks.stack if blocks.per_block else blocks.whole()
-    return int(linalg.rank_stack(stack.astype(np.int64), p).sum())
+    return int(linalg.rank_stack(stack, p).sum())
 
 
 def crt_products_vanish(left: CrtBlocks, right: CrtBlocks, p: int) -> bool:
@@ -471,13 +471,17 @@ def crt_closure(ring: RingParams, g: CrtBlocks, parity: CrtBlocks) -> dict[str, 
     return {axis: crt_products_vanish(_crt_times(ring, g, axis), parity, p) for axis in AXES}
 
 
-def direct_self_dual_check(code: BuiltCode) -> bool:
+def direct_self_dual_check(code: BuiltCode, blocks: CrtBlocks | None = None) -> bool:
     """Self-duality straight from the matrix: dim = n/2 and G*G^T = 0, the
     product taken in the CRT basis, G at the roots against G at the inverse
-    roots (crt_products_vanish)."""
+    roots (crt_products_vanish).  blocks, if given, is crt_blocks of G at
+    the roots, which verify has already made."""
     ring, g = code.ring, code.generator_matrix
-    return 2 * code.dimension == code.n and crt_products_vanish(
-        crt_blocks(ring, g), crt_blocks(ring, g, inverse=True), ring.field.p)
+    if 2 * code.dimension != code.n:
+        return False
+    if blocks is None:
+        blocks = crt_blocks(ring, g)
+    return crt_products_vanish(blocks, crt_blocks(ring, g, inverse=True), ring.field.p)
 
 
 def complement_grid(spec: CodeSpec) -> list[list[Poly]]:

@@ -2,10 +2,14 @@
 
 Matrices are 2-D int64 arrays of canonical residues; every function takes the
 prime modulus explicitly and never mutates its inputs.  ``rank_stack`` takes
-a 3-D stack (B, rows, cols) and runs one column loop for all B matrices: zero
-rows do not change a rank, so matrices of different heights are zero-padded
-into one stack.  ``products_vanish`` tests a stack of products for zero in
-float64, where BLAS multiplies exactly while each sum stays below 2^53.
+a 3-D stack (B, rows, cols): zero rows do not change a rank, so matrices of
+different heights are zero-padded into one stack.  A matrix whose nonzero
+rows all lead in different columns is in echelon form up to row order, so
+its rank is exactly its count of nonzero rows; the bands x^i * f(x) of G, H
+and the sweep's tables are such matrices and are never eliminated, and one
+column loop serves the other matrices of the stack.  ``products_vanish``
+tests a stack of products for zero in float64, where BLAS multiplies
+exactly while each sum stays below 2^53.
 The package ranks and multiplies its matrices block by block in the CRT
 basis (codes.crt_blocks) with these two; ``rref``, ``rank`` and the int64
 ``matmul`` have no caller left in the package and stay as the tests'
@@ -71,6 +75,33 @@ def _inverses(p: int) -> np.ndarray:
 def rank_stack(m, p: int) -> np.ndarray:
     """The rank of every matrix of a (B, rows, cols) stack, as (B,).
 
+    A matrix whose nonzero rows all lead (have their first nonzero entry)
+    in different columns is in echelon form once its rows are sorted by
+    leading column, so its rank is its count of nonzero rows, with no
+    elimination.  The bands x^i * f(x) that G, H and the sweep's tables are
+    made of lead at i + ord(f), so only the other matrices of the stack go
+    through the column loop (_eliminated_ranks).
+    """
+    a = np.asarray(m, dtype=np.int64) % p
+    count, rows, cols = a.shape
+    if not rows or not cols:
+        return np.zeros(count, dtype=np.intp)
+    nonzero = a != 0
+    filled = nonzero.any(axis=2)
+    ranks = filled.sum(axis=1)
+    # a zero row leads past every column, each at its own
+    lead = np.where(filled, nonzero.argmax(axis=2), cols + np.arange(rows))
+    lead.sort(axis=1)
+    tangled = np.flatnonzero((lead[:, 1:] == lead[:, :-1]).any(axis=1))
+    if tangled.size:
+        ranks[tangled] = _eliminated_ranks(a[tangled], p)
+    return ranks
+
+
+def _eliminated_ranks(a: np.ndarray, p: int) -> np.ndarray:
+    """rank_stack of a (B, rows, cols) stack of canonical residues by
+    elimination, overwriting a.
+
     One column loop serves the stack, with no row exchange.  At column c
     each matrix takes any row with a nonzero entry there as its pivot
     (none when the column is zero), scales it by the inverse table and
@@ -82,11 +113,8 @@ def rank_stack(m, p: int) -> np.ndarray:
     in magnitude, so they stay below p + cols * p^2, and a pivot row times
     an inverse stays within int64 for p < 2^16 and cols <= 4096.
     """
-    a = np.asarray(m, dtype=np.int64) % p
     count, rows, cols = a.shape
     ranks = np.zeros(count, dtype=np.intp)
-    if not rows:
-        return ranks
     inverse = _inverses(p)
     every = np.arange(count)
     for c in range(cols):

@@ -23,7 +23,9 @@ its random-pair bridge between ring annihilators and Euclidean duality has
 two independent sides: ``split_product_zero_flags`` takes the products
 through the CRT split, with y and z evaluated at the roots of their split
 moduli (the cached Vandermonde matrices of ``_root_powers``, which
-codes.crt_blocks reads too) and the k*l components multiplied along x, and
+codes.crt_blocks reads too) and the components multiplied along x, first
+at the one root pair (sigma_0, rho_0), which settles every pair whose
+product is nonzero there, then at all k*l for the rest; and
 ``shift_orbit_orthogonal_flags`` walks the shift orbit and never multiplies.
 
 ``ring_products`` contracts two stacks of full tensors against one cached
@@ -245,10 +247,18 @@ def axis_products(m: int, constant: int, p: int, a, b) -> np.ndarray:
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     twisted = np.concatenate([a * (constant % p) % p, a], axis=-1)
-    circulant = np.lib.stride_tricks.sliding_window_view(twisted, m, axis=-1)[..., m:0:-1, :]
+    circulant = _windows(twisted, m)[..., m:0:-1, :]
     out = (b[..., None, :] @ circulant)[..., 0, :]
     out %= p
     return out
+
+
+def _windows(a: np.ndarray, m: int) -> np.ndarray:
+    """The read-only (..., w - m + 1, m) view of the windows of length m
+    along the last axis of a (..., w) array, as sliding_window_view(a, m,
+    axis=-1) gives it, in a third of its time on small arrays."""
+    return np.lib.stride_tricks.as_strided(a, a.shape[:-1] + (a.shape[-1] - m + 1, m),
+                                           a.strides + a.strides[-1:], writeable=False)
 
 
 @lru_cache(maxsize=None)
@@ -275,17 +285,30 @@ def split_product_zero_flags(params: RingParams, y_roots, z_roots, f, g) -> np.n
     is zero iff all k*l components of the two evaluated tensors multiply to
     zero along x (axis_products).  Each evaluation stage sums l or k
     products of residues and is reduced mod p before the next.
+    The component at (sigma_0, rho_0) is taken first: a pair whose product
+    is nonzero there is nonzero in R, so only the pairs that vanish there,
+    rare among random pairs, are split into all k*l components.
     """
     p = params.field.p
+    s = params.s
     vy = _root_powers(params.l, params.beta, p, tuple(y_roots))
     vz = _root_powers(params.k, params.gamma, p, tuple(z_roots))
+    f = np.asarray(f, dtype=np.int64)
+    g = np.asarray(g, dtype=np.int64)
 
-    def split(tensors):   # (P, s, l, k) -> (P, k, l, s): tensor u at (sigma_t, rho_j)
-        out = np.asarray(tensors, dtype=np.int64) @ vz.T % p
-        return np.moveaxis(np.swapaxes(out, -1, -2) @ vy.T % p, -3, -1)
+    def zero_products(pairs, z_powers, y_powers):   # vanish at the roots of these rows?
+        def split(tensors):   # (P, s, l, k) -> (P, k', l', s): tensor u at (sigma_t, rho_j)
+            out = tensors @ z_powers.T % p
+            return np.moveaxis(np.swapaxes(out, -1, -2) @ y_powers.T % p, -3, -1)
 
-    products = axis_products(params.s, params.alpha, p, split(f), split(g))
-    return ~products.reshape(len(products), params.n).any(axis=1)
+        products = axis_products(s, params.alpha, p, split(f[pairs]), split(g[pairs]))
+        return ~products.any(axis=(1, 2, 3))
+
+    zero = zero_products(slice(None), vz[:1], vy[:1])
+    live = np.flatnonzero(zero)
+    if live.size:
+        zero[live] = zero_products(live, vz, vy)
+    return zero
 
 
 def shift_orbit_orthogonal_flags(params: RingParams, f, g) -> np.ndarray:

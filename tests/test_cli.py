@@ -704,6 +704,26 @@ def test_each_spec_validated_once(capsys, monkeypatch):
     assert codes.sign_grid_sweep_report(FieldSpec(5), 2, 2, 2) == reference
 
 
+def test_verify_transforms_g_once(capsys, monkeypatch):
+    # example1 is self-dual, so the cross-check multiplies G by G; it reads
+    # G at the roots from the blocks verify has made, and transforms G only
+    # to the inverse roots
+    from ccode3d import codes
+
+    calls = []
+    crt_blocks = codes.crt_blocks
+
+    def counting(ring, words, inverse=False):
+        calls.append((len(words), inverse))
+        return crt_blocks(ring, words, inverse)
+
+    monkeypatch.setattr(codes, "crt_blocks", counting)
+    monkeypatch.setattr(cli, "crt_blocks", counting)
+    code, out = run(capsys, "verify", "--spec", EXAMPLE1, "--pairs", "2")
+    assert code == 0 and "PASS self_dual_criteria_agree" in out
+    assert calls == [(4, False), (4, True), (4, True)]   # G, H, then G at the inverse roots
+
+
 def test_eliminations_per_command(capsys, monkeypatch):
     # build_code and build_dual prove their rank by construction and eliminate
     # nothing, the closure is tested against the dual's H, and verify ranks G

@@ -1,12 +1,19 @@
+import contextlib
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ccode3d import linalg
+from ccode3d import cli, linalg
+from ccode3d.cli import load_spec
+from ccode3d.codes import BuiltCode, admissible_sign_rings, build_code, sign_grid_sweep_report
+from ccode3d.gf import FieldSpec
 
-from conftest import row_space_equal
+from conftest import SEED, enumerate_divisor_grids, row_space_equal
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 @st.composite
@@ -244,3 +251,112 @@ def test_products_vanish_matches_int64_products(monkeypatch, p):
     assert linalg.products_vanish(a, b, p)
     a[1, 2, :4093] = p - 1                            # 4093 * (p - 1)^2, exact in float64
     assert not linalg.products_vanish(a, b, p)
+
+
+@contextlib.contextmanager
+def counting_eliminations():
+    """The list of the stacks that reach rank_stack's column loop, in order."""
+    seen = []
+    eliminate = linalg._eliminated_ranks
+
+    def counting(a, p):
+        seen.append(a.copy())
+        return eliminate(a, p)
+
+    linalg._eliminated_ranks = counting
+    try:
+        yield seen
+    finally:
+        linalg._eliminated_ranks = eliminate
+
+
+@pytest.fixture
+def eliminations():
+    with counting_eliminations() as seen:
+        yield seen
+
+
+@st.composite
+def leading_column_stacks(draw):
+    """(m, p, tangled): a stack that mixes matrices whose nonzero rows lead
+    (have their first nonzero entry) in distinct columns, in any row order
+    and among zero rows, with matrices where two rows lead in the same
+    column, of full rank (a row plus a multiple of a row that leads
+    earlier) or rank-deficient (a row a multiple of another), and all-zero
+    matrices; tangled lists the matrices of the second kind."""
+    p = draw(st.sampled_from([2, 3, 5, 13, 65521]))
+    count, rows, cols = draw(st.integers(1, 5)), draw(st.integers(0, 6)), draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = np.zeros((count, rows, cols), dtype=np.int64)
+    tangled = []
+    for b in range(count):
+        kind = rng.choice(["echelon", "full", "deficient", "zero"])
+        if kind == "zero":
+            continue
+        filled = rng.integers(0, min(rows, cols) + 1)
+        placed = rng.permutation(rows)[:filled]          # row placed[i] leads at leads[i]
+        leads = np.sort(rng.choice(cols, filled, replace=False))
+        for r, c in zip(placed, leads):
+            m[b, r, c] = rng.integers(1, p)
+            m[b, r, c + 1:] = rng.integers(0, p, cols - c - 1)
+        if kind != "echelon" and filled >= 2:
+            first, later = placed[np.sort(rng.choice(filled, 2, replace=False))]   # first leads earlier
+            if kind == "full":   # later now leads where first does, and the span is unchanged
+                m[b, later] = (m[b, later] + rng.integers(1, p) * m[b, first]) % p
+            else:
+                m[b, later] = rng.integers(1, p) * m[b, first] % p
+            tangled.append(b)
+    return m, p, tangled
+
+
+@given(leading_column_stacks())
+def test_rank_stack_settles_echelon_matrices_by_their_leading_columns(stack):
+    m, p, tangled = stack
+    with counting_eliminations() as eliminated:
+        ranks = linalg.rank_stack(m, p)
+    assert ranks.tolist() == [linalg.rank(matrix, p) for matrix in m]
+    # only the matrices with a repeated leading column reach the column loop
+    assert [a.tolist() for a in eliminated] == ([m[tangled].tolist()] if tangled else [])
+
+
+@pytest.mark.parametrize("shape", [(3, 0, 4), (2, 3, 0), (0, 3, 3), (0, 0, 0), (2, 4, 5)])
+def test_rank_stack_of_empty_and_zero_stacks(shape):
+    zero = np.zeros(shape, dtype=np.int64)
+    ranks = linalg.rank_stack(zero, 7)
+    assert ranks.shape == shape[:1] and not ranks.any()
+
+
+def test_verify_never_eliminates(eliminations):
+    # on every acceptance spec (the three examples and every grid of the +-1
+    # sign rings over (5, 2, 2, 2) and (7, 2, 2, 2)) each CRT block of G and
+    # of H is a band of rows x^i * f(x), which lead at i + ord(f): verify
+    # builds both and ranks every block by its leading columns
+    specs = [load_spec(str(SPECS / f"example{i}.json")) for i in (1, 2, 3)]
+    specs += [spec for q in (5, 7) for ring in admissible_sign_rings(FieldSpec(q), 2, 2, 2)
+              for spec in enumerate_divisor_grids(ring)]
+    for spec in specs:
+        checks = dict(cli._verify_checks(spec, 2, SEED))
+        assert all(checks.values()), (spec, checks)
+    assert not eliminations
+
+
+def test_sweep_eliminates_only_its_cell_tensors(eliminations):
+    # the code and dual bands of the divisor tables are in echelon form; the
+    # (k*l, k*l) matrices of the rings' cell tensors are not, and reach the loop
+    assert sign_grid_sweep_report(FieldSpec(5), 2, 2, 2)["specs"] == 2048
+    rings = len(admissible_sign_rings(FieldSpec(5), 2, 2, 2))
+    assert [a.shape for a in eliminations] == [(rings, 4, 4)]
+
+
+def test_verify_eliminates_a_repeated_row_and_fails(capsys, monkeypatch, eliminations):
+    # a G with one row repeated has two rows leading in the same column of
+    # one block: that block goes through the loop, and rank G falls short
+    def repeated_row(spec):
+        g = build_code(spec).generator_matrix.copy()
+        g[1] = g[0]
+        return BuiltCode(spec.ring, g)
+
+    monkeypatch.setattr(cli, "build_code", repeated_row)
+    assert cli.main(["verify", "--spec", str(SPECS / "example1.json"), "--pairs", "2"]) == 1
+    assert "FAIL generator_rank_equals_dimension" in capsys.readouterr().out
+    assert len(eliminations) == 1

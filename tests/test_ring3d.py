@@ -377,7 +377,7 @@ def bridge_roots(pr: RingParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 @pytest.mark.parametrize("q,s,l,k,alpha,beta,gamma", BRIDGE_RINGS)
-def test_split_product_flags_match_ring_products(q, s, l, k, alpha, beta, gamma):
+def test_split_product_flags_match_ring_products(monkeypatch, q, s, l, k, alpha, beta, gamma):
     # random pairs, whose products are nonzero save by chance, and every
     # generator against every complement of a divisor grid, which are zero
     field = FieldSpec(q)
@@ -392,10 +392,34 @@ def test_split_product_flags_match_ring_products(q, s, l, k, alpha, beta, gamma)
     f = np.concatenate([np.repeat(gens, cells, axis=0), rng.integers(0, q, (40,) + pr.shape())])
     g = np.concatenate([np.tile(comps, (cells, 1, 1, 1)), rng.integers(0, q, (40,) + pr.shape())])
     f[-8:] = gens[rng.integers(cells, size=8)]   # a generator times a random tensor
-    zero = split_product_zero_flags(pr, *bridge_roots(pr), f, g)
-    assert zero.tolist() == (~ring_products(pr, f, g).reshape(len(f), -1).any(axis=1)).tolist()
-    assert zero[:cells * cells].all()
+    # random tensors times y - rho_0 (z - sigma_0 when l = 1) vanish at the
+    # component (sigma_0, rho_0) that the split takes first, and seldom elsewhere
+    y_roots, z_roots = bridge_roots(pr)
+    factor = np.zeros(pr.shape(), dtype=np.int64)
+    factor[(0, 1, 0) if l > 1 else (0, 0, 1)] = 1
+    factor[0, 0, 0] = -(y_roots[0] if l > 1 else z_roots[0]) % q
+    f = np.concatenate([f, ring_products(pr, rng.integers(0, q, (16,) + pr.shape()), factor)])
+    g = np.concatenate([g, rng.integers(0, q, (16,) + pr.shape())])
+    batches = []
+
+    def spy(m, constant, p, a, b):
+        batches.append(a.shape)
+        return axis_products(m, constant, p, a, b)
+
+    monkeypatch.setattr(ring3d, "axis_products", spy)
+    zero = split_product_zero_flags(pr, y_roots, z_roots, f, g)
+    expected = ~ring_products(pr, f, g).reshape(len(f), -1).any(axis=1)
+    assert zero.tolist() == expected.tolist()
+    assert zero[:cells * cells].all() and not zero[-16:].all()
     assert np.array_equal(zero, shift_orbit_orthogonal_flags(pr, f, g))
+    # the first component alone, as a product in F_q[x]/(x^s - alpha)
+    at_root = [(u @ np.power(z_roots[0], np.arange(k)) % q) @ np.power(y_roots[0], np.arange(l)) % q
+               for u in (f, g)]
+    line = RingParams(field, s, 1, 1, alpha, 1, 1)
+    first = ~ring_products(line, *(u[:, :, None, None] for u in at_root)).reshape(len(f), -1).any(axis=1)
+    assert first[:cells * cells].all() and first[-16:].all()
+    # every pair goes through that component, and only its zeros through all k*l
+    assert batches == [(len(f), 1, 1, s), (first.sum(), k, l, s)]
     assert split_product_zero_flags(pr, *bridge_roots(pr), f[:0], g[:0]).shape == (0,)
 
 
