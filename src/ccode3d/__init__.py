@@ -14,6 +14,6 @@ from .codes import (
     self_dual_feasible,
     validate_spec,
 )
-from .distance import DistanceResult, min_distance, min_distance_bruteforce
+from .distance import DistanceResult, min_distance
 
 __version__ = "0.1.0"

@@ -12,8 +12,9 @@ transforms G and H once each to the CRT basis, k*l blocks of s columns
 (codes.crt_blocks), where every block is a band of rows x^i * f(x) whose
 rank linalg.rank_stack reads off its leading columns, and takes the
 closure, G*H^T and the self-dual cross-check G*G^T on those blocks; its
-complement check multiplies axis by axis, and its random-pair bridge takes
-the products through the CRT split, one component first, in chunks of
+identity and complement checks read each idempotent family's values at its
+roots (idempotents.member_values), and its random-pair bridge takes the
+products through the CRT split, one component first, in chunks of
 PAIR_BYTES bytes of words.
 
 Spec file schema (all residues canonical, coefficient arrays ascending):

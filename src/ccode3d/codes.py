@@ -14,7 +14,7 @@ fixed tensor e_j(y)*e_t(z); G, H (reversing both axes) and the generators
 and every block of G and H comes from one stacked ``ring3d.kron_words`` call.
 Two such pure tensors multiply axis by axis, so ``cell_product_zero_flags``
 decides which products of two grids' generators vanish from the x-products
-and the products of the idempotents, with no full ring product.
+and the idempotents' values at their roots, with no full ring product.
 The checks on a built matrix read it in the CRT basis (``crt_blocks``):
 with y and z evaluated at the roots of the two idempotent families, a row
 of G is one x-word in the block of its cell, and so is a row of H at the
@@ -52,7 +52,7 @@ import numpy as np
 
 from . import linalg, ring3d
 from .gf import FieldSpec, InputError
-from .idempotents import IdempotentFamily, build_constacyclic_idempotents
+from .idempotents import IdempotentFamily, build_constacyclic_idempotents, member_values
 from .poly import Poly, binomial_cosets, factor_binomial
 from .ring3d import AXES, RingParams, axis_products, kron_words
 
@@ -167,20 +167,13 @@ def _check_length(n: int):
             f"code length n = s*l*k = {n} is past the limit of {SPEC_LENGTH_LIMIT}")
 
 
-def _family_members(ring: RingParams) -> tuple[np.ndarray, np.ndarray]:
-    """The (k, k) and (l, l) coefficient rows of the z- and y-idempotents.
-    Every member has full degree m - 1 (the geometric sum has no zero
-    coefficient)."""
-    return tuple(np.array([e.coeffs for e in fam.members], dtype=np.int64)
-                 for fam in code_idempotents(ring))
-
-
 @lru_cache(maxsize=None)
 def _cell_tensors(ring: RingParams) -> np.ndarray:
     """The read-only (k*l, l, k) stack of the cell tensors e_j(y)*e_t(z), in
     (t, j) order, made once per ring.  Every member has full degree, so
     reversing both trailing axes gives e_j*(y)*e_t*(z), the dual's cells."""
-    z, y = _family_members(ring)
+    z, y = (np.array([e.coeffs for e in fam.members], dtype=np.int64)
+            for fam in code_idempotents(ring))
     cells = np.einsum("jb,tc->tjbc", y, z).reshape(-1, ring.l, ring.k) % ring.field.p
     cells.setflags(write=False)
     return cells
@@ -220,19 +213,13 @@ def cell_product_zero_flags(ring: RingParams, left_grid, right_grid) -> np.ndarr
     Both are pure tensors f(x)*e_j(y)*e_t(z), and R is the tensor product of
     the three axis rings, so their product is the pure tensor of the three
     per-axis products, and it is zero iff one of them is: the flag is
-    x[c, g] | y[j_c, j_g] | z[t_c, t_g], from ring3d.axis_products on the
-    folded x-rows and on the members of the two idempotent families.  No
-    full ring product is formed."""
-    p = ring.field.p
-
-    def zero_products(m, constant, a, b):   # all products of the rows of a and b
-        return ~axis_products(m, constant, p, a[:, None], b[None]).any(axis=-1)
-
-    x = zero_products(ring.s, ring.alpha, _folded_x_rows(ring, left_grid),
-                      _folded_x_rows(ring, right_grid))
-    z, y = (zero_products(m, constant, members, members)
-            for m, constant, members in zip((ring.k, ring.l), (ring.gamma, ring.beta),
-                                            _family_members(ring)))
+    x[c, g] | y[j_c, j_g] | z[t_c, t_g], x from ring3d.axis_products on the
+    folded x-rows, y and z from the supports of the families' values at
+    their roots (idempotents.member_values).  No full ring product is formed."""
+    x = ~axis_products(ring.s, ring.alpha, ring.field.p, _folded_x_rows(ring, left_grid)[:, None],
+                       _folded_x_rows(ring, right_grid)[None]).any(axis=-1)
+    supports = [(member_values(fam) != 0).astype(np.float64) for fam in code_idempotents(ring)]
+    z, y = (support @ support.T == 0 for support in supports)   # no root where both are nonzero
     return x | (z[:, None, :, None] | y[None, :, None, :]).reshape(x.shape)
 
 
@@ -471,17 +458,31 @@ def crt_closure(ring: RingParams, g: CrtBlocks, parity: CrtBlocks) -> dict[str, 
     return {axis: crt_products_vanish(_crt_times(ring, g, axis), parity, p) for axis in AXES}
 
 
+def _inverse_block_order(ring: RingParams) -> np.ndarray | None:
+    """For every block b, the block at the roots that is b at the inverse
+    roots: the index of (sigma_t^-1, rho_j^-1) among the root pairs, read
+    off the roots, not the cell pairing (cell_partners); None when some
+    inverse root is no root (beta or gamma not +-1)."""
+    index = {pair: b for b, pair in enumerate(itertools.product(*_evaluation_points(ring, False)))}
+    order = [index.get(pair) for pair in itertools.product(*_evaluation_points(ring, True))]
+    return None if None in order else np.array(order)
+
+
 def direct_self_dual_check(code: BuiltCode, blocks: CrtBlocks | None = None) -> bool:
     """Self-duality straight from the matrix: dim = n/2 and G*G^T = 0, the
     product taken in the CRT basis, G at the roots against G at the inverse
     roots (crt_products_vanish).  blocks, if given, is crt_blocks of G at
-    the roots, which verify has already made."""
+    the roots, which verify has already made; G at the inverse roots is
+    those blocks reordered (_inverse_block_order) when it can be."""
     ring, g = code.ring, code.generator_matrix
     if 2 * code.dimension != code.n:
         return False
     if blocks is None:
         blocks = crt_blocks(ring, g)
-    return crt_products_vanish(blocks, crt_blocks(ring, g, inverse=True), ring.field.p)
+    order = _inverse_block_order(ring)
+    at_inverses = (crt_blocks(ring, g, inverse=True) if order is None
+                   else CrtBlocks(blocks.stack[order], blocks.per_block))
+    return crt_products_vanish(blocks, at_inverses, ring.field.p)
 
 
 def complement_grid(spec: CodeSpec) -> list[list[Poly]]:

@@ -28,8 +28,7 @@ find the same first hit with less work:
 
 ``candidates_tested`` stays the unreduced count, the sum of
 C(n, w)*(p-1)^(w-1) over the weights searched, and the budget is compared
-against it.  A full message-enumeration oracle is included for
-cross-checking on small codes.
+against it.
 """
 
 from __future__ import annotations
@@ -46,11 +45,6 @@ from .codes import BuiltCode, quasi_twisted_closure
 from .gf import InputError
 
 DEFAULT_BUDGET = 10**8
-BRUTE_FORCE_LIMIT = 10**7
-
-
-class SearchBudgetError(InputError):
-    """The requested enumeration exceeds the allowed candidate count."""
 
 
 @dataclass(frozen=True)
@@ -167,16 +161,6 @@ def _prefix_patterns(p: int, w: int, chunk: int) -> np.ndarray:
     return patterns
 
 
-def _mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p for a float64 array of nonnegative integers below 2^53:
-    x/p is correctly rounded, so its floor is the exact quotient."""
-    q = x / p
-    np.floor(q, out=q)
-    q *= -p
-    q += x
-    return q
-
-
 def _scan(index: _ColumnIndex, p: int, w: int, firsts):
     """First weight-w (support, pattern) with zero syndrome in lexicographic
     order, among supports whose first coordinate lies in ``firsts``, or None.
@@ -185,14 +169,14 @@ def _scan(index: _ColumnIndex, p: int, w: int, firsts):
     Prefixes are batched into blocks of about _BLOCK syndrome entries; a
     larger block mostly computes syndromes past the first hit.  In a block,
     the projected prefix syndromes S*P are one float64 product reduced mod
-    p, exact while (w-1)*(p-1)^2 < 2^53, which holds for p < 2^16 and
-    n <= 4096.  One gather from the index's filter rejects a syndrome that
-    completes nothing.  A survivor gets its full m-row syndrome, scaled to a
-    leading 1, which must match some full key of the scaled columns and then
-    equal one of them exactly, so neither a filter nor a key collision can
-    make a false hit; the least (prefix, j, pattern) with j > i_(w-1) wins,
-    with c = -S_lead/h_j_lead.  A zero syndrome matches only a zero column,
-    at w = 1, where c = 1.
+    p in place (linalg.float_residues), exact while (w-1)*(p-1)^2 < 2^52,
+    which holds for p < 2^16 and n <= 4096.  One gather from the index's
+    filter rejects a syndrome that completes nothing.  A survivor gets its
+    full m-row syndrome, scaled to a leading 1, which must match some full
+    key of the scaled columns and then equal one of them exactly, so neither
+    a filter nor a key collision can make a false hit; the least (prefix,
+    j, pattern) with j > i_(w-1) wins, with c = -S_lead/h_j_lead.  A zero
+    syndrome matches only a zero column, at w = 1, where c = 1.
     """
     n, m = index.columns.shape
     r = index.projected.shape[1]
@@ -209,12 +193,14 @@ def _scan(index: _ColumnIndex, p: int, w: int, firsts):
         best = None
         for chunk in range(-(-npat // _PATTERN_CHUNK)):
             patterns = _prefix_patterns(p, w, chunk)
-            keys = _mod(patterns @ projected, p).astype(np.uint64) @ short_weights   # (B, P)
+            keys = linalg.float_residues(patterns @ projected, p).astype(np.uint64)
+            keys = keys @ short_weights                                 # (B, P)
             passed = index.filter[keys >> index.shift]
             if not passed.any():
                 continue
             b, a = np.nonzero(passed)
-            syn = _mod((patterns[a, None, :] @ index.columns[block[b]])[:, 0], p).astype(np.int64)
+            syn = (patterns[a, None, :] @ index.columns[block[b]])[:, 0]
+            syn = linalg.float_residues(syn, p).astype(np.int64)
             lead = _leading(syn)
             scaled = syn * inverse[lead][:, None] % p
             keys = scaled.view(np.uint64) @ full_weights
@@ -264,28 +250,3 @@ def min_distance(code: BuiltCode, parity: np.ndarray, max_weight: int | None = N
             witness[list(support)] = pattern
             return DistanceResult(w, w - 1, tuple(int(v) for v in witness), tested)
     return DistanceResult(None, cap, None, tested)
-
-
-def min_distance_bruteforce(code: BuiltCode, limit: int = BRUTE_FORCE_LIMIT) -> int:
-    """Minimum nonzero codeword weight by enumerating all messages.
-
-    Refuses when q**dimension exceeds ``limit``; intended as an independent
-    oracle for the syndrome search on small codes.
-    """
-    if code.dimension < 1:
-        raise ValueError("a zero-dimensional code has no nonzero codeword")
-    p = code.ring.field.p
-    dim = code.dimension
-    count = p**dim
-    if count > limit:
-        raise SearchBudgetError(f"{p}^{dim} = {count} codewords exceeds the limit {limit}")
-    G = code.generator_matrix
-    radices = np.array([p**c for c in range(dim)], dtype=np.int64)
-    best = code.n + 1
-    chunk = 1 << 14
-    for start in range(1, count, chunk):
-        idx = np.arange(start, min(start + chunk, count), dtype=np.int64)
-        msgs = (idx[:, None] // radices[None, :]) % p
-        words = (msgs @ G) % p
-        best = min(best, int(np.count_nonzero(words, axis=1).min()))
-    return best

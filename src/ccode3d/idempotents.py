@@ -8,6 +8,8 @@ hypothesis both moduli split into distinct linear factors.  A family is its
 roots: member t is 1 at roots[t] and 0 at the other roots, the modulus is
 z^m - roots[0]^m, and the coefficient reversal of member t is proportional
 to the member at the inverse root (``IdempotentFamily.reversal``).
+Products of members are read from their values at the roots of the
+modulus (``member_values``, once a family): no ring product is formed.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 from . import linalg
 from .gf import FieldSpec, InputError, element_order, find_root
 from .poly import Poly
-from .ring3d import axis_products
 
 
 class RepeatedRootsError(InputError):
@@ -42,12 +43,6 @@ class IdempotentFamily:
 
     def modulus(self) -> Poly:
         return Poly.binomial(self.field, self.size, self.field.pow(self.roots[0], self.size))
-
-    def eigenvalue(self, t: int) -> int:
-        """The root at which members[t] evaluates to 1."""
-        if not 0 <= t < self.size:
-            raise IndexError(f"index {t} out of range for family of size {self.size}")
-        return self.roots[t]
 
     def reversal(self) -> tuple[int, ...]:
         """For each member e_rho, the index of e_(1/rho), to which its reversal
@@ -114,40 +109,66 @@ def build_constacyclic_idempotents(field: FieldSpec, k: int, gamma: int) -> Idem
     return IdempotentFamily(field, roots, _geometric_members(field, roots))
 
 
+def _coefficients(fam: IdempotentFamily) -> np.ndarray:
+    """The (m, m) int64 coefficients of the members, each of degree < m."""
+    members = np.zeros((fam.size, fam.size), dtype=np.int64)
+    for row, member in zip(members, fam.members):
+        row[:len(member.coeffs)] = member.coeffs
+    return members
+
+
+def _evaluations(members: np.ndarray, points, p: int) -> np.ndarray:
+    """The float64 residues members[t](points[r]), one float64 product by
+    the Vandermonde matrix of the points: exact, as every partial sum stays
+    below m * (p - 1)^2 < 2^48 for m, p < 2^16."""
+    points = np.array(points, dtype=np.float64) % p
+    powers = np.ones((len(points), len(members)))
+    for i in range(1, len(members)):
+        powers[:, i] = powers[:, i - 1] * points % p
+    return linalg.float_residues(members @ powers.T, p)
+
+
+@lru_cache(maxsize=None)
+def member_values(fam: IdempotentFamily) -> np.ndarray | None:
+    """The read-only residues V[t, r] = e_t(zeta_r) at the roots zeta_0 <
+    zeta_1 < ... of the modulus z^m - c, found by scanning F_p (fam.roots
+    are on trial), or None if F_p holds fewer than m.  Evaluation at m
+    distinct roots is the CRT isomorphism F_p[z]/(z^m - c) ~ F_p^m, so
+    e_t * e_t' = 0 iff rows t and t' of V have disjoint supports."""
+    p, m = fam.field.p, fam.size
+    constant = fam.field.pow(fam.roots[0], m)
+    roots = [zeta for zeta in range(1, p) if pow(zeta, m, p) == constant]
+    if len(roots) < m:
+        return None
+    values = _evaluations(_coefficients(fam), roots, p)
+    values.setflags(write=False)
+    return values
+
+
 def identity_report(fam: IdempotentFamily) -> dict[str, bool]:
     """Self-check of the defining identities; used by the verify command.
 
     Checks completeness (members sum to 1 mod the modulus), pairwise
     orthogonality, the delta evaluations at the roots, and the eigenvalue
-    identity z*e_t = eigenvalue(t)*e_t mod the modulus, on the (m, m)
-    matrix E of the members' coefficients (each of degree < m, so a
-    residue): completeness from its column sums, orthogonality from
-    axis_products on every pair of rows (one call, or one a slice of rows
-    where the m^3 products would pass linalg.PRODUCT_BYTES), the
-    evaluations from E times the Vandermonde matrix of the roots, and z*e_t
-    as the row rotated one place with the wrapped coefficient times the
-    modulus constant.  The Vandermonde matrix is built here, unchecked, as
-    the roots are on trial.
+    identity z*e_t = roots[t]*e_t mod the modulus, on the (m, m) matrix E
+    of the members' coefficients: completeness from its column sums,
+    orthogonality from member_values, whose residues at each root must sum
+    to at most 1, so be 0 but for at most one 1 (failed if F_p holds fewer
+    than m roots), the evaluations from E at fam.roots, and z*e_t as the
+    row rotated one place with the wrapped coefficient times the modulus
+    constant.
     """
     p, m = fam.field.p, fam.size
     constant = fam.field.pow(fam.roots[0], m)
-    members = np.zeros((m, m), dtype=np.int64)
-    for row, member in zip(members, fam.members):
-        row[:len(member.coeffs)] = member.coeffs
+    members = _coefficients(fam)
+    values = member_values(fam)
     roots = np.array(fam.roots, dtype=np.int64) % p
-    powers = np.ones((m, m), dtype=np.int64)
-    for i in range(1, m):
-        powers[:, i] = powers[:, i - 1] * roots % p
     identity = np.eye(m, dtype=np.int64)
     shifted = np.roll(members, 1, axis=1)
     shifted[:, 0] = shifted[:, 0] * constant % p
-    step = max(1, linalg.PRODUCT_BYTES // (8 * m * m))
     return {
         "completeness": np.array_equal(members.sum(axis=0) % p, identity[0]),
-        "orthogonality": all(
-            np.array_equal(axis_products(m, constant, p, members[i:i + step, None], members),
-                           identity[i:i + step, :, None] * members[i:i + step, None])
-            for i in range(0, m, step)),
-        "root_evaluations": np.array_equal(members @ powers.T % p, identity),
+        "orthogonality": values is not None and bool(values.sum(axis=0).max() <= 1),
+        "root_evaluations": np.array_equal(_evaluations(members, roots, p), identity),
         "shift_eigenvalue": np.array_equal(shifted, members * roots[:, None] % p),
     }

@@ -16,10 +16,10 @@ the ring product factors axis by axis.  ``axis_products`` multiplies two
 broadcasting stacks in one such ring, as one batched matmul against the
 twisted circulant of one operand, read as a strided view and never
 gathered; every ring product that verify makes goes through it.  Its
-identity check multiplies every pair of members of an idempotent family
-(idempotents.identity_report), its complement check multiplies pure tensors
-f(x)*e_j(y)*e_t(z) one axis at a time (codes.cell_product_zero_flags), and
-its random-pair bridge between ring annihilators and Euclidean duality has
+identity check multiplies no two idempotents: it reads their values at the
+roots (idempotents.member_values), as its complement check does for the
+y- and z-factors of f(x)*e_j(y)*e_t(z) (codes.cell_product_zero_flags).
+Its random-pair bridge between ring annihilators and Euclidean duality has
 two independent sides: ``split_product_zero_flags`` takes the products
 through the CRT split, with y and z evaluated at the roots of their split
 moduli (the cached Vandermonde matrices of ``_root_powers``, which

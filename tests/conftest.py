@@ -73,14 +73,73 @@ def identity_report_loop(fam) -> dict[str, bool]:
     deltas = True
     for t, m in enumerate(fam.members):
         for u in range(fam.size):
-            deltas &= m.evaluate(fam.eigenvalue(u)) == (1 if t == u else 0)
+            deltas &= m.evaluate(fam.roots[u]) == (1 if t == u else 0)
     report["root_evaluations"] = deltas
     eigen = True
     z = Poly.x_power(field, 1)
     for t, m in enumerate(fam.members):
-        eigen &= ((z * m) % modulus) == m.scale(fam.eigenvalue(t))
+        eigen &= ((z * m) % modulus) == m.scale(fam.roots[t])
     report["shift_eigenvalue"] = eigen
     return report
+
+
+def install_wrong_z_family(monkeypatch, fault: str):
+    """Make codes and cli see a z-family with its members 0 and 1 swapped
+    against their roots ("swapped"), or with member 0 replaced by e_0 + e_1
+    ("merged"), and give codes._cell_tensors a cache of its own, dropped
+    after the test."""
+    import functools
+
+    from ccode3d import cli
+    from ccode3d.idempotents import IdempotentFamily
+
+    code_idempotents = codes.code_idempotents
+
+    def wrong_idempotents(ring):
+        z, y = code_idempotents(ring)
+        members = list(z.members)
+        if fault == "swapped":
+            members[0], members[1] = members[1], members[0]
+        else:
+            members[0] = members[0] + members[1]
+        return IdempotentFamily(z.field, z.roots, tuple(members)), y
+
+    for module in (codes, cli):
+        monkeypatch.setattr(module, "code_idempotents", wrong_idempotents)
+    monkeypatch.setattr(codes, "_cell_tensors",
+                        functools.lru_cache(maxsize=None)(codes._cell_tensors.__wrapped__))
+
+
+BRUTE_FORCE_LIMIT = 10**7
+
+
+class SearchBudgetError(InputError):
+    """The requested enumeration exceeds the allowed candidate count."""
+
+
+def min_distance_bruteforce(code: codes.BuiltCode, limit: int = BRUTE_FORCE_LIMIT) -> int:
+    """Minimum nonzero codeword weight by enumerating all messages.
+
+    Refuses when q**dimension exceeds ``limit``; intended as an independent
+    oracle for the syndrome search on small codes.
+    """
+    if code.dimension < 1:
+        raise ValueError("a zero-dimensional code has no nonzero codeword")
+    p = code.ring.field.p
+    dim = code.dimension
+    count = p**dim
+    if count > limit:
+        raise SearchBudgetError(f"{p}^{dim} = {count} codewords exceeds the limit {limit}")
+    G = code.generator_matrix
+    radices = np.array([p**c for c in range(dim)], dtype=np.int64)
+    best = code.n + 1
+    chunk = 1 << 14
+    for start in range(1, count, chunk):
+        idx = np.arange(start, min(start + chunk, count), dtype=np.int64)
+        msgs = (idx[:, None] // radices[None, :]) % p
+        words = (msgs @ G) % p
+        best = min(best, int(np.count_nonzero(words, axis=1).min()))
+    return best
 
 
 def annihilator_orthogonality_flags(params, f, g) -> tuple[np.ndarray, np.ndarray]:

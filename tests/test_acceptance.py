@@ -27,14 +27,14 @@ from ccode3d.codes import (
     self_dual_feasible,
     self_dual_grid_count,
 )
-from ccode3d.distance import min_distance, min_distance_bruteforce
+from ccode3d.distance import min_distance
 from ccode3d.gf import FieldSpec, element_order, find_root
 from ccode3d.idempotents import build_constacyclic_idempotents, build_full_idempotents
 from ccode3d.poly import Poly
 from ccode3d.ring3d import RingParams
 
-from conftest import (SEED, annihilator_orthogonality_flags, enumerate_divisor_grids, reciprocal_index,
-                      row_space_equal)
+from conftest import (SEED, annihilator_orthogonality_flags, enumerate_divisor_grids,
+                      min_distance_bruteforce, reciprocal_index, row_space_equal)
 
 F5 = FieldSpec(5)
 F7 = FieldSpec(7)

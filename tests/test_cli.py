@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from ccode3d import cli, ring3d
 from ccode3d.cli import canonical_json, load_spec, main, spec_from_dict, spec_to_dict
 
-from conftest import per_spec_sweep_report
+from conftest import install_wrong_z_family, per_spec_sweep_report
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
@@ -320,26 +320,9 @@ def test_random_pairs_run_in_little_memory():
     ("merged", ["idempotents_z_orthogonality", "quasi_twisted_closure_z"]),
 ])
 def test_verify_fails_a_wrong_z_family(capsys, monkeypatch, tmp_path, fault, failing):
-    import functools
-
     from ccode3d import codes
-    from ccode3d.idempotents import IdempotentFamily
 
-    code_idempotents = codes.code_idempotents
-
-    def wrong_idempotents(ring):
-        z, y = code_idempotents(ring)
-        members = list(z.members)
-        if fault == "swapped":
-            members[0], members[1] = members[1], members[0]
-        else:
-            members[0] = members[0] + members[1]
-        return IdempotentFamily(z.field, z.roots, tuple(members)), y
-
-    for module in (codes, cli):
-        monkeypatch.setattr(module, "code_idempotents", wrong_idempotents)
-    monkeypatch.setattr(codes, "_cell_tensors",   # a cache of its own, dropped after the test
-                        functools.lru_cache(maxsize=None)(codes._cell_tensors.__wrapped__))
+    install_wrong_z_family(monkeypatch, fault)
     # example2 (k = 3, constants +-1) with no rows at t = 1, so that a row
     # across the z-members 0 and 1 is no sum of the code's rows
     data = json.loads(Path(EXAMPLE2).read_text())
@@ -706,8 +689,9 @@ def test_each_spec_validated_once(capsys, monkeypatch):
 
 def test_verify_transforms_g_once(capsys, monkeypatch):
     # example1 is self-dual, so the cross-check multiplies G by G; it reads
-    # G at the roots from the blocks verify has made, and transforms G only
-    # to the inverse roots
+    # G at the roots from the blocks verify has made, and G at the inverse
+    # roots, which are the roots reordered for constants +-1, from the same
+    # blocks permuted; selfdual transforms G once too
     from ccode3d import codes
 
     calls = []
@@ -721,7 +705,28 @@ def test_verify_transforms_g_once(capsys, monkeypatch):
     monkeypatch.setattr(cli, "crt_blocks", counting)
     code, out = run(capsys, "verify", "--spec", EXAMPLE1, "--pairs", "2")
     assert code == 0 and "PASS self_dual_criteria_agree" in out
-    assert calls == [(4, False), (4, True), (4, True)]   # G, H, then G at the inverse roots
+    assert calls == [(4, False), (4, True)]   # G, then H at the inverse roots
+    calls.clear()
+    code, out = run(capsys, "selfdual", "--spec", EXAMPLE1)
+    assert code == 0 and json.loads(out)["certificate"]["direct_check"] is True
+    assert calls == [(4, False)]
+
+
+def test_verify_evaluates_each_family_once(capsys):
+    # the identity check and the complement check both read each family's
+    # values at the roots of its modulus (idempotents.member_values): one
+    # evaluation a family, four reads a verify; example1's y- and z-families
+    # are one family (l = k = 2, beta = gamma = 4)
+    from ccode3d.codes import code_idempotents
+    from ccode3d.idempotents import member_values
+
+    for spec, families in ((EXAMPLE1, 1), (EXAMPLE3, 2)):
+        assert len(set(code_idempotents(load_spec(spec).ring))) == families
+        member_values.cache_clear()
+        code, out = run(capsys, "verify", "--spec", spec, "--pairs", "2")
+        assert code == 0 and "FAIL" not in out
+        info = member_values.cache_info()
+        assert (info.misses, info.hits + info.misses) == (families, 4)
 
 
 def test_eliminations_per_command(capsys, monkeypatch):

@@ -45,6 +45,7 @@ from ccode3d.ring3d import RingElement3D, RingParams, ring_products, unflatten
 from conftest import (
     dual_spec,
     enumerate_divisor_grids,
+    install_wrong_z_family,
     int64_closure,
     per_spec_sweep_report,
     reciprocal_cell,
@@ -623,6 +624,56 @@ def test_cell_product_flags_match_all_pairs_ring_products(q, s, l, k, alpha, bet
         assert np.array_equal(flags, ~products.reshape(k * l, k * l, -1).any(axis=-1))
     assert cell_product_zero_flags(ring, complements, grid).all()
     assert not flags.all() and flags.any()
+
+
+@pytest.mark.parametrize("fault", ["swapped", "merged"])
+def test_cell_product_flags_match_ring_products_on_a_wrong_z_family(monkeypatch, fault):
+    # the wrong z-families of test_verify_fails_a_wrong_z_family, on the
+    # rings with k >= 3 (for k = 2, e_0 + e_1 is 1): the y- and z-flags read
+    # from the members' values at the roots still match the full products
+    # pair by pair, and e_0 + e_1 no longer annihilates e_1
+    install_wrong_z_family(monkeypatch, fault)
+    rng = np.random.default_rng(35)
+    rings = [RingParams(FieldSpec(q), s, l, k, alpha, beta, gamma)
+             for q, s, l, k, alpha, beta, gamma in CELL_PRODUCT_RINGS if k >= 3]
+    assert len(rings) == 5
+    for ring in rings:
+        field, s, l, k = ring.field, ring.s, ring.l, ring.k
+        divisors = binomial_divisors(field, s, ring.alpha)
+        grid = [[divisors[rng.integers(len(divisors))] for _ in range(l)] for _ in range(k)]
+        left_grid = [[Poly.from_coeffs(field, rng.integers(0, field.p, s + 1)) for _ in range(l)]
+                     for _ in range(k)]
+        flags = cell_product_zero_flags(ring, left_grid, grid)
+        products = ring_products(ring, cell_generators(ring, left_grid)[:, None],
+                                 cell_generators(ring, grid)[None])
+        assert np.array_equal(flags, ~products.reshape(k * l, k * l, -1).any(axis=-1))
+        assert flags[:l, l:2 * l].all() == (fault == "swapped")   # cells at t = 0 by t = 1
+
+
+def test_g_at_the_inverse_roots_is_its_blocks_reordered(rng):
+    # for beta, gamma = +-1 the inverse roots are the roots reordered, so the
+    # self-dual check reorders G's blocks at the roots and never transforms
+    # G twice: on 5 random grids of each of the 28 sign rings, and on G with
+    # a row across two blocks, the reordered stack is crt_blocks at the
+    # inverse roots exactly; with beta = 2 (example3) there is no such order
+    checked, f13 = 0, FieldSpec(13)
+    for field, s, l, k in ((F5, 2, 2, 2), (F7, 2, 3, 2), (f13, 3, 4, 3), (F5, 4, 4, 1), (f13, 2, 6, 2)):
+        for ring in admissible_sign_rings(field, s, l, k):
+            order = codes._inverse_block_order(ring)
+            divisors = binomial_divisors(field, s, ring.alpha)
+            for _ in range(5):
+                grid = tuple(tuple(rng.choice(divisors) for _ in range(l)) for _ in range(k))
+                g = build_code(CodeSpec(ring, grid)).generator_matrix
+                mixed = g.copy()
+                if len(g) > 1:
+                    mixed[0] = (mixed[0] + mixed[-1]) % field.p
+                for words in (g, mixed):
+                    blocks, want = crt_blocks(ring, words), crt_blocks(ring, words, inverse=True)
+                    assert blocks.per_block == want.per_block
+                    assert np.array_equal(blocks.stack[order], want.stack)
+                checked += 1
+    assert checked == 140
+    assert codes._inverse_block_order(load_spec(str(SPECS / "example3.json")).ring) is None
 
 
 def bundled_specs() -> list[CodeSpec]:

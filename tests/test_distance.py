@@ -7,16 +7,12 @@ import pytest
 
 from ccode3d import distance, linalg
 from ccode3d.codes import BuiltCode, CodeSpec, binomial_divisors, build_code, build_dual
-from ccode3d.distance import (
-    DEFAULT_BUDGET,
-    DistanceResult,
-    SearchBudgetError,
-    min_distance,
-    min_distance_bruteforce,
-)
+from ccode3d.distance import DEFAULT_BUDGET, DistanceResult, min_distance
 from ccode3d.gf import FieldSpec
 from ccode3d.poly import Poly
 from ccode3d.ring3d import RingParams
+
+from conftest import SearchBudgetError, min_distance_bruteforce
 
 F5 = FieldSpec(5)
 F7 = FieldSpec(7)

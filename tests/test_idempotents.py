@@ -1,12 +1,13 @@
+import numpy as np
 import pytest
 
-from ccode3d import linalg
 from ccode3d.gf import FieldSpec, element_order, find_root
 from ccode3d.idempotents import (
     IdempotentFamily,
     build_constacyclic_idempotents,
     build_full_idempotents,
     identity_report,
+    member_values,
 )
 from ccode3d.poly import Poly
 
@@ -110,13 +111,12 @@ def test_identity_report_all_green():
             assert all(identity_report(fam).values())
 
 
-@pytest.mark.parametrize("budget", [linalg.PRODUCT_BYTES, 1], ids=["one-product", "per-member"])
-def test_identity_report_matches_the_polynomial_loop(monkeypatch, budget):
+def test_identity_report_matches_the_polynomial_loop():
     # every family over q in {5, 7, 13, 31} (the full families of one
     # modulus, equal up to the order of their members, once), and each with
-    # one coefficient of one member moved, which the two reports must fail
-    # alike; orthogonality in one product, and then in one a member
-    monkeypatch.setattr(linalg, "PRODUCT_BYTES", budget)
+    # one coefficient of one member moved, or with one member doubled (a
+    # single nonzero value at its root, 2, which e_t^2 = e_t refuses), which
+    # the two reports must fail alike
     checked, seen = 0, set()
     for field, k, gamma, _ in valid_triples(qs=(5, 7, 13, 31), k_max=6):
         for fam in (build_constacyclic_idempotents(field, k, gamma),
@@ -131,10 +131,13 @@ def test_identity_report_matches_the_polynomial_loop(monkeypatch, budget):
             coeffs = list(members[t].coeffs) + [0] * (fam.size - len(members[t].coeffs))
             coeffs[checked % fam.size] = (coeffs[checked % fam.size] + 1) % field.p
             members[t] = Poly.from_coeffs(field, coeffs)
-            corrupted = IdempotentFamily(field, fam.roots, tuple(members))
-            report = identity_report(corrupted)
-            assert report == identity_report_loop(corrupted)
-            assert not all(report.values())
+            doubled = list(fam.members)
+            doubled[t] = doubled[t].scale(2)
+            for corrupted in (IdempotentFamily(field, fam.roots, tuple(members)),
+                              IdempotentFamily(field, fam.roots, tuple(doubled))):
+                report = identity_report(corrupted)
+                assert report == identity_report_loop(corrupted)
+                assert not report["orthogonality"]
             checked += 1
     assert checked > 100
 
@@ -158,7 +161,7 @@ def test_shift_acts_as_eigenvalue():
         z = Poly.x_power(field, 1)
         for t, m in enumerate(fam.members):
             lhs = (z * m) % fam.modulus()
-            assert lhs == m.scale(fam.eigenvalue(t))
+            assert lhs == m.scale(fam.roots[t])
 
 
 def test_quotient_lift_proportionality():
@@ -175,7 +178,7 @@ def test_quotient_lift_proportionality():
         assert rem.is_zero()
         for t in range(k):
             lifted = (con.members[t] * cofactor) % big
-            scalar = cofactor.evaluate(con.eigenvalue(t))
+            scalar = cofactor.evaluate(con.roots[t])
             assert scalar != 0
             target_idx = (1 + t * r) % rk
             assert lifted == full.members[target_idx].scale(scalar)
@@ -191,7 +194,7 @@ def test_reciprocal_proportionality_map():
         for t, m in enumerate(fam.members):
             idx = reciprocal_index(k, t, constant_is_one=(gamma == 1))
             rec = m.reciprocal()
-            scalar = rec.evaluate(fam.eigenvalue(idx))
+            scalar = rec.evaluate(fam.roots[idx])
             assert scalar != 0
             assert rec == fam.members[idx].scale(scalar)
 
@@ -204,3 +207,27 @@ def test_cyclic_case_reindexes_full_family():
         for t in range(k - 1):
             assert con.members[t] == full.members[t + 1]
         assert con.members[k - 1] == full.members[0]
+
+
+def test_member_values_are_the_deltas_at_the_scanned_roots():
+    # a family's values at the roots of its modulus, found by scanning F_p,
+    # are its delta evaluations: column r is the unit vector of the member
+    # whose root is the r-th smallest root
+    for field, k, gamma, _ in valid_triples(qs=(5, 7, 13), k_max=6):
+        for fam in (build_constacyclic_idempotents(field, k, gamma),
+                    build_full_idempotents(field, k, gamma)):
+            values = member_values(fam)
+            assert np.array_equal(values, np.eye(fam.size)[:, np.argsort(fam.roots)])
+            assert not values.flags.writeable
+
+
+def test_identity_report_fails_a_modulus_with_too_few_roots():
+    # z^3 - 1 has the one root 1 over F_5 (3 does not divide 4), so the
+    # members cannot be read at three roots: orthogonality is reported
+    # failed, and nothing raises
+    members = tuple(Poly.from_coeffs(F5, [2, 2, 2]) for _ in range(3))
+    fam = IdempotentFamily(F5, (1, 2, 3), members)
+    assert member_values(fam) is None
+    report = identity_report(fam)
+    assert report["orthogonality"] is False
+    assert report == identity_report_loop(fam) | {"orthogonality": False}
