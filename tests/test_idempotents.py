@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ccode3d import idempotents
 from ccode3d.gf import FieldSpec, element_order, find_root
 from ccode3d.idempotents import (
     IdempotentFamily,
@@ -111,12 +112,26 @@ def test_identity_report_all_green():
             assert all(identity_report(fam).values())
 
 
-def test_identity_report_matches_the_polynomial_loop():
+def evaluations_one_member_at_a_time(members, points, p):
+    """members[t](points[r]) mod p, one member and one point at a time in
+    Python integers: the reference for idempotents._evaluations."""
+    points = [int(x) % p for x in points]
+    return np.array([[sum(c * pow(x, i, p) for i, c in enumerate(row)) % p for x in points]
+                     for row in members.tolist()], dtype=np.float64).reshape(len(members), len(points))
+
+
+@pytest.mark.parametrize("per_member", [False, True], ids=["one-product", "per-member"])
+def test_identity_report_matches_the_polynomial_loop(monkeypatch, request, per_member):
     # every family over q in {5, 7, 13, 31} (the full families of one
     # modulus, equal up to the order of their members, once), and each with
     # one coefficient of one member moved, or with one member doubled (a
     # single nonzero value at its root, 2, which e_t^2 = e_t refuses), which
-    # the two reports must fail alike
+    # the two reports must fail alike; the members' values at the roots in
+    # one Vandermonde product, and then member by member
+    if per_member:
+        monkeypatch.setattr(idempotents, "_evaluations", evaluations_one_member_at_a_time)
+    member_values.cache_clear()
+    request.addfinalizer(member_values.cache_clear)
     checked, seen = 0, set()
     for field, k, gamma, _ in valid_triples(qs=(5, 7, 13, 31), k_max=6):
         for fam in (build_constacyclic_idempotents(field, k, gamma),
