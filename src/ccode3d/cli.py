@@ -15,7 +15,8 @@ closure, G*H^T and the self-dual cross-check G*G^T on those blocks; its
 identity and complement checks read each idempotent family's values at its
 roots (idempotents.member_values), and its random-pair bridge takes the
 products through the CRT split, one component first, in chunks of
-PAIR_BYTES bytes of words.
+PAIR_BYTES bytes of words.  Only the idempotents command makes polynomial
+members of a family (IdempotentFamily.members), to print them.
 
 Spec file schema (all residues canonical, coefficient arrays ascending):
 

@@ -170,10 +170,9 @@ def _check_length(n: int):
 @lru_cache(maxsize=None)
 def _cell_tensors(ring: RingParams) -> np.ndarray:
     """The read-only (k*l, l, k) stack of the cell tensors e_j(y)*e_t(z), in
-    (t, j) order, made once per ring.  Every member has full degree, so
-    reversing both trailing axes gives e_j*(y)*e_t*(z), the dual's cells."""
-    z, y = (np.array([e.coeffs for e in fam.members], dtype=np.int64)
-            for fam in code_idempotents(ring))
+    (t, j) order, made once per ring from the families' coefficients.  Every
+    member has full degree, so reversing both axes gives the dual's cells."""
+    z, y = (fam.coefficients for fam in code_idempotents(ring))
     cells = np.einsum("jb,tc->tjbc", y, z).reshape(-1, ring.l, ring.k) % ring.field.p
     cells.setflags(write=False)
     return cells
@@ -330,69 +329,59 @@ class CrtBlocks:
         return np.swapaxes(self.stack, 0, 1).reshape(1, self.stack.shape[1], -1)
 
 
-def _evaluation_points(ring: RingParams, inverse: bool) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _evaluation_points(ring: RingParams, inverse: bool) -> tuple[tuple[int, ...], ...]:
     """The z- and y-roots of the ring's idempotent families, or their inverses."""
     roots = [fam.roots for fam in code_idempotents(ring)]
     if inverse:
         roots = [tuple(ring.field.inv(rho) for rho in family) for family in roots]
-    return roots
+    return tuple(roots)
 
 
-@lru_cache(maxsize=None)
-def _vandermondes(ring: RingParams, inverse: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The (k, k) and (l, l) float64 Vandermonde matrices of the z- and
-    y-roots of the ring's families, or of their inverses, from the cached
-    ring3d._root_powers (which checks the roots); read-only, made once per
-    ring."""
-    p = ring.field.p
-    out = []
-    for m, constant, roots in zip((ring.k, ring.l), (ring.gamma, ring.beta),
-                                  _evaluation_points(ring, inverse)):
-        powers = ring3d._root_powers(m, pow(constant, -1 if inverse else 1, p), p, roots)
-        out.append(powers.astype(np.float64))
-        out[-1].setflags(write=False)
-    return tuple(out)
-
-
-def crt_blocks(ring: RingParams, words, inverse: bool = False) -> CrtBlocks:
+def crt_blocks(ring: RingParams, words: np.ndarray, inverse: bool = False) -> CrtBlocks:
     """Every row of words (rows, n) with z and y evaluated at the roots
     sigma_t and rho_j of the ring's two idempotent families, or at their
-    inverses (the roots of the inverse-constant ring, where H lives).
-
-    The roots are distinct (ring3d._root_powers checks that they are the
-    roots of z^k - gamma and y^l - beta), so the evaluation is the CRT
-    isomorphism onto k*l copies of F_p[x]/(x^s - alpha), and it is two
-    separable products against the cached Vandermonde matrices, in float64
-    (x[b, i, row] below): the z-product sums k products of residues, below
-    k*(p-1)^2, and the y-product l of those times residues, so it is reduced
-    mod p in between (linalg.float_residues) only when k*l*(p-1)^3 could
-    reach 2^52.
+    inverses (the roots of the inverse-constant ring, where H lives): the
+    CRT isomorphism onto k*l copies of F_p[x]/(x^s - alpha), as the roots
+    are checked (linalg.root_powers).  Two float64 products, a slice of rows
+    of at most linalg.PRODUCT_BYTES at a time, into x[b, row]: the z-product
+    sums k products of residues and the y-product l of those times residues,
+    so it is reduced mod p in between only when k*l*(p-1)^3 could reach 2^52.
     A row f(x)*e_j(y)*e_t(z) of G is f at block (t, j) and zero elsewhere,
     and so is a row of H at the inverse roots.  That is detected, never
     assumed: a row with two nonzero blocks makes the result whole, not
-    per_block (CrtBlocks).  Ranks are unchanged by the evaluation, and
-    since sum_j rho_j^d = l*[d = 0] for |d| < l (and likewise along z),
-    <u, v> = (k*l)^-1 * sum_b u(b) . v(b^-1) for u at the roots and v at
-    their inverses, so a product vanishes iff its block products do
-    (crt_products_vanish)."""
+    per_block (CrtBlocks); else each block's rows move up to its first
+    slots, in place.  Since sum_j rho_j^d = l*[d = 0] for |d| < l (and
+    likewise along z), <u, v> = (k*l)^-1 * sum_b u(b) . v(b^-1) for u at the
+    roots and v at their inverses: ranks and products are read block by
+    block (crt_rank, crt_products_vanish)."""
     p = ring.field.p
     s, l, k = ring.shape()
-    z, y = _vandermondes(ring, inverse)
+    z, y = (linalg.root_powers(m, pow(c, -1 if inverse else 1, p), p, roots) for m, c, roots
+            in zip((k, l), (ring.gamma, ring.beta), _evaluation_points(ring, inverse)))
     rows = len(words)
-    x = z @ np.asarray(words, dtype=np.float64).T.reshape(k, l * s * rows)   # one product an axis
-    if k * l * (p - 1) ** 3 >= 2 ** 52:   # else the y-product's sums stay below 2^52 unreduced
-        x = linalg.float_residues(x, p)
-    x = linalg.float_residues(y @ x.reshape(k, l, s * rows), p).reshape(k * l, s, rows)
-    nonzero = x.any(axis=1)
+    x = np.empty((k * l, rows, s))
+    step = max(1, linalg.PRODUCT_BYTES // (8 * ring.n))
+    for start in range(0, rows, step):   # one product an axis a slice
+        part = words[start:start + step].reshape(-1, k, l, s)   # a view: the last result is freed
+        part = z @ part.transpose(1, 2, 0, 3).astype(np.float64, order="C").reshape(k, -1)
+        if k * l * (p - 1) ** 3 >= 2 ** 52:   # else the y-product's sums stay below 2^52 unreduced
+            part = linalg.float_residues(part, p)
+        part = y @ part.reshape(k, l, -1)          # the z-product is freed before the reduction
+        x[:, start:start + step] = linalg.float_residues(part, p).reshape(k * l, -1, s)
+    nonzero = x @ np.ones(s) > 0                   # blocks of residues >= 0: BLAS, not .any
     if nonzero.sum(axis=0).max(initial=0) > 1:
-        return CrtBlocks(x.transpose(0, 2, 1), False)
+        return CrtBlocks(x, False)
     block = nonzero.argmax(axis=0)                 # a zero row sits in block 0
     counts = np.bincount(block, minlength=k * l)
-    order = np.argsort(block, kind="stable")
-    slot = np.arange(rows) - np.repeat(np.cumsum(counts) - counts, counts)
-    stack = np.zeros((k * l, counts.max(initial=0), s))
-    stack[block[order], slot] = x[block[order], :, order]
-    return CrtBlocks(stack, True)
+    order = np.argsort(block, kind="stable")       # the rows block by block
+    slot = np.arange(rows) - np.repeat(np.cumsum(counts) - counts, counts)   # row order[i]'s
+    move = slot != order
+    moved = order[move]                            # rows that move up, each to slot < row
+    moving = x[block[moved], moved]
+    x[block[moved], moved] = 0                     # what is left past each block's rows is 0
+    x[block[moved], slot[move]] = moving
+    return CrtBlocks(np.ascontiguousarray(x[:, :counts.max(initial=0)]), True)
 
 
 def crt_rank(blocks: CrtBlocks, p: int) -> int:
@@ -418,14 +407,14 @@ def _crt_times(ring: RingParams, blocks: CrtBlocks, axis: str) -> CrtBlocks:
     every block constacyclically, the wrapped entry times alpha, and y and z
     scale block (t, j) by its root rho_j or sigma_t."""
     p = ring.field.p
-    if axis == "x":
+    if axis == "x":   # only the wrapped entries leave the residues
         out = np.roll(blocks.stack, 1, axis=-1)
-        out[..., 0] *= ring.alpha
+        out[..., 0] = linalg.float_residues(out[..., 0] * ring.alpha, p)
     else:
         z, y = (np.array(roots, dtype=np.float64) for roots in _evaluation_points(ring, False))
         points = np.repeat(z, ring.l) if axis == "z" else np.tile(y, ring.k)
-        out = blocks.stack * points[:, None, None]
-    return CrtBlocks(linalg.float_residues(out, p), blocks.per_block)
+        out = linalg.float_residues(blocks.stack * points[:, None, None], p)
+    return CrtBlocks(out, blocks.per_block)
 
 
 def quasi_twisted_closure(code: BuiltCode, parity: np.ndarray) -> dict[str, bool]:
@@ -447,15 +436,22 @@ def quasi_twisted_closure(code: BuiltCode, parity: np.ndarray) -> dict[str, bool
 def crt_closure(ring: RingParams, g: CrtBlocks, parity: CrtBlocks) -> dict[str, bool]:
     """quasi_twisted_closure from G at the roots and the parity rows at the
     inverse roots (crt_blocks): for each axis, whether G's blocks times that
-    variable (_crt_times) are orthogonal to the parity rows.  When either
-    side is per_block the products are taken block by block, and y and z
-    scale block b of G by a nonzero root, which keeps the zeros of every
-    block product: their verdicts are that of G * parity^T itself."""
+    variable (_crt_times), a slice of rows at a time, are orthogonal to the
+    parity rows.  When either side is per_block the products are taken block
+    by block, and y and z scale block b of G by a nonzero root, which keeps
+    the zeros of every block product: their verdicts are G * parity^T's."""
     p = ring.field.p
+    step = max(1, linalg.PRODUCT_BYTES // (8 * ring.n))
+    slices = [CrtBlocks(g.stack[:, i:i + step], g.per_block)
+              for i in range(0, g.stack.shape[1], step)]
+
+    def closed(axis: str) -> bool:   # each product frees its slice's multiple before the next
+        return all(crt_products_vanish(_crt_times(ring, part, axis), parity, p) for part in slices)
+
     if g.per_block or parity.per_block:
         plain = crt_products_vanish(g, parity, p)
-        return {"x": crt_products_vanish(_crt_times(ring, g, "x"), parity, p), "y": plain, "z": plain}
-    return {axis: crt_products_vanish(_crt_times(ring, g, axis), parity, p) for axis in AXES}
+        return {"x": closed("x"), "y": plain, "z": plain}
+    return {axis: closed(axis) for axis in AXES}
 
 
 def _inverse_block_order(ring: RingParams) -> np.ndarray | None:

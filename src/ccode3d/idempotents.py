@@ -5,9 +5,11 @@ The same constructors serve the y-block: call them with (l, beta) to get the
 idempotents of F_q[y]/(y^l - beta).  Construction requires an element omega
 of order r*k with omega**k == gamma, hence q = 1 (mod r*k); under that
 hypothesis both moduli split into distinct linear factors.  A family is its
-roots: member t is 1 at roots[t] and 0 at the other roots, the modulus is
-z^m - roots[0]^m, and the coefficient reversal of member t is proportional
-to the member at the inverse root (``IdempotentFamily.reversal``).
+roots and its int64 coefficients E[t, i] = m^-1 * roots[t]^-i (member t is
+1 at roots[t], 0 at the other roots), m^-1 times the Vandermonde matrix at
+the inverse roots; members are polynomials only when printed.  The modulus
+is z^m - roots[0]^m, and the coefficient reversal of member t is
+proportional to the member at the inverse root (``IdempotentFamily.reversal``).
 Products of members are read from their values at the roots of the
 modulus (``member_values``, once a family): no ring product is formed.
 """
@@ -28,18 +30,24 @@ class RepeatedRootsError(InputError):
     """The modulus has repeated roots (characteristic divides r*k)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdempotentFamily:
     """The idempotents of F_q[z]/(z^m - c) for a split modulus with the m
-    distinct roots ``roots``: members[t] is 1 at roots[t], 0 at the rest."""
+    distinct roots ``roots``: member t, 1 at roots[t] and 0 at the rest, has
+    the ascending coefficients E[t] = coefficients[t].  Equal by identity."""
 
     field: FieldSpec
     roots: tuple[int, ...]
-    members: tuple[Poly, ...]
+    coefficients: np.ndarray
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.roots)
+
+    @property
+    def members(self) -> tuple[Poly, ...]:
+        """The members as polynomials, made from E on each read, for printing."""
+        return tuple(Poly.from_coeffs(self.field, row) for row in self.coefficients.tolist())
 
     def modulus(self) -> Poly:
         return Poly.binomial(self.field, self.size, self.field.pow(self.roots[0], self.size))
@@ -65,23 +73,18 @@ def _root_data(field: FieldSpec, k: int, gamma: int) -> tuple[int, int]:
     return r, find_root(field, k, gamma)
 
 
-def _geometric_members(field: FieldSpec, roots: tuple[int, ...]) -> tuple[Poly, ...]:
-    """The idempotent m^-1 * sum_{i<m} (z/rho)^i for each root rho, where the
-    m roots are those of a split modulus z^m - c.
-
-    At another root rho' the sum runs over the powers of rho'/rho, an m-th
-    root of unity other than 1, and vanishes; at rho itself it is m.
-    """
-    m = len(roots)
-    inv_m = field.inv(m % field.p)
-    members = []
-    for rho in roots:
-        w = field.inv(rho)
-        coeffs = [inv_m]
-        for _ in range(m - 1):
-            coeffs.append(field.mul(coeffs[-1], w))
-        members.append(Poly.from_coeffs(field, coeffs))
-    return tuple(members)
+def _geometric_family(field: FieldSpec, roots: tuple[int, ...]) -> IdempotentFamily:
+    """The family whose member t is m^-1 * sum_{i<m} (z/roots[t])^i, for the m
+    roots of a split modulus: E is m^-1 times the cached Vandermonde matrix
+    at the inverse roots.  At another root rho' the sum runs over the powers
+    of rho'/roots[t], an m-th root of unity other than 1, and vanishes."""
+    m, p = len(roots), field.p
+    inverses = tuple(field.inv(rho) for rho in roots)
+    coefficients = linalg.root_powers(m, pow(inverses[0], m, p), p, inverses).astype(np.int64)
+    coefficients *= field.inv(m % p)
+    coefficients %= p
+    coefficients.setflags(write=False)
+    return IdempotentFamily(field, roots, coefficients)
 
 
 @lru_cache(maxsize=None)
@@ -93,7 +96,7 @@ def build_full_idempotents(field: FieldSpec, k: int, gamma: int) -> IdempotentFa
     """
     r, omega = _root_data(field, k, gamma)
     roots = tuple(field.pow(omega, t) for t in range(r * k))
-    return IdempotentFamily(field, roots, _geometric_members(field, roots))
+    return _geometric_family(field, roots)
 
 
 @lru_cache(maxsize=None)
@@ -106,26 +109,15 @@ def build_constacyclic_idempotents(field: FieldSpec, k: int, gamma: int) -> Idem
     """
     r, omega = _root_data(field, k, gamma)
     roots = tuple(field.pow(omega, 1 + t * r) for t in range(k))
-    return IdempotentFamily(field, roots, _geometric_members(field, roots))
+    return _geometric_family(field, roots)
 
 
-def _coefficients(fam: IdempotentFamily) -> np.ndarray:
-    """The (m, m) int64 coefficients of the members, each of degree < m."""
-    members = np.zeros((fam.size, fam.size), dtype=np.int64)
-    for row, member in zip(members, fam.members):
-        row[:len(member.coeffs)] = member.coeffs
-    return members
-
-
-def _evaluations(members: np.ndarray, points, p: int) -> np.ndarray:
-    """The float64 residues members[t](points[r]), one float64 product by
-    the Vandermonde matrix of the points: exact, as every partial sum stays
-    below m * (p - 1)^2 < 2^48 for m, p < 2^16."""
-    points = np.array(points, dtype=np.float64) % p
-    powers = np.ones((len(points), len(members)))
-    for i in range(1, len(members)):
-        powers[:, i] = powers[:, i - 1] * points % p
-    return linalg.float_residues(members @ powers.T, p)
+def _evaluations(coefficients: np.ndarray, points, p: int) -> np.ndarray:
+    """The float64 residues E[t](points[r]), one float64 product of E by the
+    Vandermonde matrix of the points (linalg.powers): exact, as every partial
+    sum stays below m * (p - 1)^2 < 2^48 for m, p < 2^16."""
+    table = linalg.powers(points, coefficients.shape[1], p).astype(np.float64)
+    return linalg.float_residues(coefficients @ table.T, p)
 
 
 @lru_cache(maxsize=None)
@@ -140,35 +132,31 @@ def member_values(fam: IdempotentFamily) -> np.ndarray | None:
     roots = [zeta for zeta in range(1, p) if pow(zeta, m, p) == constant]
     if len(roots) < m:
         return None
-    values = _evaluations(_coefficients(fam), roots, p)
+    values = _evaluations(fam.coefficients, roots, p)
     values.setflags(write=False)
     return values
 
 
 def identity_report(fam: IdempotentFamily) -> dict[str, bool]:
-    """Self-check of the defining identities; used by the verify command.
-
-    Checks completeness (members sum to 1 mod the modulus), pairwise
-    orthogonality, the delta evaluations at the roots, and the eigenvalue
-    identity z*e_t = roots[t]*e_t mod the modulus, on the (m, m) matrix E
-    of the members' coefficients: completeness from its column sums,
-    orthogonality from member_values, whose residues at each root must sum
-    to at most 1, so be 0 but for at most one 1 (failed if F_p holds fewer
-    than m roots), the evaluations from E at fam.roots, and z*e_t as the
-    row rotated one place with the wrapped coefficient times the modulus
-    constant.
+    """Self-check of the defining identities on the coefficients E; used by
+    the verify command.  Completeness (members sum to 1 mod the modulus)
+    from E's column sums; orthogonality from member_values, whose residues
+    at each root must sum to at most 1, so be 0 but for at most one 1
+    (failed if F_p holds fewer than m roots); the delta evaluations from E
+    at fam.roots; and z*e_t = roots[t]*e_t mod the modulus as the row
+    rotated one place, the wrapped coefficient times the modulus constant.
     """
     p, m = fam.field.p, fam.size
     constant = fam.field.pow(fam.roots[0], m)
-    members = _coefficients(fam)
+    e = fam.coefficients
     values = member_values(fam)
     roots = np.array(fam.roots, dtype=np.int64) % p
     identity = np.eye(m, dtype=np.int64)
-    shifted = np.roll(members, 1, axis=1)
+    shifted = np.roll(e, 1, axis=1)
     shifted[:, 0] = shifted[:, 0] * constant % p
     return {
-        "completeness": np.array_equal(members.sum(axis=0) % p, identity[0]),
+        "completeness": np.array_equal(e.sum(axis=0) % p, identity[0]),
         "orthogonality": values is not None and bool(values.sum(axis=0).max() <= 1),
-        "root_evaluations": np.array_equal(_evaluations(members, roots, p), identity),
-        "shift_eigenvalue": np.array_equal(shifted, members * roots[:, None] % p),
+        "root_evaluations": np.array_equal(_evaluations(e, roots, p), identity),
+        "shift_eigenvalue": np.array_equal(shifted, e * roots[:, None] % p),
     }

@@ -22,7 +22,7 @@ from functools import cache
 
 import numpy as np
 
-PRODUCT_BYTES = 1 << 26   # the most bytes of products that products_vanish forms at once
+PRODUCT_BYTES = 1 << 26   # the most bytes of a slice of products or residues formed at once
 
 
 def as_matrix(data, p: int) -> np.ndarray:
@@ -80,13 +80,16 @@ def rank_stack(m, p: int) -> np.ndarray:
     leading column, so its rank is its count of nonzero rows, with no
     elimination.  The bands x^i * f(x) that G, H and the sweep's tables are
     made of lead at i + ord(f), so only the other matrices of the stack go
-    through the column loop (_eliminated_ranks).
+    through the column loop (_eliminated_ranks).  Residues are read a slice
+    of at most PRODUCT_BYTES at a time, from int64 or float64.
     """
-    a = np.asarray(m, dtype=np.int64) % p
+    a = np.asarray(m)
     count, rows, cols = a.shape
-    if not rows or not cols:
+    if not a.size:
         return np.zeros(count, dtype=np.intp)
-    nonzero = a != 0
+    step = max(1, PRODUCT_BYTES // (8 * count * cols))   # in int64, where % is many times faster
+    nonzero = np.concatenate([np.remainder(a[:, i:i + step], p, dtype=np.int64, casting="unsafe")
+                              != 0 for i in range(0, rows, step)], axis=1)
     filled = nonzero.any(axis=2)
     ranks = filled.sum(axis=1)
     # a zero row leads past every column, each at its own
@@ -94,7 +97,7 @@ def rank_stack(m, p: int) -> np.ndarray:
     lead.sort(axis=1)
     tangled = np.flatnonzero((lead[:, 1:] == lead[:, :-1]).any(axis=1))
     if tangled.size:
-        ranks[tangled] = _eliminated_ranks(a[tangled], p)
+        ranks[tangled] = _eliminated_ranks(np.asarray(a[tangled], dtype=np.int64) % p, p)
     return ranks
 
 
@@ -125,6 +128,31 @@ def _eliminated_ranks(a: np.ndarray, p: int) -> np.ndarray:
         pivot = a[every, pr, c:] * inverse[lead][:, None] % p
         a[:, :, c:] -= col[:, :, None] * pivot[:, None, :]
     return ranks
+
+
+def powers(points, m: int, p: int) -> np.ndarray:
+    """The (len(points), m) int64 residues points[r]^i mod p, column by column."""
+    points = np.asarray(points, dtype=np.int64) % p
+    table = np.ones((len(points), m), dtype=np.int64)
+    for i in range(1, m):
+        table[:, i] = table[:, i - 1] * points % p
+    return table
+
+
+@cache
+def root_powers(m: int, constant: int, p: int, roots: tuple[int, ...]) -> np.ndarray:
+    """The read-only float64 Vandermonde matrix powers(roots, m, p), made
+    once; raises ValueError unless roots are the m distinct roots of
+    u^m - constant over F_p, under which evaluating at them is the CRT split."""
+    points = np.array(roots, dtype=np.int64) % p
+    table = powers(points, m, p)
+    distinct = len(set(points.tolist())) == len(points) == m
+    if not distinct or (table[:, -1] * points % p != constant % p).any():   # roots[r]^m
+        raise ValueError(f"{list(roots)} are not the {m} distinct roots of u^{m} - {constant} "
+                         f"over F_{p}")
+    table = table.astype(np.float64)   # as BLAS multiplies it
+    table.setflags(write=False)
+    return table
 
 
 def float_residues(x: np.ndarray, p: int) -> np.ndarray:

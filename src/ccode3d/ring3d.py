@@ -22,10 +22,10 @@ y- and z-factors of f(x)*e_j(y)*e_t(z) (codes.cell_product_zero_flags).
 Its random-pair bridge between ring annihilators and Euclidean duality has
 two independent sides: ``split_product_zero_flags`` takes the products
 through the CRT split, with y and z evaluated at the roots of their split
-moduli (the cached Vandermonde matrices of ``_root_powers``, which
-codes.crt_blocks reads too) and the components multiplied along x, first
-at the one root pair (sigma_0, rho_0), which settles every pair whose
-product is nonzero there, then at all k*l for the rest; and
+moduli (linalg.root_powers, cached and checked) and the components
+multiplied along x, first at the one root pair (sigma_0, rho_0), which
+settles every pair whose product is nonzero there, then at all k*l for
+the rest; and
 ``shift_orbit_orthogonal_flags`` walks the shift orbit and never multiplies.
 
 ``ring_products`` contracts two stacks of full tensors against one cached
@@ -44,6 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import linalg
 from .gf import FieldMismatchError, FieldSpec, InputError
 
 AXES = ("x", "y", "z")
@@ -261,20 +262,6 @@ def _windows(a: np.ndarray, m: int) -> np.ndarray:
                                            a.strides + a.strides[-1:], writeable=False)
 
 
-@lru_cache(maxsize=None)
-def _root_powers(m: int, constant: int, p: int, roots: tuple[int, ...]) -> np.ndarray:
-    """The read-only Vandermonde matrix V[r, i] = roots[r]^i, made once per
-    family; raises ValueError unless roots are the m distinct roots of
-    u^m - constant over F_p, the condition under which evaluating at them
-    is the CRT split of F_p[u]/(u^m - constant)."""
-    if len({rho % p for rho in roots}) != m or any(pow(rho, m, p) != constant % p for rho in roots):
-        raise ValueError(f"{list(roots)} are not the {m} distinct roots of u^{m} - {constant} "
-                         f"over F_{p}")
-    powers = np.array([[pow(rho, i, p) for i in range(m)] for rho in roots], dtype=np.int64)
-    powers.setflags(write=False)
-    return powers
-
-
 def split_product_zero_flags(params: RingParams, y_roots, z_roots, f, g) -> np.ndarray:
     """For two (P, s, l, k) stacks of canonical tensors, the boolean (P,)
     array f[u]*g[u] == 0, taken through the CRT split.
@@ -291,8 +278,8 @@ def split_product_zero_flags(params: RingParams, y_roots, z_roots, f, g) -> np.n
     """
     p = params.field.p
     s = params.s
-    vy = _root_powers(params.l, params.beta, p, tuple(y_roots))
-    vz = _root_powers(params.k, params.gamma, p, tuple(z_roots))
+    vy = linalg.root_powers(params.l, params.beta, p, tuple(y_roots))
+    vz = linalg.root_powers(params.k, params.gamma, p, tuple(z_roots))
     f = np.asarray(f, dtype=np.int64)
     g = np.asarray(g, dtype=np.int64)
 

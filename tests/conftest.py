@@ -83,26 +83,34 @@ def identity_report_loop(fam) -> dict[str, bool]:
     return report
 
 
+def corrupted_family(fam, row: int, values):
+    """The family with row `row` of its coefficient matrix E replaced by
+    values (reduced mod p), its roots kept."""
+    from ccode3d.idempotents import IdempotentFamily
+
+    coefficients = fam.coefficients.copy()
+    coefficients[row] = np.asarray(values) % fam.field.p
+    coefficients.setflags(write=False)
+    return IdempotentFamily(fam.field, fam.roots, coefficients)
+
+
 def install_wrong_z_family(monkeypatch, fault: str):
     """Make codes and cli see a z-family with its members 0 and 1 swapped
     against their roots ("swapped"), or with member 0 replaced by e_0 + e_1
-    ("merged"), and give codes._cell_tensors a cache of its own, dropped
-    after the test."""
+    ("merged"), each made by corrupting the family's coefficient matrix E,
+    and give codes._cell_tensors a cache of its own, dropped after the test."""
     import functools
 
     from ccode3d import cli
-    from ccode3d.idempotents import IdempotentFamily
 
     code_idempotents = codes.code_idempotents
 
     def wrong_idempotents(ring):
         z, y = code_idempotents(ring)
-        members = list(z.members)
+        e = z.coefficients
         if fault == "swapped":
-            members[0], members[1] = members[1], members[0]
-        else:
-            members[0] = members[0] + members[1]
-        return IdempotentFamily(z.field, z.roots, tuple(members)), y
+            return corrupted_family(corrupted_family(z, 0, e[1]), 1, e[0]), y
+        return corrupted_family(z, 0, e[0] + e[1]), y
 
     for module in (codes, cli):
         monkeypatch.setattr(module, "code_idempotents", wrong_idempotents)

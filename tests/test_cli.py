@@ -108,7 +108,7 @@ def test_invalid_factor_and_idempotents_print_only_the_error(capsys, monkeypatch
     def no_family(*args):
         raise AssertionError("an idempotent family was built")
 
-    monkeypatch.setattr(idempotents, "_geometric_members", no_family)
+    monkeypatch.setattr(idempotents, "_geometric_family", no_family)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -317,7 +317,10 @@ def test_random_pairs_run_in_little_memory():
     ("swapped", ["idempotents_z_root_evaluations", "idempotents_z_shift_eigenvalue"]),
     # member 0 is e_0 + e_1: its rows lie across two blocks, so G takes the
     # whole-matrix fallback, which ranks G exactly and sees z leave the span
-    ("merged", ["idempotents_z_orthogonality", "quasi_twisted_closure_z"]),
+    ("merged", ["idempotents_z_completeness", "idempotents_z_orthogonality",
+                "idempotents_z_root_evaluations", "idempotents_z_shift_eigenvalue",
+                "quasi_twisted_closure_x", "quasi_twisted_closure_y", "quasi_twisted_closure_z",
+                "dual_orthogonality", "dual_equals_kernel", "complement_generators_annihilate"]),
 ])
 def test_verify_fails_a_wrong_z_family(capsys, monkeypatch, tmp_path, fault, failing):
     from ccode3d import codes
@@ -335,8 +338,7 @@ def test_verify_fails_a_wrong_z_family(capsys, monkeypatch, tmp_path, fault, fai
     code, out = run(capsys, "verify", "--spec", str(spec_file), "--pairs", "5")
     assert code == 1
     lines = out.splitlines()
-    for name in failing:
-        assert f"FAIL {name}" in lines
+    assert [line for line in lines if line.startswith("FAIL ")] == [f"FAIL {name}" for name in failing]
     assert "PASS generator_rank_equals_dimension" in lines
 
 
@@ -727,6 +729,25 @@ def test_verify_evaluates_each_family_once(capsys):
         assert code == 0 and "FAIL" not in out
         info = member_values.cache_info()
         assert (info.misses, info.hits + info.misses) == (families, 4)
+
+
+def test_commands_make_no_poly_member(capsys, monkeypatch, tmp_path):
+    # the codes and checks read each family's coefficient matrix E; only the
+    # idempotents command turns its rows into polynomials, to print them
+    from ccode3d.idempotents import IdempotentFamily
+
+    def no_members(fam):
+        raise AssertionError("a Poly member was made")
+
+    monkeypatch.setattr(IdempotentFamily, "members", property(no_members))
+    for spec in (EXAMPLE1, EXAMPLE2, EXAMPLE3):
+        for command in ("build", "dual", "selfdual", "verify"):
+            if command == "selfdual" and spec == EXAMPLE3:   # constants not +-1: exit 2
+                continue
+            assert main([command, "--spec", spec, "--out", str(tmp_path / "out.json")]) in (0, 1)
+    capsys.readouterr()
+    with pytest.raises(AssertionError, match="Poly member"):
+        main(["idempotents", "--q", "5", "--k", "2", "--gamma", "-1"])
 
 
 def test_eliminations_per_command(capsys, monkeypatch):

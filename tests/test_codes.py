@@ -411,6 +411,63 @@ def test_crt_checks_match_int64_oracles(rng):
             crt_agrees_with_int64(part, linalg.null_space(part.generator_matrix, p))
 
 
+def int64_crt_stack(ring, words, inverse: bool) -> tuple[np.ndarray, bool]:
+    """(stack, per_block) of crt_blocks from an int64 evaluation of every row
+    at the roots (or their inverses), powers by Python pow: when each row
+    has at most one nonzero block, block b holds the rows in it in row
+    order, zero-padded; else every row's k*l blocks."""
+    p = ring.field.p
+    s, l, k = ring.shape()
+    sign = -1 if inverse else 1
+    vz, vy = (np.array([[pow(rho, sign * i, p) for i in range(len(fam.roots))] for rho in fam.roots])
+              for fam in code_idempotents(ring))
+    w = np.asarray(words, dtype=np.int64).reshape(-1, k, l, s)
+    x = np.einsum("at,utjc->aujc", vz, w) % p
+    x = np.einsum("bj,aujc->abuc", vy, x).reshape(k * l, len(w), s) % p
+    nonzero = x.any(axis=2)
+    if (nonzero.sum(axis=0) > 1).any():
+        return x, False
+    members = [[u for u in range(len(w)) if nonzero[b, u] or (b == 0 and not nonzero[:, u].any())]
+               for b in range(k * l)]
+    stack = np.zeros((k * l, max(map(len, members)), s), dtype=np.int64)
+    for b, rows in enumerate(members):
+        stack[b, :len(rows)] = x[b, rows]
+    return stack, True
+
+
+@pytest.mark.parametrize("budget", [None, 1], ids=["one-slice", "row-slices"])
+def test_crt_blocks_match_an_int64_evaluation(monkeypatch, rng, budget):
+    # G and H with their rows shuffled, so rows move up to the first slots of
+    # their blocks from anywhere, a G with one row across two blocks, a
+    # matrix of no rows, and G less its last row, which no x-closure check
+    # of the first slot of each block sees; with one slice and with one row
+    # a slice (the transform, rank_stack and the closure), the stacks equal
+    # the int64 evaluation and the checks their int64 oracles
+    if budget is not None:
+        monkeypatch.setattr(linalg, "PRODUCT_BYTES", budget)
+    specs = random_specs(rng, 30) + non_unit_specs(rng)[:10]
+    wholes = opened = 0
+    for spec in specs:
+        ring, p = spec.ring, spec.ring.field.p
+        g, h = build_code(spec).generator_matrix, build_dual(spec).generator_matrix
+        shuffled = [m[rng.sample(range(len(m)), len(m))] for m in (g, h)]
+        for words, inverse in zip(shuffled, (False, True)):
+            mixed = words.copy()
+            if len(mixed) > 1:
+                mixed[0] = (mixed[0] + mixed[-1]) % p
+            for matrix in (words, mixed, words[:0]):
+                blocks = crt_blocks(ring, matrix, inverse=inverse)
+                stack, per_block = int64_crt_stack(ring, matrix, inverse)
+                assert (blocks.per_block, blocks.stack.tolist()) == (per_block, stack.tolist())
+                wholes += not per_block
+        assert crt_agrees_with_int64(BuiltCode(ring, shuffled[0]), shuffled[1]) == (True, True)
+        if len(g) > 1:   # G without x^(c-1) f(x): x times the row below it leaves the span
+            trimmed, kernel = BuiltCode(ring, g[:-1]), linalg.null_space(g[:-1], p)
+            crt_agrees_with_int64(trimmed, kernel)
+            opened += not quasi_twisted_closure(trimmed, kernel)["x"]
+    assert wholes > len(specs) // 2 and opened > len(specs) // 2
+
+
 def test_crt_fallback_on_a_row_across_two_blocks(rng):
     # adding a row of another cell to one row of G (or of H) leaves that row
     # in two blocks, and the row space as it was: the matrix is ranked and

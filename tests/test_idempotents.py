@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ccode3d import idempotents
+from ccode3d import idempotents, linalg
 from ccode3d.gf import FieldSpec, element_order, find_root
 from ccode3d.idempotents import (
     IdempotentFamily,
@@ -12,7 +12,7 @@ from ccode3d.idempotents import (
 )
 from ccode3d.poly import Poly
 
-from conftest import identity_report_loop, reciprocal_index
+from conftest import corrupted_family, identity_report_loop, reciprocal_index
 
 F5 = FieldSpec(5)
 F7 = FieldSpec(7)
@@ -80,6 +80,27 @@ def test_families_match_interpolation_oracle():
         assert full.modulus() == Poly.binomial(field, r * k, 1)
 
 
+@pytest.mark.parametrize("q, k, gamma", [(12289, 512, 1), (13, 12, 1), (13, 6, 12)])
+def test_coefficients_and_vandermondes_match_python_powers(q, k, gamma):
+    # for both constructors, E[t, i] = m^-1 * roots[t]^-i and the Vandermonde
+    # matrices at the roots and at their inverses, against one Python pow an
+    # entry, and V * E^T = I exactly: member t is the delta at roots[t]
+    field = FieldSpec(q)
+    for fam in (build_constacyclic_idempotents(field, k, gamma), build_full_idempotents(field, k, gamma)):
+        m = fam.size
+        at_roots = [[pow(rho, i, q) for i in range(m)] for rho in fam.roots]
+        at_inverses = [[pow(rho, -i, q) for i in range(m)] for rho in fam.roots]
+        assert fam.coefficients.tolist() == [[pow(m, -1, q) * v % q for v in row]
+                                             for row in at_inverses]
+        assert fam.coefficients.dtype == np.int64 and not fam.coefficients.flags.writeable
+        constant = pow(fam.roots[0], m, q)
+        powers = linalg.root_powers(m, constant, q, fam.roots)
+        inverse = linalg.root_powers(m, pow(constant, -1, q), q,
+                                     tuple(pow(rho, -1, q) for rho in fam.roots))
+        assert powers.tolist() == at_roots and inverse.tolist() == at_inverses
+        assert np.array_equal(powers @ fam.coefficients.T % q, np.eye(m, dtype=np.int64))
+
+
 def test_reciprocal_index_examples():
     assert reciprocal_index(2, 0, constant_is_one=False) == 1
     assert reciprocal_index(3, 2, constant_is_one=True) == 2
@@ -124,7 +145,7 @@ def evaluations_one_member_at_a_time(members, points, p):
 def test_identity_report_matches_the_polynomial_loop(monkeypatch, request, per_member):
     # every family over q in {5, 7, 13, 31} (the full families of one
     # modulus, equal up to the order of their members, once), and each with
-    # one coefficient of one member moved, or with one member doubled (a
+    # one coefficient of one row of E moved, or with one row doubled (a
     # single nonzero value at its root, 2, which e_t^2 = e_t refuses), which
     # the two reports must fail alike; the members' values at the roots in
     # one Vandermonde product, and then member by member
@@ -141,15 +162,11 @@ def test_identity_report_matches_the_polynomial_loop(monkeypatch, request, per_m
             seen.add(frozenset(zip(fam.roots, fam.members)))
             report = identity_report(fam)
             assert report == identity_report_loop(fam) == dict.fromkeys(report, True)
-            members = list(fam.members)
             t = checked % fam.size
-            coeffs = list(members[t].coeffs) + [0] * (fam.size - len(members[t].coeffs))
-            coeffs[checked % fam.size] = (coeffs[checked % fam.size] + 1) % field.p
-            members[t] = Poly.from_coeffs(field, coeffs)
-            doubled = list(fam.members)
-            doubled[t] = doubled[t].scale(2)
-            for corrupted in (IdempotentFamily(field, fam.roots, tuple(members)),
-                              IdempotentFamily(field, fam.roots, tuple(doubled))):
+            moved = fam.coefficients[t].copy()
+            moved[t] += 1
+            for corrupted in (corrupted_family(fam, t, moved),
+                              corrupted_family(fam, t, 2 * fam.coefficients[t])):
                 report = identity_report(corrupted)
                 assert report == identity_report_loop(corrupted)
                 assert not report["orthogonality"]
@@ -240,8 +257,7 @@ def test_identity_report_fails_a_modulus_with_too_few_roots():
     # z^3 - 1 has the one root 1 over F_5 (3 does not divide 4), so the
     # members cannot be read at three roots: orthogonality is reported
     # failed, and nothing raises
-    members = tuple(Poly.from_coeffs(F5, [2, 2, 2]) for _ in range(3))
-    fam = IdempotentFamily(F5, (1, 2, 3), members)
+    fam = IdempotentFamily(F5, (1, 2, 3), np.full((3, 3), 2))
     assert member_values(fam) is None
     report = identity_report(fam)
     assert report["orthogonality"] is False

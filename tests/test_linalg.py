@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -312,11 +313,12 @@ def leading_column_stacks(draw):
 @given(leading_column_stacks())
 def test_rank_stack_settles_echelon_matrices_by_their_leading_columns(stack):
     m, p, tangled = stack
-    with counting_eliminations() as eliminated:
-        ranks = linalg.rank_stack(m, p)
-    assert ranks.tolist() == [linalg.rank(matrix, p) for matrix in m]
-    # only the matrices with a repeated leading column reach the column loop
-    assert [a.tolist() for a in eliminated] == ([m[tangled].tolist()] if tangled else [])
+    for budget in (linalg.PRODUCT_BYTES, 1):   # the residues in one slice, and a row a slice
+        with mock.patch.object(linalg, "PRODUCT_BYTES", budget), counting_eliminations() as eliminated:
+            ranks = linalg.rank_stack(m, p)
+        assert ranks.tolist() == [linalg.rank(matrix, p) for matrix in m]
+        # only the matrices with a repeated leading column reach the column loop
+        assert [a.tolist() for a in eliminated] == ([m[tangled].tolist()] if tangled else [])
 
 
 @pytest.mark.parametrize("shape", [(3, 0, 4), (2, 3, 0), (0, 3, 3), (0, 0, 0), (2, 4, 5)])
