@@ -3,20 +3,21 @@
 Reads a JSON spec file describing a code (field, block lengths, constants,
 divisor grid), runs constructions and verifications, and writes a JSON result
 file.  Exit codes: 0 success / verdict true, 1 verdict false or failed
-verification, 2 invalid spec or usage, 3 search budget exhausted.  A
-result's matrices (G, H and the cell generators) stay numpy arrays until
-canonical_json writes them; one recursive function writes every value as
-the stdlib's indented JSON would, an array's entries from a cached table of
-their digits.  verify eliminates nothing and forms no full ring product: it
-transforms G and H once each to the CRT basis, k*l blocks of s columns
-(codes.crt_blocks), where every block is a band of rows x^i * f(x) whose
-rank linalg.rank_stack reads off its leading columns, and takes the
-closure, G*H^T and the self-dual cross-check G*G^T on those blocks; its
-identity and complement checks read each idempotent family's values at its
-roots (idempotents.member_values), and its random-pair bridge takes the
-products through the CRT split, one component first, in chunks of
-PAIR_BYTES bytes of words.  Only the idempotents command makes polynomial
-members of a family (IdempotentFamily.members), to print them.
+verification, 2 invalid spec or usage, 3 search budget exhausted.  A result's
+matrices (G, H and the cell generators) stay numpy arrays until
+canonical_json writes them; one recursive function writes every value as the
+stdlib's indented JSON would, a dict or list of scalars in one join, an
+array's entries from a cached table of their digits, a row slice at a time
+past linalg.PRODUCT_BYTES (_emit).  verify eliminates nothing and forms no
+full ring product: it transforms G and H once each to the CRT basis, k*l
+blocks of s columns (codes.crt_blocks), where every block is a band of rows
+x^i * f(x) whose rank linalg.rank_stack reads off its leading columns, and
+takes the closure, G*H^T and the self-dual cross-check G*G^T on those blocks;
+its identity and complement checks read each idempotent family's values at
+its roots (idempotents.member_values), and its random-pair bridge takes the
+products through the CRT split, one component first, in chunks of PAIR_BYTES
+bytes of words.  Only the idempotents command makes polynomial members of a
+family (IdempotentFamily.members), to print them.
 
 Spec file schema (all residues canonical, coefficient arrays ascending):
 
@@ -28,6 +29,7 @@ Spec file schema (all residues canonical, coefficient arrays ascending):
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -37,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import linalg
 from .codes import (
     SPEC_LENGTH_LIMIT,
     SWEEP_SPEC_LIMIT,
@@ -76,6 +79,11 @@ PAIR_BYTES = 1 << 24   # bytes of random words f and g per chunk of verify's ran
 
 TOKEN_LIMIT = 1 << 16   # entries below this are written from a cached table of their digits
 
+_KEY = json.encoder.encode_basestring_ascii
+_ENCODE = json.JSONEncoder().encode   # floats, and the TypeError on a value JSON cannot hold
+_SCALARS = {str: _KEY, int: int.__repr__, float: _ENCODE,
+            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+
 
 @functools.lru_cache(maxsize=None)
 def _int_tokens(size: int) -> np.ndarray:
@@ -83,50 +91,59 @@ def _int_tokens(size: int) -> np.ndarray:
     return np.array([str(i) for i in range(size)], dtype=object)
 
 
-def _write(value, pad: str) -> str:
-    """json.dumps(value, indent=2, sort_keys=True), each line after the
-    first starting with pad (a newline and the indent), with a numpy int
-    array written as its tolist(): from its flat entries, each token from
-    the table of _int_tokens (str past TOKEN_LIMIT or below 0), every run of
-    shape[d] strings joined into one list of axis d, innermost axis first.
-    Scalars other than str, bool, None and int, floats among them, take the
-    stdlib's encoder, which raises its TypeError on what JSON cannot hold."""
-    if isinstance(value, str):
-        return json.encoder.encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if type(value) is int:
-        return str(value)
-    inner = pad + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        return ("{" + inner
-                + ("," + inner).join(json.encoder.encode_basestring_ascii(key) + ": "
-                                     + _write(item, inner) for key, item in sorted(value.items()))
-                + pad + "}")
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join(_write(item, inner) for item in value) + pad + "]"
-    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iu"):
-        return json.JSONEncoder().encode(value)
-    if 0 in value.shape:
-        return _write(value.tolist(), pad)
+def _array_items(value: np.ndarray, pad: str) -> list[str]:
+    """The texts of the axis-0 items of a nonempty numpy int array at pad, as
+    _write writes them: each entry's token from _int_tokens (str past
+    TOKEN_LIMIT or below 0), each run of shape[d] strings one list of axis d."""
     flat = value.reshape(-1)
     low, high = int(flat.min()), int(flat.max())
     if low < 0 or high >= TOKEN_LIMIT:
         tokens = list(map(str, flat.tolist()))
     else:
         tokens = _int_tokens(1 << high.bit_length())[flat].tolist()
-    for d in range(value.ndim - 1, -1, -1):   # the lists of axis d, innermost first
+    for d in range(value.ndim - 1, 0, -1):   # the lists of axis d, innermost first
         items_pad = pad + "  " * (d + 1)
         opening, sep, close = "[" + items_pad, "," + items_pad, pad + "  " * d + "]"
         runs = zip(*[iter(tokens)] * value.shape[d])   # consecutive runs of shape[d] strings
         tokens = [f"{opening}{items}{close}" for items in map(sep.join, runs)]
-    return tokens[0]
+    return tokens
+
+
+def _write(value, pad: str) -> str:
+    """json.dumps(value, indent=2, sort_keys=True), each line after the
+    first starting with pad (a newline and the indent): a scalar by the
+    _SCALARS function of its exact type, a dict or list of scalars in one
+    pass, a numpy int array as its tolist() (_array_items), and any other
+    value by the stdlib's encoder, which raises its TypeError on what JSON
+    cannot hold."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = sorted(value.items())
+        try:
+            texts = [f"{_KEY(key)}: {_SCALARS[type(item)](item)}" for key, item in items]
+        except KeyError:   # an item that is no scalar
+            texts = [f"{_KEY(key)}: {_write(item, inner)}" for key, item in items]
+        texts = ("," + inner).join(texts)   # the list is freed before the braces add a copy
+        return f"{{{inner}{texts}{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:
+            texts = [_SCALARS[type(item)](item) for item in value]
+        except KeyError:
+            texts = [_write(item, inner) for item in value]
+        texts = ("," + inner).join(texts)
+        return f"[{inner}{texts}{pad}]"
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iu"):
+        return _ENCODE(value)
+    if 0 in value.shape:
+        return _write(value.tolist(), pad)
+    return f"[{inner}{(',' + inner).join(_array_items(value, pad))}{pad}]"
 
 
 def canonical_json(obj) -> str:
@@ -179,11 +196,30 @@ def load_spec(path: str) -> CodeSpec:
 
 
 def _emit(result: dict, out: str | None):
-    text = canonical_json(result)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+    """Write canonical_json(result) to the file out, or to stdout, in one
+    write, or, if its int arrays take more than linalg.PRODUCT_BYTES, each a
+    slice of rows of at most that many bytes at a time: the text of every
+    other value first, so what JSON cannot hold raises before a file is made."""
+    arrays = {key for key, value in result.items()
+              if isinstance(value, np.ndarray) and value.dtype.kind in "iu" and value.size}
+    if sum(result[key].nbytes for key in arrays) <= linalg.PRODUCT_BYTES:
+        parts = [canonical_json(result)]
     else:
-        sys.stdout.write(text)
+        parts = []
+        for i, key in enumerate(sorted(result)):
+            parts += [("," if i else "{") + "\n  " + _KEY(key) + ": ",
+                      result[key] if key in arrays else _write(result[key], "\n  ")]
+        parts.append("\n}\n")
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+        for part in parts:
+            if isinstance(part, str):
+                fh.write(part)
+                continue
+            step = max(1, linalg.PRODUCT_BYTES * len(part) // part.nbytes)   # rows a slice
+            for start in range(0, len(part), step):
+                fh.write(("," if start else "[") + "\n    ")
+                fh.write(",\n    ".join(_array_items(part[start:start + step], "\n  ")))
+            fh.write("\n  ]")
 
 
 def _base_result(spec: CodeSpec, code: BuiltCode) -> dict:

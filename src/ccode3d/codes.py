@@ -39,6 +39,8 @@ factor, G*H^T and G*G^T are zero unless some band pair on a cell pair that
 the ring's cell Gram keeps has a nonzero product.  The verdict is a
 fixed-point test on the indices, and H spans ker G exactly when G*H^T = 0
 and rank H = n - rank G, the dual's dimension (as in ``verify``).
+``cyclic_yz_selfdual_scan`` reads each record from a table per (s, alpha)
+and one per (l, k), with the formula of the ring counts (``_grid_counts``).
 """
 
 from __future__ import annotations
@@ -613,10 +615,23 @@ def _divisor_counts(field: FieldSpec, s: int, alpha: int) -> tuple[int, int]:
     return (power + 1) ** len(cosets), (power + 1) ** (len(cosets) // 2) if paired else 0
 
 
+def _grid_counts(divisors: int, fixed: int, cells: int, self_paired: int) -> tuple[int, int]:
+    """(#grids, #self-dual grids) of a +-1 ring of `cells` = k*l cells,
+    self_paired of them their own partners (cell_partners), over `divisors`
+    monic divisors of x^s - alpha, `fixed` of them their own monic q*
+    (_divisor_counts).  A grid is self-dual iff each cell's partner holds the
+    monic reversal of its complement, as reversal distributes over
+    x^s - alpha = p*q, a unit times its own reversal for alpha = +-1; paired
+    cells then have degrees a and s - a, so sum(a) = n/2.  Hence a free
+    divisor per paired orbit and a fixed one per self-paired cell."""
+    return divisors ** cells, fixed ** self_paired * divisors ** ((cells - self_paired) // 2)
+
+
 def count_divisor_grids(ring: RingParams) -> int:
-    """The number of divisor grids over the ring, (#divisors)^(k*l), with the
-    divisors counted from cosets (_divisor_counts): none is built or factored."""
-    return _divisor_counts(ring.field, ring.s, ring.alpha)[0] ** (ring.k * ring.l)
+    """The number of divisor grids over the ring, (#divisors)^(k*l), from the
+    coset counts (_grid_counts, whose grid count reads no pairing): no
+    divisor is built or factored."""
+    return _grid_counts(*_divisor_counts(ring.field, ring.s, ring.alpha), ring.k * ring.l, 0)[0]
 
 
 def admissible_sign_rings(field: FieldSpec, s: int, l: int, k: int) -> list[RingParams]:
@@ -634,25 +649,16 @@ def admissible_sign_rings(field: FieldSpec, s: int, l: int, k: int) -> list[Ring
 
 
 def self_dual_grid_count(ring: RingParams) -> int:
-    """Number of divisor grids over the ring that give a self-dual code.
-
-    The per-cell self-duality conditions couple each cell only with its
-    partner, and within an orbit they collapse to: the partner's divisor is
-    the monic reversal of this cell's complementary divisor (for a
-    self-paired cell, the divisor must equal that reversal itself).  Both
-    directions follow because reversal distributes over the factorization
-    x^s - alpha = p*q and (x^s - alpha) reversed is a unit multiple of
-    itself when alpha is +-1.  The degree condition sum(a) = n/2 is implied:
-    paired cells have degrees a and s - a.  Counts therefore multiply over
-    orbits: a free choice per paired orbit, one of the `fixed` divisors equal
-    to their own monic q* per self-paired cell, both counted from cosets
-    (_divisor_counts).  Cross-validated against grid enumeration in tests.
-    """
+    """Number of divisor grids over the ring that give a self-dual code, from the coset
+    counts and the self-paired cells (_grid_counts); checked against enumeration in tests."""
     _require_unit_constants(ring, "self-dual grid count")
-    divisors, fixed = _divisor_counts(ring.field, ring.s, ring.alpha)
-    self_paired = int((cell_partners(ring) == np.arange(ring.k * ring.l)).sum())
-    paired_orbits = (ring.k * ring.l - self_paired) // 2
-    return fixed ** self_paired * divisors ** paired_orbits
+    return _grid_counts(*_divisor_counts(ring.field, ring.s, ring.alpha), ring.k * ring.l,
+                        _self_paired(ring))[1]
+
+
+def _self_paired(ring: RingParams) -> int:
+    """The number of cells that cell_partners pairs with themselves."""
+    return int((cell_partners(ring) == np.arange(ring.k * ring.l)).sum())
 
 
 def _scan_lengths(field: FieldSpec, m_max: int) -> list[int]:
@@ -677,31 +683,29 @@ def cyclic_yz_selfdual_scan(field: FieldSpec, s_max: int, l_max: int, k_max: int
 
     Covers alpha in {1, -1}, s <= s_max with gcd(s, q) = 1 (s odd when
     alpha = -1), and all l, k admitted by the root hypothesis (divisors of
-    q - 1).  Each record carries the exact count of self-dual grids, from
-    cosets, and the feasibility screen's verdict.  A record past
+    q - 1).  Each record carries the exact counts of grids and self-dual
+    grids and the feasibility screen's verdict, read from two tables made
+    once per call: per (s, alpha) the coset counts and the screen, and per
+    (l, k) the self-paired cells of one ring with s = alpha = 1, since the
+    pairing depends only on the y- and z-families (_grid_counts).  No ring
+    is made per record and nothing is factored.  A record past
     SPEC_LENGTH_LIMIT is refused before any is made (check_scan_length).
     """
     check_scan_length(field, s_max, l_max, k_max)
-    ls, ks = _scan_lengths(field, l_max), _scan_lengths(field, k_max)
+    shapes = [(l, k, l * k, _self_paired(RingParams(field, 1, l, k, 1, 1, 1)))
+              for l in _scan_lengths(field, l_max) for k in _scan_lengths(field, k_max)]
     records = []
     for alpha in (1, field.p - 1):
         for s in range(1, s_max + 1):
-            if math.gcd(s, field.p) != 1:
+            if math.gcd(s, field.p) != 1 or alpha == field.p - 1 and s % 2 == 0:
                 continue
-            if alpha == field.p - 1 and s % 2 == 0:
-                continue
-            for l in ls:
-                for k in ks:
-                    ring = RingParams(field, s, l, k, alpha, 1, 1)
-                    feasible, reason = self_dual_feasible(field, s, l, k, alpha)
-                    records.append({
-                        "q": field.p, "s": s, "l": l, "k": k,
-                        "alpha": alpha, "beta": 1, "gamma": 1,
-                        "selfdual_grid_count": self_dual_grid_count(ring),
-                        "grid_count": count_divisor_grids(ring),
-                        "feasible": feasible,
-                        "reason": reason,
-                    })
+            counts = _divisor_counts(field, s, alpha)
+            feasible, reason = self_dual_feasible(field, s, 1, 1, alpha)   # l and k play no part
+            for l, k, cells, self_paired in shapes:
+                grids, self_dual = _grid_counts(*counts, cells, self_paired)
+                records.append({"q": field.p, "s": s, "l": l, "k": k, "alpha": alpha, "beta": 1,
+                                "gamma": 1, "selfdual_grid_count": self_dual, "grid_count": grids,
+                                "feasible": feasible, "reason": reason})
     return records
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 
@@ -256,6 +257,35 @@ def per_spec_sweep_report(field, s, l, k) -> dict:
             if verdict:
                 report["self_dual"] += 1
     return report
+
+
+def selfdual_scan_loop(field, s_max: int, l_max: int, k_max: int) -> list[dict]:
+    """The records of codes.cyclic_yz_selfdual_scan made one ring a record,
+    each count from the ring functions self_dual_grid_count and
+    count_divisor_grids and the screen called with the record's own l and
+    k: the oracle of the scan's per-(s, alpha) and per-(l, k) tables."""
+    codes.check_scan_length(field, s_max, l_max, k_max)
+    ls, ks = codes._scan_lengths(field, l_max), codes._scan_lengths(field, k_max)
+    records = []
+    for alpha in (1, field.p - 1):
+        for s in range(1, s_max + 1):
+            if math.gcd(s, field.p) != 1:
+                continue
+            if alpha == field.p - 1 and s % 2 == 0:
+                continue
+            for l in ls:
+                for k in ks:
+                    ring = ring3d.RingParams(field, s, l, k, alpha, 1, 1)
+                    feasible, reason = codes.self_dual_feasible(field, s, l, k, alpha)
+                    records.append({
+                        "q": field.p, "s": s, "l": l, "k": k,
+                        "alpha": alpha, "beta": 1, "gamma": 1,
+                        "selfdual_grid_count": codes.self_dual_grid_count(ring),
+                        "grid_count": codes.count_divisor_grids(ring),
+                        "feasible": feasible,
+                        "reason": reason,
+                    })
+    return records
 
 
 def reference_trial_candidates(field, s: int, alpha: int) -> int:

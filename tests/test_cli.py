@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -5,13 +7,14 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ccode3d import cli, ring3d
+from ccode3d import cli, linalg, ring3d
 from ccode3d.cli import canonical_json, load_spec, main, spec_from_dict, spec_to_dict
 
 from conftest import install_wrong_z_family, per_spec_sweep_report
@@ -449,6 +452,41 @@ def test_canonical_json_writes_arrays_as_their_lists(obj):
     lists = {key: value.tolist() if isinstance(value, np.ndarray) else value
              for key, value in obj.items()}
     assert canonical_json(obj) == json.dumps(lists, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=200)
+@given(obj=st.dictionaries(st.text(max_size=5), st.one_of(_INT_ARRAYS, _JSON_VALUES), max_size=6))
+def test_streamed_result_matches_canonical_json(tmp_path_factory, obj):
+    # with a budget of one byte every nonempty int array goes out a row at a
+    # time, after the text of the other values: the file and stdout hold
+    # canonical_json's bytes all the same
+    out = tmp_path_factory.getbasetemp() / "streamed.json"
+    stdout = io.StringIO()
+    with mock.patch.object(linalg, "PRODUCT_BYTES", 1), contextlib.redirect_stdout(stdout):
+        cli._emit(obj, str(out))
+        cli._emit(obj, None)
+    assert out.read_text(encoding="utf-8") == stdout.getvalue() == canonical_json(obj)
+
+
+def test_small_result_goes_out_in_one_write(monkeypatch):
+    writes = []
+    monkeypatch.setattr(sys, "stdout", mock.Mock(write=writes.append))
+    code = main(["dual", "--spec", EXAMPLE1])
+    assert code == 0 and len(writes) == 1
+    assert json.loads(writes[0])["dual_dimension"] == 4
+
+
+@pytest.mark.parametrize("budget", [linalg.PRODUCT_BYTES, 1])
+def test_unencodable_result_writes_no_file(monkeypatch, tmp_path, budget):
+    # a numpy scalar among the verdicts, which sort after G, raises the
+    # stdlib's TypeError before the file is made, whether the result goes
+    # out in one write or its arrays in row slices
+    monkeypatch.setattr(linalg, "PRODUCT_BYTES", budget)
+    monkeypatch.setattr(cli, "quasi_twisted_closure", lambda *args: {"x": np.int64(1)})
+    out = tmp_path / "build.json"
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        main(["build", "--spec", EXAMPLE1, "--out", str(out)])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, cell, empty", [

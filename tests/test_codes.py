@@ -51,6 +51,7 @@ from conftest import (
     reciprocal_cell,
     row_space_equal,
     self_reciprocal_count,
+    selfdual_scan_loop,
 )
 
 F5 = FieldSpec(5)
@@ -941,6 +942,18 @@ def test_selfdual_scan_beta_gamma_one_small():
                 if self_dual_decide(spec)[0]
             )
             assert found == 0
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+def test_selfdual_scan_matches_the_per_record_loop(q):
+    # the records read from the per-(s, alpha) and per-(l, k) tables equal
+    # the ones made a ring each, for s <= 12 (the multiples of q included,
+    # which both skip) and every l, k the root hypothesis admits
+    field = FieldSpec(q)
+    records = cyclic_yz_selfdual_scan(field, 12, q - 1, q - 1)
+    assert records == selfdual_scan_loop(field, 12, q - 1, q - 1)
+    assert {(rec["l"], rec["k"]) for rec in records} == {
+        (l, k) for l in range(1, q) for k in range(1, q) if (q - 1) % l == 0 == (q - 1) % k}
 
 
 def test_selfdual_scan_and_grid_count_factor_nothing(monkeypatch):
